@@ -19,12 +19,11 @@ are skipped for the same reason.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .presentation import Presentation
-from .words import Word, concat_all, conjugate, count_words_up_to, invert, reduce_word, word_at_index
+from .words import Word, concat, concat_all, conjugate, count_words_up_to, invert, reduce_word, word_at_index
 
 
 class DyckFactor(NamedTuple):
@@ -121,13 +120,21 @@ class ProductStream:
 
     @staticmethod
     def _stage_products(n: int, entries):
+        # Depth first, in itertools.product order, so that each reduced
+        # prefix is computed once for all products that extend it.
+        def prefixes(depth):
+            if depth == 0:
+                yield (), b"", True
+                return
+            for factors, word, old in prefixes(depth - 1):
+                for e_old, e_word, factor in entries:
+                    yield factors + (factor,), concat(word, e_word), old and e_old
+
         for m in range(1, n + 1):
-            skippable = m <= n - 1
-            for combo in itertools.product(entries, repeat=m):
-                if skippable and all(e[0] for e in combo):
-                    continue
-                word = concat_all(e[1] for e in combo)
-                yield ("product", DyckProduct(tuple(e[2] for e in combo), n), word)
+            skippable = m <= n - 1  # all-old products this short were in stage n-1
+            for factors, word, old in prefixes(m):
+                if not (skippable and old):
+                    yield ("product", DyckProduct(factors, n), word)
 
 
 def dyck_at_cursor(c: int, p: Presentation) -> DyckProduct:

@@ -31,7 +31,7 @@ import subprocess
 import threading
 from dataclasses import dataclass
 
-from .words import Alphabet, Word, conjugate, format_word, parse_word, word_at_index
+from .words import Alphabet, Word, conjugate, format_word, parse_word, reduce_word, word_at_index
 
 
 class SourceExhausted(Exception):
@@ -215,14 +215,15 @@ class Presentation:
 
 
 def extend(p: Presentation, x: Word) -> Presentation:
-    """The presentation of G1 = G/Ncl(x): x becomes relator 0."""
+    """The presentation of G1 = G/Ncl(x): x, freely reduced, becomes relator 0."""
     if p.extended:
         raise ValueError("presentation is already extended")
-    if x == b"":
-        raise ValueError("cannot extend by the empty word")
     bound = 2 * p.alphabet.k
     if any(not 0 <= letter < bound for letter in x):
         raise ValueError("word is not over the presentation's alphabet")
+    x = reduce_word(x)
+    if x == b"":
+        raise ValueError("cannot extend by a word that reduces to the empty word")
     return Presentation(p.alphabet, p.source, extended_by=x)
 
 

@@ -21,16 +21,21 @@ assembled word wakes the candidates waiting on it.  Any derivable word is
 assembled by infinitely many products, so a goal registered after its
 first assembly is still reached; no candidate ever consumes derivation
 budget by itself, which is what makes the dovetail affordable.
+
+A long run parks tens of thousands of candidates, so they are kept lean:
+waiter lists hold admission indices into one candidate list, a candidate
+counts its pending goals, and the winner's cell goal words are recomputed.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .derivation import EqualityCertificate, ProductStream, max_relator_index
 from .presentation import Presentation
 from .tables import DEFAULT_MAX_TABLE_ORDER, MultiplicationTable, table_at_cursor
-from .words import Alphabet, Word, concat_all, count_words_up_to, invert, word_at_index
+from .words import Alphabet, Word, concat, count_words_up_to, invert, word_at_index
 
 WORDS_MODE = "words"
 LETTERS_MODE = "letters"
@@ -62,12 +67,12 @@ def equation_words(table: MultiplicationTable, assignment: Assignment):
     Empty results are trivially proved (the empty Dyck product derives them).
     """
     images = assignment.images
-    cells = table.cells
+    inverses = [invert(w) for w in images]
     out = []
-    for i in range(table.order):
-        for j in range(table.order):
-            w = concat_all((images[i], images[j], invert(images[cells[i][j]])))
-            out.append((i, j, w))
+    for i, row in enumerate(table.cells):
+        left = images[i]
+        for j, k in enumerate(row):
+            out.append((i, j, concat(concat(left, images[j]), inverses[k])))
     return out
 
 
@@ -75,7 +80,7 @@ def coverage_words(p: Presentation, assignment: Assignment, coverage):
     """Per generator g the reduced goal word g . tau(u_{coverage[g]})^-1."""
     out = []
     for g in range(p.alphabet.k):
-        w = concat_all((bytes([2 * g]), invert(assignment.images[coverage[g]])))
+        w = concat(bytes([2 * g]), invert(assignment.images[coverage[g]]))
         out.append((g, w))
     return out
 
@@ -136,47 +141,39 @@ def surjective_letter_images(idx: int, order: int, alphabet: Alphabet):
 
 
 class _Candidate:
-    """One admitted (table, assignment) pair parked on its unresolved goals."""
+    """One admitted (table, assignment) pair parked on its unresolved goals.
 
-    __slots__ = (
-        "admission",
-        "table",
-        "images",
-        "mode",
-        "cell_words",
-        "pending_eq",
-        "eq_certs",
-        "cov_resolved",
-        "pending_cov",
-    )
+    It counts its underived cell goal words and uncovered generators, and
+    keeps derivations only of resolved goals: ``eq_certs`` (word -> cert,
+    made on first use) and ``cov_resolved`` (generator -> (element, cert)).
+    """
+
+    __slots__ = ("admission", "table", "images", "mode", "pending", "eq_certs", "uncovered", "cov_resolved")
 
     def __init__(self, admission, table, images, mode):
         self.admission = admission
         self.table = table
         self.images = images
         self.mode = mode
-        self.cell_words = {}
-        self.pending_eq = set()
-        self.eq_certs = {}
-        self.cov_resolved = {}
-        self.pending_cov = {}
+        self.pending = 0
+        self.eq_certs = None
+        self.uncovered = 0
+        self.cov_resolved = None
 
     def complete(self) -> bool:
-        if self.pending_eq:
-            return False
-        return all(e is not None for e in self.cov_resolved.values())
+        return not self.pending and not self.uncovered
 
     def to_certificate(self) -> FinitenessCertificate:
         assignment = Assignment(self.table, self.images)
         equation_certs = {
-            cell: self.eq_certs[w]
-            for cell, w in self.cell_words.items()
-            if w != b""
+            (i, j): self.eq_certs[w] for i, j, w in equation_words(self.table, assignment) if w != b""
         }
         coverage = None
+        coverage_certs = {}
         if self.mode == WORDS_MODE:
-            coverage = {g: e for g, (e, _) in self.cov_resolved.items()}
-        coverage_certs = {g: c for g, (_, c) in self.cov_resolved.items() if c is not None}
+            resolved = sorted(self.cov_resolved.items())
+            coverage = {g: e for g, (e, _) in resolved}
+            coverage_certs = {g: c for g, (_, c) in resolved if c is not None}
         return FinitenessCertificate(
             table=self.table,
             assignment=assignment,
@@ -219,7 +216,9 @@ class FinitenessTask:
         self.admitted = 0
         self.certificate: FinitenessCertificate | None = None
         self.visited: list | None = [] if instrument else None
-        self._waiters: dict[Word, list] = {}
+        self._parked: list[_Candidate] = []  # indexed by admission
+        self._waiters: dict[Word, list[int]] = {}  # goal word -> admissions
+        self._cov_waiters: dict[Word, list[tuple[int, int, int]]] = {}  # -> (admission, g, e)
         self._candidates = self._candidate_stream()
 
     @property
@@ -235,6 +234,7 @@ class FinitenessTask:
         # grade opens nothing new, and forever once the candidate space is
         # provably exhausted (finite letters-mode space under the order cap).
         alphabet = self.extended.alphabet
+        image_words = [b""]  # word_at_index(n) at index n, grown with the length bound
         pointers: dict[tuple[int, int], int] = {}
         grade = 0
         while True:
@@ -267,11 +267,15 @@ class FinitenessTask:
                 for length_bound in range(1, lmax + 1):
                     key = (t, length_bound)
                     start = pointers.get(key, 0)
+                    w = count_words_up_to(length_bound, alphabet.k) - 1
+                    while len(image_words) <= w:
+                        image_words.append(word_at_index(len(image_words), alphabet))
                     end = min(bound, images_block_size(table.order, alphabet, length_bound))
-                    for idx in range(start, end):
-                        images = images_at_cursor(idx, table.order, alphabet, length_bound)
+                    # The order of images_at_cursor: one digit per element, most significant first.
+                    block = itertools.product(image_words[1 : w + 1], repeat=table.order - 1)
+                    for idx, images in enumerate(itertools.islice(block, start, end), start):
                         yielded = True
-                        yield (t, length_bound, idx, table, images)
+                        yield (t, length_bound, idx, table, (b"",) + images)
                     pointers[key] = end
             if capped and not more_possible:
                 while True:
@@ -288,32 +292,27 @@ class FinitenessTask:
         if self.visited is not None:
             self.visited.append((t, length_bound, idx))
         cand = _Candidate(self.admitted, table, images, self.mode)
+        self._parked.append(cand)
         self.admitted += 1
-        assignment = Assignment(table, images)
-        for i, j, w in equation_words(table, assignment):
-            cand.cell_words[(i, j)] = w
-            if w != b"":
-                cand.pending_eq.add(w)
+        goals = {w for _, _, w in equation_words(table, Assignment(table, images)) if w != b""}
+        cand.pending = len(goals)
+        witnesses = []
         if self.mode == WORDS_MODE:
+            cand.cov_resolved = {}
+            inverses = [invert(image) for image in images]
             for g in range(self.extended.alphabet.k):
-                cand.cov_resolved[g] = None
-                witnesses = []
-                for e in range(table.order):
-                    w = concat_all((bytes([2 * g]), invert(images[e])))
-                    if w == b"":
-                        cand.cov_resolved[g] = (e, None)
-                        witnesses = []
-                        break
-                    witnesses.append((e, w))
-                cand.pending_cov[g] = witnesses
+                gen = bytes([2 * g])
+                if gen in images:  # the goal g.tau(u_e)^-1 is empty: covered for free
+                    cand.cov_resolved[g] = (images.index(gen), None)
+                else:
+                    cand.uncovered += 1
+                    witnesses.extend((g, e, concat(gen, inv)) for e, inv in enumerate(inverses))
         if cand.complete():
             return cand
-        for w in sorted(cand.pending_eq):
-            self._waiters.setdefault(w, []).append((cand, "eq", None))
-        if self.mode == WORDS_MODE:
-            for g in range(self.extended.alphabet.k):
-                for e, w in cand.pending_cov[g]:
-                    self._waiters.setdefault(w, []).append((cand, "cov", (g, e)))
+        for w in goals:
+            self._waiters.setdefault(w, []).append(cand.admission)
+        for g, e, w in witnesses:
+            self._cov_waiters.setdefault(w, []).append((cand.admission, g, e))
         return None
 
     def _derive(self) -> _Candidate | None:
@@ -321,30 +320,33 @@ class FinitenessTask:
         if ev[0] != "product":
             return None
         _, product, word = ev
-        entries = self._waiters.pop(word, None)
-        if entries is None:
+        eq_waiters = self._waiters.pop(word, ())
+        cov_waiters = self._cov_waiters.pop(word, ())
+        if not eq_waiters and not cov_waiters:
             return None
         cert = EqualityCertificate(
             product=product,
             target=word,
             max_relator_index=max_relator_index(product.factors),
         )
-        affected = []
-        for cand, kind, payload in entries:
-            if kind == "eq":
-                if word in cand.pending_eq:
-                    cand.pending_eq.discard(word)
-                    cand.eq_certs[word] = cert
-            else:
-                g, e = payload
-                if cand.cov_resolved.get(g) is None:
-                    cand.cov_resolved[g] = (e, cert)
-            affected.append(cand)
+        parked = self._parked
         winner = None
-        for cand in affected:
-            if cand.complete() and (winner is None or cand.admission < winner.admission):
-                winner = cand
-        return winner
+        for a in eq_waiters:
+            cand = parked[a]
+            if cand.eq_certs is None:
+                cand.eq_certs = {}
+            cand.eq_certs[word] = cert
+            cand.pending -= 1
+            if cand.complete() and (winner is None or a < winner):
+                winner = a
+        for a, g, e in cov_waiters:
+            cand = parked[a]
+            if g not in cand.cov_resolved:
+                cand.cov_resolved[g] = (e, cert)
+                cand.uncovered -= 1
+                if cand.complete() and (winner is None or a < winner):
+                    winner = a
+        return None if winner is None else parked[winner]
 
     def step(self) -> FinitenessCertificate | None:
         """One dovetail quantum: a derivation step or a candidate admission."""

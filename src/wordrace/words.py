@@ -7,7 +7,9 @@ of a letter ``x ^ 1``, keeps words hashable and compact, and makes plain
 byte comparison coincide with the letter order a < a^-1 < b < b^-1 < ...
 
 Words are kept freely reduced at all times; unreduced letter sequences
-exist only as inputs to :func:`reduce_word`.
+exist only as inputs to :func:`reduce_word`, the one routine that accepts
+them.  The product kernels (:func:`concat` and the routines built on it)
+assume reduced operands: only the junction of two reduced words can cancel.
 
 Text format: lowercase letter = generator, uppercase letter = its
 inverse (``abA`` is a.b.a^-1), empty string = identity.
@@ -96,37 +98,36 @@ def reduce_word(raw, alphabet: Alphabet | None = None) -> Word:
     return bytes(out)
 
 
+FLIP = bytes(x ^ 1 for x in range(256))  # letter byte -> the inverse letter
+
+
 def invert(w: Word) -> Word:
     """w^-1: reverse the letters and flip every sign."""
-    return bytes(x ^ 1 for x in reversed(w))
+    return w[::-1].translate(FLIP)
 
 
 def concat(u: Word, v: Word) -> Word:
-    """Reduced product u.v of two reduced words."""
-    out = bytearray(u)
-    for x in v:
-        if out and out[-1] == x ^ 1:
-            out.pop()
-        else:
-            out.append(x)
-    return bytes(out)
+    """Reduced product u.v of reduced words: only their junction can cancel."""
+    if not (u and v and u[-1] == v[0] ^ 1):
+        return u + v
+    n = min(len(u), len(v))
+    i = 1
+    while i < n and u[-1 - i] == v[i] ^ 1:
+        i += 1
+    return u[:-i] + v[i:]
 
 
 def concat_all(words) -> Word:
-    """Reduced product of a sequence of reduced words."""
-    out = bytearray()
+    """Reduced product of a sequence of words, each of which must be reduced."""
+    out = b""
     for w in words:
-        for x in w:
-            if out and out[-1] == x ^ 1:
-                out.pop()
-            else:
-                out.append(x)
-    return bytes(out)
+        out = concat(out, w)
+    return out
 
 
 def conjugate(t: Word, w: Word) -> Word:
-    """Reduced t.w.t^-1."""
-    return concat_all((t, w, invert(t)))
+    """Reduced t.w.t^-1 of reduced t and w."""
+    return concat(concat(t, w), invert(t))
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:

@@ -15,7 +15,7 @@ from wordrace.derivation import (
 )
 from wordrace.oracle import TableGroup, exponent_sum, is_identity_dinf, zn_table
 from wordrace.presentation import extend, parse_presentation
-from wordrace.words import conjugate, count_words_up_to, parse_word, word_at_index
+from wordrace.words import concat_all, conjugate, count_words_up_to, invert, parse_word, word_at_index
 
 Z = "generators: a\n"
 Z3 = "generators: a\nrelator: aaa\n"
@@ -114,6 +114,50 @@ class TestCursorEnumeration:
         # stage 3 needs relators 0..3 and no more
         assert p.source.pulled_count == 4
         p.close()
+
+
+def reference_events(p):
+    """The stream's events from the plain itertools.product loop, re-reducing every product."""
+    k = p.alphabet.k
+    prev_avail = 0
+    yield ("stage", 0)
+    yield ("product", DyckProduct((), 0), b"")
+    for n in itertools.count(1):
+        yield ("stage", n)
+        avail = p.available(n + 1)
+        old_conj = count_words_up_to(n - 1, k)
+        entries = []
+        for i in range(avail):
+            rel = p.relator(i)
+            if rel == b"":
+                continue
+            for sign, body in ((1, rel), (-1, invert(rel))):
+                for c in range(count_words_up_to(n, k)):
+                    t = word_at_index(c, p.alphabet)
+                    old = i < prev_avail and c < old_conj
+                    entries.append((old, conjugate(t, body), DyckFactor(t, i, sign)))
+        prev_avail = avail
+        for m in range(1, n + 1):
+            for combo in itertools.product(entries, repeat=m):
+                if m <= n - 1 and all(e[0] for e in combo):
+                    continue
+                word = concat_all(e[1] for e in combo)
+                yield ("product", DyckProduct(tuple(e[2] for e in combo), n), word)
+
+
+class TestStageOrder:
+    @pytest.mark.parametrize("text, extension, events", [
+        (DINF, "abAB", 50_000),
+        (Z3, None, 20_000),  # reaches products of three factors
+    ])
+    def test_matches_product_loop(self, text, extension, events):
+        p = parse_presentation(text)
+        if extension is not None:
+            p = extend(p, parse_word(extension, p.alphabet))
+        stream = ProductStream(p)
+        reference = reference_events(p)
+        for n in range(events):
+            assert stream.next_event() == next(reference), n
 
 
 class TestSoundness:

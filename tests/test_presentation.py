@@ -87,6 +87,16 @@ def test_extend_rejects_empty_and_double():
         extend(q, parse_word("a", p.alphabet))
 
 
+def test_extend_reduces_x():
+    p = parse_presentation(DINF_TEXT)
+    a, A, b = 0, 1, 2
+    q = extend(p, bytes([a, b, A, a, b]))  # a b a^-1 a b
+    assert q.relator(0) == parse_word("abb", p.alphabet)
+    assert q.extended_by == q.relator(0)
+    with pytest.raises(ValueError):
+        extend(p, bytes([a, b, 3, A]))  # a b b^-1 a^-1 reduces to the identity
+
+
 def test_extend_rejects_foreign_word():
     p = parse_presentation(Z_TEXT)
     foreign = parse_word("ab", alphabet("ab"))

@@ -185,6 +185,15 @@ class TestDovetailTotality:
                 break
         assert wanted <= set(task.visited)
 
+    def test_admitted_images_follow_images_at_cursor(self):
+        p = extend(parse_presentation("generators: a b\n"), w("a"))
+        task = FinitenessTask(p, instrument=True)
+        for _ in range(20_000):
+            task.step()
+        assert len(task.visited) == task.admitted > 2000
+        for cand, (t, length_bound, idx) in zip(task._parked, task.visited):
+            assert cand.images == images_at_cursor(idx, cand.table.order, AB, length_bound)
+
     def test_strict_mode_exhausts_finite_space(self):
         # k=1: one letter-valued map per table; the space under the order
         # cap is finite, after which admissions idle but never deadlock.

@@ -9,6 +9,7 @@ from wordrace.words import (
     MalformedWordError,
     alphabet,
     concat,
+    concat_all,
     conjugate,
     count_words,
     count_words_up_to,
@@ -101,6 +102,31 @@ class TestInvertConcat:
         assert conjugate(w("b"), w("aa")) == w("baaB")
         assert conjugate(w("a"), w("aa")) == w("aa")
         assert conjugate(b"", w("ab")) == w("ab")
+
+
+reduced_k4 = st.lists(st.integers(min_value=0, max_value=7), max_size=12).map(
+    lambda raw: reduce_word(bytes(raw))
+)
+
+
+class TestKernelAgainstReduce:
+    """The cancellation kernel agrees with reducing the plain concatenation."""
+
+    @given(reduced_k4, reduced_k4)
+    def test_concat(self, u, v):
+        assert concat(u, v) == reduce_word(u + v)
+
+    @given(st.lists(reduced_k4, max_size=6))
+    def test_concat_all(self, ws):
+        assert concat_all(ws) == reduce_word(b"".join(ws))
+
+    @given(reduced_k4, reduced_k4)
+    def test_conjugate(self, t, w):
+        assert conjugate(t, w) == reduce_word(t + w + invert(t))
+
+    @given(reduced_k4)
+    def test_invert_involution(self, w):
+        assert invert(invert(w)) == w
 
 
 class TestEnumeration:
