@@ -7,15 +7,7 @@ exhibiting the extended group as a finite quotient.  Either outcome comes
 with an independently checkable certificate.
 """
 
-from .derivation import (
-    DyckFactor,
-    DyckProduct,
-    EqualityCertificate,
-    EqualityTask,
-    assemble,
-    dyck_at_cursor,
-    prove_equal,
-)
+from .derivation import DyckFactor, EqualityCertificate, EqualityTask
 from .presentation import (
     Presentation,
     PresentationSyntaxError,
@@ -24,15 +16,7 @@ from .presentation import (
     extend,
     parse_presentation,
 )
-from .quotient import (
-    Assignment,
-    FinitenessCertificate,
-    FinitenessTask,
-    assignment_at_cursor,
-    coverage_words,
-    equation_words,
-    prove_finite,
-)
+from .quotient import FinitenessCertificate, FinitenessTask, equation_words
 from .scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Budget, Outcome, solve
 from .tables import (
     MultiplicationTable,

@@ -3,7 +3,9 @@
 The verifier is straight-line by design: it re-pulls the cited relators,
 re-assembles products with fresh reductions, and compares letters, sharing
 only the word and table primitives with the provers.  No search code runs
-here, so a prover bug cannot certify itself.
+here, so a prover bug cannot certify itself.  A claimed relator count is
+compared with the factors before any relator is pulled, so a document
+cannot make the verifier pull more relators than its factors cite.
 
 Certificate documents are canonical text: fixed field order, compact word
 format, newline-terminated.  A document binds itself to a presentation via
@@ -11,6 +13,9 @@ the SHA-256 digest of the serialized alphabet plus the pulled-relator
 prefix it cites (``relators-used`` lines).  Equality documents carry the
 factor list; finiteness documents carry the table, the image words, the
 coverage witnesses, and one nested equality document per nonempty goal.
+The in-memory certificates hold the same fields and nothing derivable:
+the ``relators-used`` count of a document is worked out from the factors,
+here and only here, by ``relators_used_by``.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .derivation import DyckFactor, DyckProduct, EqualityCertificate, max_relator_index
+from .derivation import DyckFactor, EqualityCertificate
 from .presentation import Presentation, prefix_document
-from .quotient import LETTERS_MODE, WORDS_MODE, Assignment, FinitenessCertificate
+from .quotient import LETTERS_MODE, WORDS_MODE, FinitenessCertificate
 from .tables import MultiplicationTable, is_group_table
 from .words import Alphabet, Word, concat_all, conjugate, format_word, invert, parse_word, reduce_word
 
@@ -35,7 +40,8 @@ def presentation_digest(p: Presentation, relator_count: int) -> str:
 
 
 def relators_used_by(cert: EqualityCertificate) -> int:
-    return max_relator_index(cert.product.factors) + 1 if cert.product.factors else 0
+    """Length of the relator prefix the factors cite: highest index plus one."""
+    return max((f.relator_index for f in cert.factors), default=-1) + 1
 
 
 def relators_used_by_finiteness(cert: FinitenessCertificate) -> int:
@@ -54,8 +60,8 @@ def _equality_lines(cert: EqualityCertificate, p: Presentation, out: list[str]) 
     out.append("presentation: " + presentation_digest(p, relators_used_by(cert)))
     out.append("target: " + format_word(cert.target, a))
     out.append(f"relators-used: {relators_used_by(cert)}")
-    out.append(f"factors: {len(cert.product.factors)}")
-    for f in cert.product.factors:
+    out.append(f"factors: {len(cert.factors)}")
+    for f in cert.factors:
         sign = "+" if f.sign == 1 else "-"
         out.append(f"factor: {format_word(f.conjugator, a)} {f.relator_index} {sign}")
     out.append("end: certificate")
@@ -79,7 +85,7 @@ def serialize_finiteness(cert: FinitenessCertificate, extended: Presentation) ->
     out.append(f"order: {r}")
     for row in cert.table.cells:
         out.append("row: " + " ".join(str(v) for v in row))
-    for image in cert.assignment.images:
+    for image in cert.images:
         out.append("image: " + format_word(image, a))
     if cert.mode == WORDS_MODE:
         for g in range(a.k):
@@ -175,18 +181,7 @@ def _parse_equality_body(lines: _Lines, alphabet: Alphabet) -> EqualityDocument:
     end = lines.next()
     if end != "end: certificate":
         raise CertificateSyntaxError(f"expected end of certificate, got {end!r}")
-    factors = tuple(factors)
-    if factors:
-        stage = max(len(factors), max_relator_index(factors),
-                    max(len(f.conjugator) for f in factors))
-    else:
-        stage = 0
-    cert = EqualityCertificate(
-        product=DyckProduct(factors, stage),
-        target=target,
-        max_relator_index=max_relator_index(factors),
-    )
-    return EqualityDocument(digest, relators_used, cert)
+    return EqualityDocument(digest, relators_used, EqualityCertificate(tuple(factors), target))
 
 
 def _parse_finiteness_body(lines: _Lines, alphabet: Alphabet) -> FinitenessDocument:
@@ -241,7 +236,7 @@ def _parse_finiteness_body(lines: _Lines, alphabet: Alphabet) -> FinitenessDocum
         raise CertificateSyntaxError(f"expected end of certificate, got {end!r}")
     cert = FinitenessCertificate(
         table=table,
-        assignment=Assignment(table, images),
+        images=images,
         mode=mode,
         coverage=coverage,
         equation_certs=equation_certs,
@@ -276,9 +271,12 @@ def verify_equality(
     target = reduce_word(x)
     if cert.target != target:
         return False, "certificate target differs from the reduced input word"
+    used = relators_used_by(cert)
+    if claimed_relators_used is not None and claimed_relators_used != used:
+        return False, "relators-used differs from the cited factors"
     bound = 2 * p.alphabet.k
     parts = []
-    for n, f in enumerate(cert.product.factors):
+    for n, f in enumerate(cert.factors):
         if f.sign not in (1, -1):
             return False, f"factor {n} has invalid sign {f.sign}"
         if any(not 0 <= letter < bound for letter in f.conjugator):
@@ -293,11 +291,6 @@ def verify_equality(
     assembled = concat_all(parts)
     if assembled != target:
         return False, "assembled product does not reduce to the target"
-    used = relators_used_by(cert)
-    if cert.max_relator_index != max_relator_index(cert.product.factors):
-        return False, "max relator index is inconsistent with the factors"
-    if claimed_relators_used is not None and claimed_relators_used != used:
-        return False, "relators-used differs from the cited factors"
     if claimed_digest is not None and claimed_digest != presentation_digest(p, used):
         return False, "presentation digest mismatch"
     return True, "ok"
@@ -323,23 +316,29 @@ def verify_finiteness(
     equation_docs=None,
     coverage_docs=None,
 ) -> tuple[bool, str]:
-    """Check the table axioms, the assignment shape, and every goal word.
+    """Check the table axioms, the shape of tau, and every goal word.
 
     A goal word that reduces to the empty word needs no derivation (the
     empty product derives it); every other goal must carry a nested
     equality certificate for exactly that word, valid over the extended
-    presentation.
+    presentation.  Relator claims are checked before any goal, so a nested
+    certificate cannot pull relators beyond the enclosing claim.
     """
     if not extended.extended:
         return False, "presentation is not extended by a target word"
+    used = relators_used_by_finiteness(cert)
+    if claimed_relators_used is not None:
+        if claimed_relators_used != used:
+            return False, "relators-used differs from the nested certificates"
+        nested = [*(equation_docs or {}).values(), *(coverage_docs or {}).values()]
+        if any(doc.relators_used > used for doc in nested):
+            return False, "a nested certificate claims more relators than the enclosing one"
     a = extended.alphabet
     table = cert.table
     ok, why = is_group_table(table.cells)
     if not ok:
         return False, f"not a group table: {why}"
-    images = cert.assignment.images
-    if cert.assignment.table != table:
-        return False, "assignment is for a different table"
+    images = cert.images
     if len(images) != table.order:
         return False, "image count differs from the table order"
     bound = 2 * a.k
@@ -384,20 +383,18 @@ def verify_finiteness(
         return True, "ok"
 
     cells = table.cells
-    for i in range(table.order):
-        for j in range(table.order):
-            goal = concat_all((images[i], images[j], invert(images[cells[i][j]])))
-            nested = cert.equation_certs.get((i, j))
-            doc = equation_docs.get((i, j)) if equation_docs is not None else None
-            good, why = check_goal(goal, nested, doc, f"cell ({i},{j})")
-            if not good:
-                return False, why
-    extra = set(cert.equation_certs) - {
-        (i, j)
-        for i in range(table.order)
-        for j in range(table.order)
-        if concat_all((images[i], images[j], invert(images[cells[i][j]]))) != b""
+    goals = {
+        (i, j): concat_all((images[i], images[j], invert(images[k])))
+        for i, row in enumerate(cells)
+        for j, k in enumerate(row)
     }
+    for (i, j), goal in goals.items():
+        nested = cert.equation_certs.get((i, j))
+        doc = equation_docs.get((i, j)) if equation_docs is not None else None
+        good, why = check_goal(goal, nested, doc, f"cell ({i},{j})")
+        if not good:
+            return False, why
+    extra = set(cert.equation_certs) - {cell for cell, goal in goals.items() if goal != b""}
     if extra:
         return False, f"unexpected equation certificates at {sorted(extra)}"
 
@@ -410,9 +407,6 @@ def verify_finiteness(
             if not good:
                 return False, why
 
-    used = relators_used_by_finiteness(cert)
-    if claimed_relators_used is not None and claimed_relators_used != used:
-        return False, "relators-used differs from the nested certificates"
     if claimed_digest is not None and claimed_digest != presentation_digest(extended, used):
         return False, "presentation digest mismatch"
     return True, "ok"

@@ -15,6 +15,11 @@ Zero exponents are not enumerated: an identity factor reduces away, so
 products over e in {+1,-1} with varying factor count assemble the same
 set of words without redundant candidates.  Relators that are empty words
 are skipped for the same reason.
+
+A product is its tuple of factors (conjugator, relator index, sign), and
+an equality certificate is that tuple plus the target word.  The stage
+of a product and the relators it cites follow from the factors, so
+neither is stored.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .presentation import Presentation
-from .words import Word, concat, concat_all, conjugate, count_words_up_to, invert, reduce_word, word_at_index
+from .words import Word, concat, conjugate, count_words_up_to, invert, reduce_word, word_at_index
 
 
 class DyckFactor(NamedTuple):
@@ -32,47 +37,26 @@ class DyckFactor(NamedTuple):
     sign: int
 
 
-class DyckProduct(NamedTuple):
-    factors: tuple[DyckFactor, ...]
-    stage: int
-
-
 @dataclass(frozen=True)
 class EqualityCertificate:
-    """A product whose free reduction is letter-for-letter the target word."""
+    """Factors whose product's free reduction is letter-for-letter the target."""
 
-    product: DyckProduct
+    factors: tuple[DyckFactor, ...]
     target: Word
-    max_relator_index: int
-
-
-def max_relator_index(factors) -> int:
-    return max((f.relator_index for f in factors), default=0)
-
-
-def assemble(product: DyckProduct, p: Presentation) -> Word:
-    """Free reduction of the product of conjugated relators; may pull relators."""
-    parts = []
-    for f in product.factors:
-        rel = p.relator(f.relator_index)
-        body = rel if f.sign == 1 else invert(rel)
-        parts.append(conjugate(f.conjugator, body))
-    return concat_all(parts)
 
 
 class ProductStream:
     """Stateful enumerator over all Dyck products of one presentation.
 
     ``next_event()`` performs one quantum of work and returns either
-    ``("product", product, assembled_word)`` or ``("stage", n)`` when the
-    enumeration crosses into stage n.  ``cursor`` counts products only, so
-    it realizes the fixed bijection cursor -> product.
+    ``("product", factors, assembled_word)`` or ``("stage", n)`` when the
+    enumeration crosses into stage n.  The order of the product events is
+    fixed by the presentation alone, and every product occurs exactly once.
     """
 
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
         self.stage = -1
-        self.cursor = 0
         self._stage_iter = None
         self._conj_words: list[Word] = []
         self._prev_avail = 0
@@ -81,7 +65,6 @@ class ProductStream:
         if self._stage_iter is not None:
             item = next(self._stage_iter, None)
             if item is not None:
-                self.cursor += 1
                 return item
             self._stage_iter = None
         self.stage += 1
@@ -90,7 +73,7 @@ class ProductStream:
 
     def _begin_stage(self, n: int):
         if n == 0:
-            return iter([("product", DyckProduct((), 0), b"")])
+            return iter([("product", (), b"")])
         p = self.presentation
         avail = p.available(n + 1)
         prev_avail = self._prev_avail
@@ -134,21 +117,7 @@ class ProductStream:
             skippable = m <= n - 1  # all-old products this short were in stage n-1
             for factors, word, old in prefixes(m):
                 if not (skippable and old):
-                    yield ("product", DyckProduct(factors, n), word)
-
-
-def dyck_at_cursor(c: int, p: Presentation) -> DyckProduct:
-    """The c-th product of the enumeration (sequential scan, O(c))."""
-    if c < 0:
-        raise ValueError("cursor must be a natural number")
-    stream = ProductStream(p)
-    seen = -1
-    while True:
-        ev = stream.next_event()
-        if ev[0] == "product":
-            seen += 1
-            if seen == c:
-                return ev[1]
+                    yield ("product", factors, word)
 
 
 class EqualityTask:
@@ -165,10 +134,6 @@ class EqualityTask:
         self.steps_taken = 0
         self.certificate: EqualityCertificate | None = None
 
-    @property
-    def cursor(self) -> int:
-        return self.stream.cursor
-
     def step(self) -> EqualityCertificate | None:
         """Advance one quantum; return a certificate once the target is found."""
         if self.certificate is not None:
@@ -176,20 +141,6 @@ class EqualityTask:
         self.steps_taken += 1
         ev = self.stream.next_event()
         if ev[0] == "product" and ev[2] == self.target:
-            self.certificate = EqualityCertificate(
-                product=ev[1],
-                target=self.target,
-                max_relator_index=max_relator_index(ev[1].factors),
-            )
+            self.certificate = EqualityCertificate(factors=ev[1], target=self.target)
             return self.certificate
         return None
-
-
-def prove_equal(p: Presentation, x: Word, budget: int) -> EqualityCertificate | None:
-    """Run an EqualityTask for up to ``budget`` steps; None means exhausted."""
-    task = EqualityTask(p, x)
-    for _ in range(budget):
-        cert = task.step()
-        if cert is not None:
-            return cert
-    return None

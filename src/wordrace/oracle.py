@@ -78,10 +78,6 @@ class TableGroup:
         return eval_in_table(self.table, self.images, w) == 0
 
 
-def is_identity_table(group: TableGroup, w: Word) -> bool:
-    return group.is_identity(w)
-
-
 @dataclass(frozen=True)
 class CorpusGroup:
     """A named corpus entry: a decision procedure plus its presentation text."""

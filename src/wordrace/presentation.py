@@ -87,12 +87,6 @@ class RelatorSource:
             return self._cache[i]
         raise SourceExhausted(f"source exhausted before relator {i}")
 
-    def try_relator(self, i: int) -> Word | None:
-        try:
-            return self.relator(i)
-        except SourceExhausted:
-            return None
-
     def available(self, upto: int) -> int:
         """Pull and report how many relators with index < upto exist."""
         self._pull_until(upto)
@@ -295,16 +289,6 @@ def parse_presentation(text: str) -> Presentation:
         source = FamilySource(base, alphabet, prefix=inline)
 
     return Presentation(alphabet, source)
-
-
-def serialize_presentation(p: Presentation) -> str:
-    """Inverse of parse for inline presentations (test round-trips)."""
-    if not isinstance(p.source, InlineSource):
-        raise ValueError("only inline presentations serialize")
-    lines = ["generators: " + " ".join(p.alphabet.generators)]
-    for i in range(p.source.pulled_count):
-        lines.append("relator: " + format_word(p.source.relator(i), p.alphabet))
-    return "\n".join(lines) + "\n"
 
 
 def prefix_document(p: Presentation, count: int) -> str:

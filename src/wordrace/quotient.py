@@ -25,6 +25,10 @@ budget by itself, which is what makes the dovetail affordable.
 A long run parks tens of thousands of candidates, so they are kept lean:
 waiter lists hold admission indices into one candidate list, a candidate
 counts its pending goals, and the winner's cell goal words are recomputed.
+The cell goals are defined once, by ``equation_words``, and the coverage
+goals once, in ``FinitenessTask._admit``.  A certificate holds only what
+cannot be derived: the table, the images, the coverage map (words mode)
+and one derivation per nonempty goal word.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .derivation import EqualityCertificate, ProductStream, max_relator_index
+from .derivation import EqualityCertificate, ProductStream
 from .presentation import Presentation
 from .tables import DEFAULT_MAX_TABLE_ORDER, MultiplicationTable, table_at_cursor
 from .words import Alphabet, Word, concat, count_words_up_to, invert, word_at_index
@@ -42,31 +46,25 @@ LETTERS_MODE = "letters"
 
 
 @dataclass(frozen=True)
-class Assignment:
-    """images[i] is the word tau(u_i); images[0] is empty in words mode."""
+class FinitenessCertificate:
+    """An epimorphism witness: table, tau, coverage, and goal derivations.
+
+    ``images[i]`` is the word tau(u_i); images[0] is empty in words mode.
+    """
 
     table: MultiplicationTable
     images: tuple[Word, ...]
-
-
-@dataclass(frozen=True)
-class FinitenessCertificate:
-    """A verified epimorphism witness: table, assignment, and derivations."""
-
-    table: MultiplicationTable
-    assignment: Assignment
     mode: str
     coverage: dict[int, int] | None  # generator index -> witness element (words mode)
     equation_certs: dict[tuple[int, int], EqualityCertificate]
     coverage_certs: dict[int, EqualityCertificate]
 
 
-def equation_words(table: MultiplicationTable, assignment: Assignment):
+def equation_words(table: MultiplicationTable, images: tuple[Word, ...]):
     """The r*r reduced goal words tau(u_i) tau(u_j) tau(u_k)^-1, row-major.
 
     Empty results are trivially proved (the empty Dyck product derives them).
     """
-    images = assignment.images
     inverses = [invert(w) for w in images]
     out = []
     for i, row in enumerate(table.cells):
@@ -76,55 +74,10 @@ def equation_words(table: MultiplicationTable, assignment: Assignment):
     return out
 
 
-def coverage_words(p: Presentation, assignment: Assignment, coverage):
-    """Per generator g the reduced goal word g . tau(u_{coverage[g]})^-1."""
-    out = []
-    for g in range(p.alphabet.k):
-        w = concat(bytes([2 * g]), invert(assignment.images[coverage[g]]))
-        out.append((g, w))
-    return out
-
-
 def images_block_size(order: int, alphabet: Alphabet, length_bound: int) -> int:
     """Number of image tuples with nonempty words of length <= the bound."""
     w = count_words_up_to(length_bound, alphabet.k) - 1
     return w ** (order - 1)
-
-
-def images_at_cursor(n: int, order: int, alphabet: Alphabet, length_bound: int):
-    """Fixed enumeration of image tuples; None past the block end."""
-    w = count_words_up_to(length_bound, alphabet.k) - 1
-    if n < 0 or n >= w ** (order - 1):
-        return None
-    digits = []
-    for _ in range(order - 1):
-        n, d = divmod(n, w)
-        digits.append(d)
-    digits.reverse()
-    return (b"",) + tuple(word_at_index(d + 1, alphabet) for d in digits)
-
-
-def assignment_block_size(order: int, alphabet: Alphabet, length_bound: int) -> int:
-    return images_block_size(order, alphabet, length_bound) * order ** alphabet.k
-
-
-def assignment_at_cursor(n: int, table: MultiplicationTable, alphabet: Alphabet, length_bound: int):
-    """Fixed enumeration of (Assignment, coverage map) pairs for one block.
-
-    Returns None once the finite (table, length bound) block is exhausted;
-    the dovetailer then grows the length bound.
-    """
-    r = table.order
-    if n < 0 or n >= assignment_block_size(r, alphabet, length_bound):
-        return None
-    cov_digits = []
-    for _ in range(alphabet.k):
-        n, d = divmod(n, r)
-        cov_digits.append(d)
-    cov_digits.reverse()
-    images = images_at_cursor(n, r, alphabet, length_bound)
-    coverage = dict(enumerate(cov_digits))
-    return Assignment(table, images), coverage
 
 
 def surjective_letter_images(idx: int, order: int, alphabet: Alphabet):
@@ -141,7 +94,7 @@ def surjective_letter_images(idx: int, order: int, alphabet: Alphabet):
 
 
 class _Candidate:
-    """One admitted (table, assignment) pair parked on its unresolved goals.
+    """One admitted (table, images) pair parked on its unresolved goals.
 
     It counts its underived cell goal words and uncovered generators, and
     keeps derivations only of resolved goals: ``eq_certs`` (word -> cert,
@@ -164,9 +117,8 @@ class _Candidate:
         return not self.pending and not self.uncovered
 
     def to_certificate(self) -> FinitenessCertificate:
-        assignment = Assignment(self.table, self.images)
         equation_certs = {
-            (i, j): self.eq_certs[w] for i, j, w in equation_words(self.table, assignment) if w != b""
+            (i, j): self.eq_certs[w] for i, j, w in equation_words(self.table, self.images) if w != b""
         }
         coverage = None
         coverage_certs = {}
@@ -176,7 +128,7 @@ class _Candidate:
             coverage_certs = {g: c for g, (_, c) in resolved if c is not None}
         return FinitenessCertificate(
             table=self.table,
-            assignment=assignment,
+            images=self.images,
             mode=self.mode,
             coverage=coverage,
             equation_certs=equation_certs,
@@ -188,7 +140,7 @@ class FinitenessTask:
     """Dovetails candidate admission with the shared derivation stream.
 
     Every admit_period-th step admits the next candidate from the graded
-    (table cursor, length bound, assignment index) enumeration; all other
+    (table cursor, length bound, image-tuple index) enumeration; all other
     steps advance the Dyck enumeration of the extended presentation by one
     quantum and wake any candidates waiting on the assembled word.  The
     first candidate whose goals are all discharged wins; ties break by
@@ -202,7 +154,6 @@ class FinitenessTask:
         extended: Presentation,
         mode: str = WORDS_MODE,
         max_table_order: int = DEFAULT_MAX_TABLE_ORDER,
-        instrument: bool = False,
     ):
         if not extended.extended:
             raise ValueError("presentation must be extended by the target word")
@@ -215,22 +166,18 @@ class FinitenessTask:
         self.steps_taken = 0
         self.admitted = 0
         self.certificate: FinitenessCertificate | None = None
-        self.visited: list | None = [] if instrument else None
         self._parked: list[_Candidate] = []  # indexed by admission
         self._waiters: dict[Word, list[int]] = {}  # goal word -> admissions
         self._cov_waiters: dict[Word, list[tuple[int, int, int]]] = {}  # -> (admission, g, e)
         self._candidates = self._candidate_stream()
 
     @property
-    def derivation_cursor(self) -> int:
-        return self.stream.cursor
-
-    @property
     def parked_count(self) -> int:
         return self.admitted  # parked candidates are never discarded
 
     def _candidate_stream(self):
-        # Yields admission tuples; yields None for an idle quantum when a
+        # Yields admission tuples (table cursor, length bound, index in the
+        # block, table, images); yields None for an idle quantum when a
         # grade opens nothing new, and forever once the candidate space is
         # provably exhausted (finite letters-mode space under the order cap).
         alphabet = self.extended.alphabet
@@ -271,7 +218,7 @@ class FinitenessTask:
                     while len(image_words) <= w:
                         image_words.append(word_at_index(len(image_words), alphabet))
                     end = min(bound, images_block_size(table.order, alphabet, length_bound))
-                    # The order of images_at_cursor: one digit per element, most significant first.
+                    # One digit per non-identity element, most significant first.
                     block = itertools.product(image_words[1 : w + 1], repeat=table.order - 1)
                     for idx, images in enumerate(itertools.islice(block, start, end), start):
                         yielded = True
@@ -288,13 +235,11 @@ class FinitenessTask:
         admission = next(self._candidates)
         if admission is None:
             return None
-        t, length_bound, idx, table, images = admission
-        if self.visited is not None:
-            self.visited.append((t, length_bound, idx))
+        table, images = admission[3:]
         cand = _Candidate(self.admitted, table, images, self.mode)
         self._parked.append(cand)
         self.admitted += 1
-        goals = {w for _, _, w in equation_words(table, Assignment(table, images)) if w != b""}
+        goals = {w for _, _, w in equation_words(table, images) if w != b""}
         cand.pending = len(goals)
         witnesses = []
         if self.mode == WORDS_MODE:
@@ -319,16 +264,12 @@ class FinitenessTask:
         ev = self.stream.next_event()
         if ev[0] != "product":
             return None
-        _, product, word = ev
+        word = ev[2]
         eq_waiters = self._waiters.pop(word, ())
         cov_waiters = self._cov_waiters.pop(word, ())
         if not eq_waiters and not cov_waiters:
             return None
-        cert = EqualityCertificate(
-            product=product,
-            target=word,
-            max_relator_index=max_relator_index(product.factors),
-        )
+        cert = EqualityCertificate(factors=ev[1], target=word)
         parked = self._parked
         winner = None
         for a in eq_waiters:
@@ -361,18 +302,3 @@ class FinitenessTask:
             self.certificate = winner.to_certificate()
             return self.certificate
         return None
-
-
-def prove_finite(
-    extended: Presentation,
-    budget: int,
-    mode: str = WORDS_MODE,
-    max_table_order: int = DEFAULT_MAX_TABLE_ORDER,
-) -> FinitenessCertificate | None:
-    """Run a FinitenessTask for up to ``budget`` steps; None means exhausted."""
-    task = FinitenessTask(extended, mode=mode, max_table_order=max_table_order)
-    for _ in range(budget):
-        cert = task.step()
-        if cert is not None:
-            return cert
-    return None

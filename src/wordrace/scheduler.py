@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .derivation import DyckProduct, EqualityCertificate, EqualityTask
+from .derivation import EqualityCertificate, EqualityTask
 from .presentation import Presentation, extend
 from .quotient import WORDS_MODE, FinitenessCertificate, FinitenessTask
 from .tables import DEFAULT_MAX_TABLE_ORDER
@@ -66,8 +66,7 @@ def solve(
         raise ValueError("word is not over the presentation's alphabet")
     target = reduce_word(x)
     if target == b"":
-        cert = EqualityCertificate(product=DyckProduct((), 0), target=b"", max_relator_index=0)
-        return Outcome(EQUAL, cert, 0, 0)
+        return Outcome(EQUAL, EqualityCertificate(factors=(), target=b""), 0, 0)
 
     arm1 = EqualityTask(p, target)
     arm2 = FinitenessTask(extend(p, target), mode=tau_mode, max_table_order=max_table_order)

@@ -1,0 +1,84 @@
+"""Test-side conveniences and reference enumerations built on the library.
+
+None of these runs on the solver's path: they drive a task to a budget,
+re-assemble a product the slow way, index enumerations by cursor, or print
+a presentation back, so that tests can state what the solver must match.
+"""
+
+from wordrace.derivation import EqualityTask, ProductStream
+from wordrace.presentation import InlineSource
+from wordrace.quotient import WORDS_MODE, FinitenessTask
+from wordrace.tables import DEFAULT_MAX_TABLE_ORDER
+from wordrace.words import concat_all, conjugate, count_words_up_to, format_word, invert, word_at_index
+
+
+def prove_equal(p, x, budget):
+    """Run an EqualityTask for up to ``budget`` steps; None means exhausted."""
+    task = EqualityTask(p, x)
+    for _ in range(budget):
+        cert = task.step()
+        if cert is not None:
+            return cert
+    return None
+
+
+def prove_finite(extended, budget, mode=WORDS_MODE, max_table_order=DEFAULT_MAX_TABLE_ORDER):
+    """Run a FinitenessTask for up to ``budget`` steps; None means exhausted."""
+    task = FinitenessTask(extended, mode=mode, max_table_order=max_table_order)
+    for _ in range(budget):
+        cert = task.step()
+        if cert is not None:
+            return cert
+    return None
+
+
+def assemble(factors, p):
+    """Free reduction of the product of conjugated relators; may pull relators."""
+    parts = []
+    for f in factors:
+        rel = p.relator(f.relator_index)
+        body = rel if f.sign == 1 else invert(rel)
+        parts.append(conjugate(f.conjugator, body))
+    return concat_all(parts)
+
+
+def dyck_at_cursor(c, p):
+    """The factors of the c-th product of the enumeration (sequential scan, O(c))."""
+    if c < 0:
+        raise ValueError("cursor must be a natural number")
+    stream = ProductStream(p)
+    seen = -1
+    while True:
+        ev = stream.next_event()
+        if ev[0] == "product":
+            seen += 1
+            if seen == c:
+                return ev[1]
+
+
+def images_at_cursor(n, order, alphabet, length_bound):
+    """Image tuples by index, in the order the finiteness arm admits them.
+
+    Element 0 maps to the empty word; the others take nonempty words of
+    length <= the bound, one digit per element, most significant first.
+    None past the end of the block.
+    """
+    w = count_words_up_to(length_bound, alphabet.k) - 1
+    if n < 0 or n >= w ** (order - 1):
+        return None
+    digits = []
+    for _ in range(order - 1):
+        n, d = divmod(n, w)
+        digits.append(d)
+    digits.reverse()
+    return (b"",) + tuple(word_at_index(d + 1, alphabet) for d in digits)
+
+
+def serialize_presentation(p):
+    """Inverse of parse for inline presentations."""
+    if not isinstance(p.source, InlineSource):
+        raise ValueError("only inline presentations serialize")
+    lines = ["generators: " + " ".join(p.alphabet.generators)]
+    for i in range(p.source.pulled_count):
+        lines.append("relator: " + format_word(p.source.relator(i), p.alphabet))
+    return "\n".join(lines) + "\n"

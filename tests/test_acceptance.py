@@ -21,16 +21,11 @@ from wordrace.certcheck import (
     verify_finiteness,
     verify_finiteness_document,
 )
-from wordrace.derivation import (
-    DyckFactor,
-    DyckProduct,
-    EqualityCertificate,
-    ProductStream,
-    prove_equal,
-)
+from helpers import prove_equal
+from wordrace.derivation import DyckFactor, EqualityCertificate, ProductStream
 from wordrace.oracle import TableGroup, exponent_sum, is_identity_dinf, is_identity_z, zn_table
 from wordrace.presentation import extend, parse_presentation
-from wordrace.quotient import Assignment, FinitenessCertificate
+from wordrace.quotient import FinitenessCertificate
 from wordrace.scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Budget, solve
 from wordrace.tables import MultiplicationTable, enumerate_tables, is_group_table
 from wordrace.words import (
@@ -208,7 +203,7 @@ def test_criterion_5_derivation_completeness_z3():
 
 
 def _mutate_equality(cert, rng):
-    factors = list(cert.product.factors)
+    factors = list(cert.factors)
     target = cert.target
     kind = rng.choice(["sign", "index", "conj", "target"])
     if kind == "sign" and factors:
@@ -227,14 +222,12 @@ def _mutate_equality(cert, rng):
     else:
         letter = bytes([rng.randrange(4)])
         target = reduce_word(target + letter)
-    return EqualityCertificate(
-        DyckProduct(tuple(factors), cert.product.stage), target, cert.max_relator_index
-    )
+    return EqualityCertificate(tuple(factors), target)
 
 
 def _mutate_finiteness(cert, rng):
     kind = rng.choice(["cell", "image", "cover", "nested-sign", "nested-index"])
-    table, assignment, coverage = cert.table, cert.assignment, dict(cert.coverage)
+    table, images, coverage = cert.table, cert.images, dict(cert.coverage)
     equation_certs = dict(cert.equation_certs)
     coverage_certs = dict(cert.coverage_certs)
     r = table.order
@@ -243,36 +236,29 @@ def _mutate_finiteness(cert, rng):
         i, j = rng.randrange(r), rng.randrange(r)
         cells[i][j] = (cells[i][j] + 1 + rng.randrange(r - 1)) % r if r > 1 else 0
         table = MultiplicationTable(tuple(map(tuple, cells)))
-        assignment = Assignment(table, assignment.images)
     elif kind == "image":
-        images = list(assignment.images)
+        images = list(images)
         i = rng.randrange(len(images))
         images[i] = reduce_word(images[i] + bytes([rng.randrange(2)]))
-        assignment = Assignment(table, tuple(images))
+        images = tuple(images)
     elif kind == "cover":
         g = rng.choice(sorted(coverage))
         coverage[g] = (coverage[g] + 1) % r if r > 1 else coverage[g] + 1
     elif kind == "nested-sign" and equation_certs:
         cell = rng.choice(sorted(equation_certs))
         nested = equation_certs[cell]
-        f = nested.product.factors[0]
-        flipped = (DyckFactor(f.conjugator, f.relator_index, -f.sign),) + nested.product.factors[1:]
-        equation_certs[cell] = EqualityCertificate(
-            DyckProduct(flipped, nested.product.stage), nested.target, nested.max_relator_index
-        )
+        f = nested.factors[0]
+        flipped = (DyckFactor(f.conjugator, f.relator_index, -f.sign),) + nested.factors[1:]
+        equation_certs[cell] = EqualityCertificate(flipped, nested.target)
     elif kind == "nested-index" and equation_certs:
         cell = rng.choice(sorted(equation_certs))
         nested = equation_certs[cell]
-        f = nested.product.factors[0]
-        shifted = (DyckFactor(f.conjugator, f.relator_index + 1, f.sign),) + nested.product.factors[1:]
-        equation_certs[cell] = EqualityCertificate(
-            DyckProduct(shifted, nested.product.stage),
-            nested.target,
-            max(nested.max_relator_index, f.relator_index + 1),
-        )
+        f = nested.factors[0]
+        shifted = (DyckFactor(f.conjugator, f.relator_index + 1, f.sign),) + nested.factors[1:]
+        equation_certs[cell] = EqualityCertificate(shifted, nested.target)
     return FinitenessCertificate(
         table=table,
-        assignment=assignment,
+        images=images,
         mode=cert.mode,
         coverage=coverage,
         equation_certs=equation_certs,
@@ -336,7 +322,7 @@ def test_criterion_6_certificate_integrity():
             if ok:
                 # accidental validity: every goal word must hold in Z/n
                 n = exponent_sum(x)
-                images = mutant.assignment.images
+                images = mutant.images
                 cells = mutant.table.cells
                 for i in range(mutant.table.order):
                     for j in range(mutant.table.order):

@@ -1,0 +1,71 @@
+"""The benchmark's layer tracer still fits the library it patches.
+
+``bench/layers.py`` wraps library functions and methods by name.  A rename
+or removal in ``src/`` would otherwise surface only in a traced benchmark
+run; here it fails the test suite.
+"""
+
+import os
+import sys
+
+import pytest
+
+from wordrace import derivation, quotient
+from wordrace.presentation import parse_presentation
+from wordrace.scheduler import NOT_EQUAL, Budget, solve
+from wordrace.words import parse_word
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+METRICS = {
+    "words.calls", "words.letters", "words.self_s", "words.letters_per_s",
+    "derivation.products.equal_arm", "derivation.products.finite_arm", "derivation.stages",
+    "derivation.distinct_words", "derivation.distinct_ratio", "derivation.self_s",
+    "derivation.products_per_s",
+    "quotient.admissions", "quotient.admit_s", "quotient.admissions_per_s", "quotient.derive_s",
+    "quotient.goal_words", "quotient.parked_peak",
+    "tables.cursor_calls", "tables.max_order_reached",
+    "presentation.calls", "presentation.self_s",
+    "scheduler.equal_arm_s", "scheduler.finite_arm_s", "scheduler.overhead_s", "scheduler.solve_s",
+}
+
+
+@pytest.fixture
+def layers():
+    sys.path.insert(0, BENCH)
+    try:
+        import layers
+
+        yield layers
+    finally:
+        sys.path.remove(BENCH)
+        sys.modules.pop("layers", None)
+
+
+def test_tracer_installs_and_counts(layers):
+    originals = (derivation.ProductStream.next_event, quotient.FinitenessTask.step, quotient.equation_words)
+    p = parse_presentation("generators: a b\nrelator: aa\nrelator: bb\n")
+    tracer = layers.LayerTracer()
+    tracer.install()
+    try:
+        for text in ("abab", "ab"):
+            out = solve(p, parse_word(text, p.alphabet), Budget())
+            assert out.verdict == NOT_EQUAL
+            tracer.end_query()
+    finally:
+        tracer.uninstall()
+    assert (derivation.ProductStream.next_event, quotient.FinitenessTask.step, quotient.equation_words) == originals
+
+    metrics = tracer.metrics()
+    assert set(metrics) == METRICS
+    for name in (
+        "derivation.products.equal_arm",
+        "derivation.products.finite_arm",
+        "derivation.distinct_words",
+        "quotient.admissions",
+        "quotient.goal_words",
+        "quotient.parked_peak",
+        "presentation.calls",
+        "words.calls",
+    ):
+        assert metrics[name] > 0, name

@@ -15,9 +15,10 @@ from wordrace.certcheck import (
     verify_finiteness,
     verify_finiteness_document,
 )
-from wordrace.derivation import DyckFactor, DyckProduct, EqualityCertificate, prove_equal
+from helpers import prove_equal, prove_finite
+from wordrace.derivation import DyckFactor, EqualityCertificate
 from wordrace.presentation import extend, parse_presentation
-from wordrace.quotient import Assignment, FinitenessCertificate, prove_finite
+from wordrace.quotient import FinitenessCertificate
 from wordrace.words import parse_word
 
 DINF = "generators: a b\nrelator: aa\nrelator: bb\n"
@@ -59,33 +60,25 @@ class TestEqualityVerification:
         text = serialize_equality(equality_cert, p)
         doc = parse_certificate(text, p.alphabet)
         assert isinstance(doc, EqualityDocument)
-        assert doc.certificate.product.factors == equality_cert.product.factors
+        assert doc.certificate.factors == equality_cert.factors
         ok, why = verify_equality_document(doc, dinf(), parse_word("abba", p.alphabet))
         assert ok, why
         assert serialize_equality(doc.certificate, dinf()) == text
 
     def test_sign_flip_rejected(self, equality_cert):
         p = dinf()
-        f0 = equality_cert.product.factors[0]
-        mutated = (DyckFactor(f0.conjugator, f0.relator_index, -f0.sign),) + equality_cert.product.factors[1:]
-        bad = EqualityCertificate(
-            DyckProduct(mutated, equality_cert.product.stage),
-            equality_cert.target,
-            equality_cert.max_relator_index,
-        )
+        f0 = equality_cert.factors[0]
+        mutated = (DyckFactor(f0.conjugator, f0.relator_index, -f0.sign),) + equality_cert.factors[1:]
+        bad = EqualityCertificate(mutated, equality_cert.target)
         ok, why = verify_equality(bad, p, equality_cert.target)
         assert not ok
         assert "assembled" in why
 
     def test_relator_index_beyond_source_rejected(self, equality_cert):
         p = dinf()
-        f0 = equality_cert.product.factors[0]
-        mutated = (DyckFactor(f0.conjugator, 7, f0.sign),) + equality_cert.product.factors[1:]
-        bad = EqualityCertificate(
-            DyckProduct(mutated, equality_cert.product.stage),
-            equality_cert.target,
-            7,
-        )
+        f0 = equality_cert.factors[0]
+        mutated = (DyckFactor(f0.conjugator, 7, f0.sign),) + equality_cert.factors[1:]
+        bad = EqualityCertificate(mutated, equality_cert.target)
         ok, why = verify_equality(bad, p, equality_cert.target)
         assert not ok
         assert "exhausted" in why or "beyond" in why
@@ -96,11 +89,34 @@ class TestEqualityVerification:
         assert not ok
 
     def test_max_index_inconsistency_rejected(self, equality_cert):
-        bad = EqualityCertificate(
-            equality_cert.product, equality_cert.target, equality_cert.max_relator_index + 1
+        # The relator count a document states must be the factors' highest
+        # index plus one.
+        used = max(f.relator_index for f in equality_cert.factors) + 1
+        for claimed in (used - 1, used + 1):
+            ok, why = verify_equality(
+                equality_cert, dinf(), equality_cert.target, claimed_relators_used=claimed
+            )
+            assert not ok
+            assert "relators-used" in why
+
+    def test_forged_relator_claim_pulls_nothing(self):
+        # One factor citing relator 200000 under "relators-used: 1": the
+        # claim is checked against the factors before any relator is pulled.
+        text = (
+            "certificate: equality\n"
+            f"presentation: {'0' * 64}\n"
+            "target: aa\n"
+            "relators-used: 1\n"
+            "factors: 1\n"
+            "factor: 200000 +\n"
+            "end: certificate\n"
         )
-        ok, why = verify_equality(bad, dinf(), equality_cert.target)
+        p = parse_presentation("generators: a b\nfamily: powers aa bb\n")
+        doc = parse_certificate(text, p.alphabet)
+        ok, why = verify_equality_document(doc, p, parse_word("aa", p.alphabet))
         assert not ok
+        assert "relators-used" in why
+        assert p.source.pulled_count <= 1
 
     def test_digest_binds_presentation(self, equality_cert):
         p = dinf()
@@ -134,7 +150,7 @@ class TestFinitenessVerification:
         bad_table = MultiplicationTable(tuple(tuple(r) for r in cells))
         bad = FinitenessCertificate(
             table=bad_table,
-            assignment=Assignment(bad_table, finiteness_cert.assignment.images),
+            images=finiteness_cert.images,
             mode=finiteness_cert.mode,
             coverage=finiteness_cert.coverage,
             equation_certs=finiteness_cert.equation_certs,
@@ -147,18 +163,14 @@ class TestFinitenessVerification:
     def test_nested_proof_mutation_rejected(self, finiteness_cert):
         extended = extend(z(), parse_word("aaa", z().alphabet))
         cell, cert = next(iter(finiteness_cert.equation_certs.items()))
-        f0 = cert.product.factors[0]
+        f0 = cert.factors[0]
         bad_factor = DyckFactor(f0.conjugator, f0.relator_index, -f0.sign)
-        bad_nested = EqualityCertificate(
-            DyckProduct((bad_factor,) + cert.product.factors[1:], cert.product.stage),
-            cert.target,
-            cert.max_relator_index,
-        )
+        bad_nested = EqualityCertificate((bad_factor,) + cert.factors[1:], cert.target)
         equation_certs = dict(finiteness_cert.equation_certs)
         equation_certs[cell] = bad_nested
         bad = FinitenessCertificate(
             table=finiteness_cert.table,
-            assignment=finiteness_cert.assignment,
+            images=finiteness_cert.images,
             mode=finiteness_cert.mode,
             coverage=finiteness_cert.coverage,
             equation_certs=equation_certs,
@@ -174,7 +186,7 @@ class TestFinitenessVerification:
         equation_certs.pop(next(iter(equation_certs)))
         bad = FinitenessCertificate(
             table=finiteness_cert.table,
-            assignment=finiteness_cert.assignment,
+            images=finiteness_cert.images,
             mode=finiteness_cert.mode,
             coverage=finiteness_cert.coverage,
             equation_certs=equation_certs,
@@ -183,6 +195,16 @@ class TestFinitenessVerification:
         ok, why = verify_finiteness(bad, extended)
         assert not ok
         assert "missing" in why
+
+    def test_nested_claim_above_enclosing_rejected(self, finiteness_cert):
+        extended = extend(z(), parse_word("aaa", z().alphabet))
+        text = serialize_finiteness(finiteness_cert, extended)
+        enclosing, nested, rest = text.split("relators-used: 1\n", 2)
+        forged = enclosing + "relators-used: 1\n" + nested + "relators-used: 2\n" + rest
+        doc = parse_certificate(forged, extended.alphabet)
+        ok, why = verify_finiteness_document(doc, extend(z(), doc.target))
+        assert not ok
+        assert "more relators than the enclosing" in why
 
     def test_requires_extended_presentation(self, finiteness_cert):
         ok, why = verify_finiteness(finiteness_cert, z())
@@ -203,10 +225,10 @@ class TestDocumentParsing:
     def test_empty_conjugator_round_trips(self):
         p = parse_presentation("generators: a\nrelator: aaa\n")
         cert = prove_equal(p, parse_word("aaa", p.alphabet), 1000)
-        assert cert.product.factors[0].conjugator == b""
+        assert cert.factors[0].conjugator == b""
         text = serialize_equality(cert, p)
         doc = parse_certificate(text, p.alphabet)
-        assert doc.certificate.product.factors == cert.product.factors
+        assert doc.certificate.factors == cert.factors
 
     def test_digest_is_prefix_hash(self):
         p = dinf()

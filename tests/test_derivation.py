@@ -4,15 +4,9 @@ import itertools
 
 import pytest
 
-from wordrace.derivation import (
-    DyckFactor,
-    DyckProduct,
-    EqualityTask,
-    ProductStream,
-    assemble,
-    dyck_at_cursor,
-    prove_equal,
-)
+from helpers import assemble, dyck_at_cursor, prove_equal
+from wordrace.certcheck import relators_used_by
+from wordrace.derivation import DyckFactor, EqualityTask, ProductStream
 from wordrace.oracle import TableGroup, exponent_sum, is_identity_dinf, zn_table
 from wordrace.presentation import extend, parse_presentation
 from wordrace.words import concat_all, conjugate, count_words_up_to, invert, parse_word, word_at_index
@@ -23,7 +17,7 @@ DINF = "generators: a b\nrelator: aa\nrelator: bb\n"
 
 
 def stream_products(presentation, max_stage):
-    """Materialize all products of stages <= max_stage, with assembled words."""
+    """Materialize all products of stages <= max_stage as (stage, factors, word)."""
     stream = ProductStream(presentation)
     out = []
     while True:
@@ -31,8 +25,9 @@ def stream_products(presentation, max_stage):
         if ev[0] == "stage":
             if ev[1] > max_stage:
                 return out
+            stage = ev[1]
         else:
-            out.append((ev[1], ev[2]))
+            out.append((stage, ev[1], ev[2]))
 
 
 def bounded_products(presentation, stage):
@@ -58,40 +53,37 @@ def bounded_products(presentation, stage):
 class TestAssemble:
     def test_single_factor(self):
         p = parse_presentation(DINF)
-        d = DyckProduct((DyckFactor(b"", 0, 1),), 1)
-        assert assemble(d, p) == parse_word("aa", p.alphabet)
+        assert assemble((DyckFactor(b"", 0, 1),), p) == parse_word("aa", p.alphabet)
 
     def test_conjugated_factor(self):
         p = parse_presentation(DINF)
         t = parse_word("b", p.alphabet)
-        d = DyckProduct((DyckFactor(t, 0, 1),), 1)
-        assert assemble(d, p) == parse_word("baaB", p.alphabet)
+        assert assemble((DyckFactor(t, 0, 1),), p) == parse_word("baaB", p.alphabet)
 
     def test_cancelling_pair(self):
         p = parse_presentation(DINF)
-        d = DyckProduct((DyckFactor(b"", 0, 1), DyckFactor(b"", 0, -1)), 2)
-        assert assemble(d, p) == b""
+        assert assemble((DyckFactor(b"", 0, 1), DyckFactor(b"", 0, -1)), p) == b""
 
     def test_empty_product(self):
         p = parse_presentation(DINF)
-        assert assemble(DyckProduct((), 0), p) == b""
+        assert assemble((), p) == b""
 
 
 class TestCursorEnumeration:
     def test_cursor_zero_is_empty_product(self):
         p = parse_presentation(Z3)
-        assert dyck_at_cursor(0, p) == DyckProduct((), 0)
+        assert dyck_at_cursor(0, p) == ()
 
     def test_first_nonempty_product_z3(self):
         p = parse_presentation(Z3)
-        d = dyck_at_cursor(1, p)
-        assert d.factors == (DyckFactor(b"", 0, 1),)
-        assert assemble(d, p) == parse_word("aaa", p.alphabet)
+        factors = dyck_at_cursor(1, p)
+        assert factors == (DyckFactor(b"", 0, 1),)
+        assert assemble(factors, p) == parse_word("aaa", p.alphabet)
 
     def test_stage_two_block_covers_all_bounded_products(self):
         p = parse_presentation(DINF)
         enumerated = stream_products(p, 2)
-        factor_tuples = [d.factors for d, _ in enumerated]
+        factor_tuples = [factors for _, factors, _ in enumerated]
         assert len(factor_tuples) == len(set(factor_tuples)), "cursor map not injective"
         expected = bounded_products(parse_presentation(DINF), 2)
         assert set(factor_tuples) == expected
@@ -99,10 +91,9 @@ class TestCursorEnumeration:
     @pytest.mark.parametrize("text,max_stage", [(DINF, 2), (Z3, 3)])
     def test_stage_grading_bounds(self, text, max_stage):
         p = parse_presentation(text)
-        for d, _ in stream_products(p, max_stage):
-            n = d.stage
-            assert len(d.factors) <= n
-            for f in d.factors:
+        for n, factors, _ in stream_products(p, max_stage):
+            assert len(factors) <= n
+            for f in factors:
                 assert f.relator_index <= n
                 assert len(f.conjugator) <= n
 
@@ -121,7 +112,7 @@ def reference_events(p):
     k = p.alphabet.k
     prev_avail = 0
     yield ("stage", 0)
-    yield ("product", DyckProduct((), 0), b"")
+    yield ("product", (), b"")
     for n in itertools.count(1):
         yield ("stage", n)
         avail = p.available(n + 1)
@@ -142,7 +133,7 @@ def reference_events(p):
                 if m <= n - 1 and all(e[0] for e in combo):
                     continue
                 word = concat_all(e[1] for e in combo)
-                yield ("product", DyckProduct(tuple(e[2] for e in combo), n), word)
+                yield ("product", tuple(e[2] for e in combo), word)
 
 
 class TestStageOrder:
@@ -164,12 +155,12 @@ class TestSoundness:
     def test_all_assemblies_die_in_oracle_z3(self):
         p = parse_presentation(Z3)
         z3 = TableGroup(zn_table(3), (1,))
-        for _, word in stream_products(p, 3):
+        for _, _, word in stream_products(p, 3):
             assert z3.is_identity(word)
 
     def test_all_assemblies_die_in_oracle_dinf(self):
         p = parse_presentation(DINF)
-        for _, word in stream_products(p, 2):
+        for _, _, word in stream_products(p, 2):
             assert is_identity_dinf(word)
 
 
@@ -178,8 +169,8 @@ class TestStepEquality:
         p = parse_presentation(DINF)
         cert = prove_equal(p, parse_word("aa", p.alphabet), 100)
         assert cert is not None
-        assert cert.product.factors == (DyckFactor(b"", 0, 1),)
-        assert cert.max_relator_index == 0
+        assert cert.factors == (DyckFactor(b"", 0, 1),)
+        assert relators_used_by(cert) == 1
 
     def test_no_relators_never_found(self):
         p = parse_presentation(Z)
@@ -192,22 +183,22 @@ class TestStepEquality:
         p = parse_presentation(Z)
         cert = prove_equal(p, b"", 10)
         assert cert is not None
-        assert cert.product == DyckProduct((), 0)
-        assert cert.max_relator_index == 0
+        assert cert.factors == ()
+        assert relators_used_by(cert) == 0
 
     def test_extension_relator_proved_with_one_factor(self):
         base = parse_presentation(DINF)
         x = parse_word("abab", base.alphabet)
         cert = prove_equal(extend(base, x), x, 100)
         assert cert is not None
-        assert cert.product.factors == (DyckFactor(b"", 0, 1),)
+        assert cert.factors == (DyckFactor(b"", 0, 1),)
 
     def test_a6_two_factor_certificate(self):
         p = parse_presentation(Z3)
         cert = prove_equal(p, parse_word("aaaaaa", p.alphabet), 100_000)
         assert cert is not None
-        assert len(cert.product.factors) == 2
-        assert assemble(cert.product, p) == parse_word("aaaaaa", p.alphabet)
+        assert len(cert.factors) == 2
+        assert assemble(cert.factors, p) == parse_word("aaaaaa", p.alphabet)
 
     def test_exhausted_budget(self):
         p = parse_presentation(Z)
@@ -236,11 +227,11 @@ class TestCompletenessDeskScale:
             text = ("a" if n > 0 else "A") * abs(n)
             cert = prove_equal(p, parse_word(text, p.alphabet), 1_000_000)
             assert cert is not None, n
-            assert assemble(cert.product, p) == parse_word(text, p.alphabet)
+            assert assemble(cert.factors, p) == parse_word(text, p.alphabet)
 
     def test_z3_nonzero_residue_never_assembled(self):
         p = parse_presentation(Z3)
-        for _, word in stream_products(p, 4):
+        for _, _, word in stream_products(p, 4):
             assert exponent_sum(word) % 3 == 0
 
     def test_certificate_coherence(self):
@@ -249,4 +240,4 @@ class TestCompletenessDeskScale:
         goal = conjugate(t, parse_word("aa", p.alphabet))
         cert = prove_equal(p, goal, 10_000)
         assert cert is not None
-        assert cert.max_relator_index == max(f.relator_index for f in cert.product.factors)
+        assert relators_used_by(cert) == max(f.relator_index for f in cert.factors) + 1

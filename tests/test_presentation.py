@@ -5,6 +5,7 @@ import textwrap
 
 import pytest
 
+from helpers import serialize_presentation
 from wordrace.presentation import (
     PresentationSyntaxError,
     SourceExhausted,
@@ -12,7 +13,6 @@ from wordrace.presentation import (
     extend,
     parse_presentation,
     prefix_document,
-    serialize_presentation,
 )
 from wordrace.words import alphabet, conjugate, parse_word, word_at_index
 

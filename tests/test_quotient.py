@@ -1,20 +1,14 @@
-"""Finite-quotient search: goal words, assignment enumeration, the dovetail."""
+"""Finite-quotient search: goal words, image enumeration, the dovetail."""
+
+import itertools
 
 import pytest
 
+from helpers import images_at_cursor, prove_finite
+from wordrace.certcheck import verify_finiteness
 from wordrace.oracle import zn_table
 from wordrace.presentation import extend, parse_presentation
-from wordrace.quotient import (
-    Assignment,
-    FinitenessTask,
-    assignment_at_cursor,
-    assignment_block_size,
-    coverage_words,
-    equation_words,
-    images_at_cursor,
-    prove_finite,
-    surjective_letter_images,
-)
+from wordrace.quotient import FinitenessTask, equation_words, surjective_letter_images
 from wordrace.tables import MultiplicationTable, enumerate_tables
 from wordrace.words import alphabet, parse_word
 
@@ -30,65 +24,57 @@ def w(text, alph=AB):
 class TestGoalWords:
     def test_trivial_table(self):
         t = enumerate_tables(1)[0]
-        a = Assignment(t, (b"",))
-        assert equation_words(t, a) == [(0, 0, b"")]
+        assert equation_words(t, (b"",)) == [(0, 0, b"")]
 
     def test_z3_goals(self):
         t = MultiplicationTable(zn_table(3).cells)
-        a = Assignment(t, (b"", w("a", A), w("aa", A)))
-        goals = dict(((i, j), word) for i, j, word in equation_words(t, a))
+        images = (b"", w("a", A), w("aa", A))
+        goals = dict(((i, j), word) for i, j, word in equation_words(t, images))
         assert goals[(1, 1)] == b""            # a.a.(aa)^-1
         assert goals[(2, 1)] == w("aaa", A)    # aa.a.empty^-1
         assert goals[(2, 2)] == w("aaa", A)    # aa.aa.a^-1
         assert len(goals) == 9
 
     def test_klein_goals(self):
-        a = Assignment(KLEIN, (b"", w("a"), w("b"), w("ab")))
-        goals = dict(((i, j), word) for i, j, word in equation_words(KLEIN, a))
+        images = (b"", w("a"), w("b"), w("ab"))
+        goals = dict(((i, j), word) for i, j, word in equation_words(KLEIN, images))
         assert goals[(1, 2)] == b""            # a.b.(ab)^-1
         assert goals[(3, 3)] == w("abab")      # ab.ab.empty^-1
         assert goals[(2, 1)] == w("baBA")
 
     def test_coverage_words(self):
-        p = parse_presentation("generators: a b\nrelator: aa\nrelator: bb\n")
-        a = Assignment(KLEIN, (b"", w("a"), w("b"), w("ab")))
-        cov = dict(coverage_words(p, a, {0: 1, 1: 2}))
-        assert cov[0] == b""
-        assert cov[1] == b""
-        cov2 = dict(coverage_words(p, a, {0: 3, 1: 0}))
-        assert cov2[0] == w("aBA")
-        assert cov2[1] == w("b")
+        # An admitted candidate parks each uncovered generator g on the
+        # words g.tau(u_e)^-1 of every element e; a generator that is an
+        # image is covered outright.
+        p = extend(parse_presentation("generators: a b\nrelator: aa\nrelator: bb\n"), w("abab"))
+        task = FinitenessTask(p)
+        task._candidates = iter([(0, 1, 0, KLEIN, (b"", w("a"), w("B"), w("aB")))])
+        assert task._admit() is None
+        cand = task._parked[0]
+        assert cand.cov_resolved == {0: (1, None)}
+        assert cand.uncovered == 1
+        cov = {e: word for word, waiters in task._cov_waiters.items() for _, g, e in waiters if g == 1}
+        assert cov == {0: w("b"), 1: w("bA"), 2: w("bb"), 3: w("bbA")}
+
+    def test_coverage_goes_to_the_first_witness(self):
+        # tau hits the generator a at elements 1 and 2: element 1 covers it.
+        p = extend(parse_presentation("generators: a\n"), w("a", A))
+        task = FinitenessTask(p)
+        admission = (0, 1, 0, MultiplicationTable(zn_table(3).cells), (b"", w("a", A), w("a", A)))
+        task._candidates = itertools.chain([admission], itertools.repeat(None))
+        for _ in range(10_000):
+            cert = task.step()
+            if cert is not None:
+                break
+        assert cert is not None
+        assert cert.images == admission[4]
+        assert cert.coverage == {0: 1}
+        assert cert.coverage_certs == {}
+        ok, why = verify_finiteness(cert, p)
+        assert ok, why
 
 
 class TestAssignmentEnumeration:
-    def test_r1_single_assignment(self):
-        t = enumerate_tables(1)[0]
-        a, cov = assignment_at_cursor(0, t, A, 1)
-        assert a.images == (b"",)
-        assert cov == {0: 0}
-        assert assignment_at_cursor(1, t, A, 1) is None
-
-    def test_r2_l1_k1_block_of_four(self):
-        t = enumerate_tables(2)[0]
-        assert assignment_block_size(2, A, 1) == 4
-        seen = []
-        for n in range(4):
-            a, cov = assignment_at_cursor(n, t, A, 1)
-            assert a.images[0] == b""
-            seen.append((a.images[1], cov[0]))
-        assert seen == [(w("a", A), 0), (w("a", A), 1), (w("A", A), 0), (w("A", A), 1)]
-        assert assignment_at_cursor(4, t, A, 1) is None
-
-    def test_z3_assignment_in_l2_block(self):
-        t = enumerate_tables(3)[0]
-        target = (b"", w("a", A), w("aa", A))
-        block = assignment_block_size(3, A, 2)
-        found = any(
-            assignment_at_cursor(n, t, A, 2)[0].images == target
-            for n in range(block)
-        )
-        assert found
-
     def test_images_enumeration_covers_block(self):
         seen = set()
         n = 0
@@ -115,7 +101,7 @@ class TestStepFiniteness:
         cert = prove_finite(p, 5_000)
         assert cert is not None
         assert cert.table.order == 1
-        assert cert.assignment.images == (b"",)
+        assert cert.images == (b"",)
         assert cert.coverage == {0: 0}
         # coverage goal was the word "a", proved by citing relator 0
         assert cert.coverage_certs[0].target == w("a", A)
@@ -144,14 +130,14 @@ class TestStepFiniteness:
 
     def test_identity_image_always_empty(self):
         p = extend(parse_presentation("generators: a\n"), w("aaa", A))
-        task = FinitenessTask(p, instrument=True)
+        task = FinitenessTask(p)
         cert = None
         for _ in range(200_000):
             cert = task.step()
             if cert is not None:
                 break
         assert cert is not None
-        assert cert.assignment.images[0] == b""
+        assert cert.images[0] == b""
 
     def test_determinism(self):
         def run():
@@ -160,7 +146,7 @@ class TestStepFiniteness:
 
         c1, c2 = run(), run()
         assert c1.table == c2.table
-        assert c1.assignment == c2.assignment
+        assert c1.images == c2.images
         assert c1.coverage == c2.coverage
         assert c1.equation_certs == c2.equation_certs
 
@@ -170,36 +156,36 @@ class TestDovetailTotality:
         # Every (table cursor, length bound, index) triple within small
         # bounds is admitted after finitely many steps.
         p = extend(parse_presentation("generators: a b\n"), w("a"))
-        task = FinitenessTask(p, instrument=True)
-        wanted = {
-            (t, L, i)
-            for t in (0, 1)
-            for L in (1,)
-            for i in range(min(4, assignment_block_size(2, AB, 1)))
-        }
+        task = FinitenessTask(p)
         # table cursor 0 has order 1 (single empty-images candidate)
         wanted = {(0, 1, 0)} | {(1, 1, i) for i in range(4)}
-        for _ in range(200_000):
-            task.step()
-            if wanted <= set(task.visited):
-                break
-        assert wanted <= set(task.visited)
+        visited = set()
+        for admission in itertools.islice(task._candidate_stream(), 200_000 // task.ADMIT_PERIOD):
+            if admission is not None:
+                visited.add(admission[:3])
+                if wanted <= visited:
+                    break
+        assert wanted <= visited
 
     def test_admitted_images_follow_images_at_cursor(self):
         p = extend(parse_presentation("generators: a b\n"), w("a"))
-        task = FinitenessTask(p, instrument=True)
+        task = FinitenessTask(p)
         for _ in range(20_000):
             task.step()
-        assert len(task.visited) == task.admitted > 2000
-        for cand, (t, length_bound, idx) in zip(task._parked, task.visited):
-            assert cand.images == images_at_cursor(idx, cand.table.order, AB, length_bound)
+        assert task.admitted > 2000
+        admissions = (a for a in task._candidate_stream() if a is not None)
+        for cand, (t, length_bound, idx, table, images) in zip(task._parked, admissions):
+            assert cand.table == table
+            assert cand.images == images == images_at_cursor(idx, table.order, AB, length_bound)
 
     def test_strict_mode_exhausts_finite_space(self):
         # k=1: one letter-valued map per table; the space under the order
         # cap is finite, after which admissions idle but never deadlock.
         p = extend(parse_presentation("generators: a\n"), w("aaa", A))
-        task = FinitenessTask(p, mode="letters", instrument=True)
+        task = FinitenessTask(p, mode="letters")
         for _ in range(60_000):
             assert task.step() is None
         table_count = sum(len(enumerate_tables(r)) for r in range(1, 9))
-        assert len(task.visited) == table_count
+        assert task.admitted == table_count
+        admissions = itertools.islice(task._candidate_stream(), 60_000 // task.ADMIT_PERIOD)
+        assert sum(a is not None for a in admissions) == table_count

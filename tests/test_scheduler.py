@@ -17,7 +17,7 @@ def test_empty_word_short_circuits():
     out = solve(p, b"", Budget(10))
     assert out.verdict == EQUAL
     assert out.steps_equal_arm == 0 and out.steps_finite_arm == 0
-    assert out.certificate.product.factors == ()
+    assert out.certificate.factors == ()
 
 
 def test_empty_word_does_not_touch_relators():
