@@ -9,7 +9,9 @@ a stage by factor count and then lexicographically by the per-factor key
 (relator index, sign with + before -, conjugator index).  Stage 0 holds
 exactly the empty product.  Relators are pulled from the source exactly
 when a stage first needs them; an exhausted source just stops growing the
-relator-index bound.
+relator-index bound, and is not asked again.  Relators already pulled never
+change, so each stage extends the previous stage's list of nonempty
+relators by the newly available ones instead of re-reading them all.
 
 Zero exponents are not enumerated: an identity factor reduces away, so
 products over e in {+1,-1} with varying factor count assemble the same
@@ -59,7 +61,9 @@ class ProductStream:
         self.stage = -1
         self._stage_iter = None
         self._conj_words: list[Word] = []
-        self._prev_avail = 0
+        self._avail = 0  # relators pulled so far: the settled prefix
+        self._nonempty: list[tuple[int, Word]] = []  # its nonempty relators
+        self._exhausted = False
 
     def next_event(self):
         if self._stage_iter is not None:
@@ -75,10 +79,16 @@ class ProductStream:
         if n == 0:
             return iter([("product", (), b"")])
         p = self.presentation
-        avail = p.available(n + 1)
-        prev_avail = self._prev_avail
-        self._prev_avail = avail
-        nonempty = [(i, p.relator(i)) for i in range(avail) if p.relator(i) != b""]
+        prev_avail = self._avail
+        if not self._exhausted:
+            avail = p.available(n + 1)
+            self._exhausted = avail < n + 1
+            for i in range(prev_avail, avail):
+                rel = p.relator(i)
+                if rel != b"":
+                    self._nonempty.append((i, rel))
+            self._avail = avail
+        nonempty = self._nonempty
         if not nonempty:
             return iter(())
         k = p.alphabet.k

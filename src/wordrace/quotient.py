@@ -25,10 +25,17 @@ budget by itself, which is what makes the dovetail affordable.
 A long run parks tens of thousands of candidates, so they are kept lean:
 waiter lists hold admission indices into one candidate list, a candidate
 counts its pending goals, and the winner's cell goal words are recomputed.
-The cell goals are defined once, by ``equation_words``, and the coverage
-goals once, in ``FinitenessTask._admit``.  A certificate holds only what
-cannot be derived: the table, the images, the coverage map (words mode)
-and one derivation per nonempty goal word.
+A certificate holds only what cannot be derived: the table, the images,
+the coverage map (words mode) and one derivation per nonempty goal word.
+
+Goal words are built incrementally.  Consecutive candidates of one table
+come in ``itertools.product`` order and mostly differ only in the images
+of their last elements, so admission keeps the previous candidate's goal
+words and rebuilds only those of the cells and coverage witnesses that
+involve an element whose image changed (``_GoalCache``).  The cell goal
+formula is written once, in ``_goal_words``: ``equation_words`` applies it
+to every cell from scratch, admission to the changed cells.  The coverage
+goals are defined once, in ``_GoalCache.update``.
 """
 
 from __future__ import annotations
@@ -60,18 +67,76 @@ class FinitenessCertificate:
     coverage_certs: dict[int, EqualityCertificate]
 
 
+def _cells(table: MultiplicationTable) -> list[tuple[int, int, int]]:
+    """Every cell (i, j, k) with u_i.u_j = u_k, row-major."""
+    return [(i, j, k) for i, row in enumerate(table.cells) for j, k in enumerate(row)]
+
+
+def _goal_words(cells, images, inverses) -> list[Word]:
+    """The reduced goal word tau(u_i) tau(u_j) tau(u_k)^-1 of each cell (i, j, k)."""
+    return [concat(concat(images[i], images[j]), inverses[k]) for i, j, k in cells]
+
+
 def equation_words(table: MultiplicationTable, images: tuple[Word, ...]):
     """The r*r reduced goal words tau(u_i) tau(u_j) tau(u_k)^-1, row-major.
 
     Empty results are trivially proved (the empty Dyck product derives them).
     """
-    inverses = [invert(w) for w in images]
-    out = []
-    for i, row in enumerate(table.cells):
-        left = images[i]
-        for j, k in enumerate(row):
-            out.append((i, j, concat(concat(left, images[j]), inverses[k])))
-    return out
+    cells = _cells(table)
+    words = _goal_words(cells, images, [invert(w) for w in images])
+    return [(i, j, w) for (i, j, _), w in zip(cells, words)]
+
+
+class _GoalCache:
+    """The goal words of the last admitted candidate, updated for the next one.
+
+    The candidate stream walks image tuples in ``itertools.product`` order,
+    so consecutive candidates of one table mostly differ only in the images
+    of their last elements.  From the first element d whose image changed,
+    only the cells (i, j, k) with max(i, j, k) >= d and the coverage words
+    g.tau(u_e)^-1 with e >= d are rebuilt; a new table starts from scratch.
+    ``cell_words`` follows the table's cells sorted by max(i, j, k), and
+    ``coverage[g][e]`` is the coverage word of generator g at element e.
+    """
+
+    def __init__(self, generators: list[Word]):
+        self.generators = generators
+        self._orders: dict[MultiplicationTable, tuple] = {}  # table -> (cells, starts)
+        self._table = None
+        self._images: tuple[Word, ...] = ()
+        self._inverses: list[Word] = []
+        self._cells: list[tuple[int, int, int]] = []
+        self._starts: list[int] = []  # _starts[d]: first cell with max(i, j, k) >= d
+        self.cell_words: list[Word] = []
+        self.coverage: list[list[Word]] = []
+
+    def update(self, table: MultiplicationTable, images: tuple[Word, ...]) -> None:
+        r = len(images)
+        d = 0
+        if table is self._table:
+            previous = self._images
+            while d < r and images[d] == previous[d]:
+                d += 1
+        else:
+            order = self._orders.get(table)
+            if order is None:
+                cells = sorted(_cells(table), key=max)
+                starts = [sum(max(cell) < d for cell in cells) for d in range(r)]
+                order = self._orders[table] = (cells, starts)
+            self._table = table
+            self._cells, self._starts = order
+            self._inverses = [b""] * r
+            self.cell_words = [b""] * (r * r)
+            self.coverage = [[b""] * r for _ in self.generators]
+        self._images = images
+        if d == r:
+            return
+        inverses = self._inverses
+        inverses[d:] = [invert(w) for w in images[d:]]
+        start = self._starts[d]
+        self.cell_words[start:] = _goal_words(self._cells[start:], images, inverses)
+        for gen, words in zip(self.generators, self.coverage):
+            words[d:] = [concat(gen, inv) for inv in inverses[d:]]
 
 
 def images_block_size(order: int, alphabet: Alphabet, length_bound: int) -> int:
@@ -169,6 +234,9 @@ class FinitenessTask:
         self._parked: list[_Candidate] = []  # indexed by admission
         self._waiters: dict[Word, list[int]] = {}  # goal word -> admissions
         self._cov_waiters: dict[Word, list[tuple[int, int, int]]] = {}  # -> (admission, g, e)
+        self._generators = [bytes([2 * g]) for g in range(extended.alphabet.k)]
+        # Letters mode has no coverage goals.
+        self._goals = _GoalCache(self._generators if mode == WORDS_MODE else [])
         self._candidates = self._candidate_stream()
 
     @property
@@ -239,25 +307,27 @@ class FinitenessTask:
         cand = _Candidate(self.admitted, table, images, self.mode)
         self._parked.append(cand)
         self.admitted += 1
-        goals = {w for _, _, w in equation_words(table, images) if w != b""}
+        self._goals.update(table, images)
+        goals = set(self._goals.cell_words)
+        goals.discard(b"")
         cand.pending = len(goals)
-        witnesses = []
+        uncovered = []
         if self.mode == WORDS_MODE:
             cand.cov_resolved = {}
-            inverses = [invert(image) for image in images]
-            for g in range(self.extended.alphabet.k):
-                gen = bytes([2 * g])
+            for g, gen in enumerate(self._generators):
                 if gen in images:  # the goal g.tau(u_e)^-1 is empty: covered for free
                     cand.cov_resolved[g] = (images.index(gen), None)
                 else:
-                    cand.uncovered += 1
-                    witnesses.extend((g, e, concat(gen, inv)) for e, inv in enumerate(inverses))
+                    uncovered.append(g)
+            cand.uncovered = len(uncovered)
         if cand.complete():
             return cand
+        a = cand.admission
         for w in goals:
-            self._waiters.setdefault(w, []).append(cand.admission)
-        for g, e, w in witnesses:
-            self._cov_waiters.setdefault(w, []).append((cand.admission, g, e))
+            self._waiters.setdefault(w, []).append(a)
+        for g in uncovered:
+            for e, w in enumerate(self._goals.coverage[g]):
+                self._cov_waiters.setdefault(w, []).append((a, g, e))
         return None
 
     def _derive(self) -> _Candidate | None:

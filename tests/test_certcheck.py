@@ -1,6 +1,10 @@
 """Certificate round-trips, digest binding, and mutation resistance."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordrace.certcheck import (
     CertificateSyntaxError,
@@ -8,6 +12,7 @@ from wordrace.certcheck import (
     FinitenessDocument,
     parse_certificate,
     presentation_digest,
+    serialize_certificate,
     serialize_equality,
     serialize_finiteness,
     verify_equality,
@@ -19,6 +24,7 @@ from helpers import prove_equal, prove_finite
 from wordrace.derivation import DyckFactor, EqualityCertificate
 from wordrace.presentation import extend, parse_presentation
 from wordrace.quotient import FinitenessCertificate
+from wordrace.scheduler import EQUAL, NOT_EQUAL, solve
 from wordrace.words import parse_word
 
 DINF = "generators: a b\nrelator: aa\nrelator: bb\n"
@@ -234,3 +240,78 @@ class TestDocumentParsing:
         p = dinf()
         assert presentation_digest(p, 2) == presentation_digest(dinf(), 2)
         assert presentation_digest(p, 1) != presentation_digest(p, 2)
+
+
+@functools.cache
+def dinf_documents():
+    """Serialized Dinf certificates: abba = 1, and abab != 1 by the Klein group."""
+    out = {}
+    for word, verdict in (("abba", EQUAL), ("abab", NOT_EQUAL)):
+        p = dinf()
+        x = parse_word(word, p.alphabet)
+        result = solve(p, x)
+        assert result.verdict == verdict
+        out[word] = serialize_certificate(result.certificate, extend(p, x) if verdict == NOT_EQUAL else p)
+    return out
+
+
+def mutate(text, ops):
+    for op, pos, arg in ops:
+        lines = text.splitlines(keepends=True)
+        if op == "delete" and lines:
+            del lines[pos % len(lines)]
+        elif op == "duplicate" and lines:
+            i = pos % len(lines)
+            lines.insert(i, lines[i])
+        elif op == "truncate":
+            lines = [text[: pos % (len(text) + 1)]]
+        elif op == "edit" and text:
+            i = pos % len(text)
+            lines = [text[:i], arg, text[i + 1:]]
+        elif op == "edit-value" and lines:
+            # Swap a digit for a digit or a letter for a letter in the value
+            # of a line picked by its key, so that the document mostly still
+            # parses and the verifier sees every kind of field damaged.
+            by_key = {}
+            for n, line in enumerate(lines):
+                by_key.setdefault(line.partition(":")[0], []).append(n)
+            same_key = list(by_key.values())[arg % len(by_key)]
+            n = same_key[pos % len(same_key)]
+            key, sep, value = lines[n].rstrip("\n").partition(": ")
+            if sep and value:
+                i = pos % len(value)
+                pick = arg // len(by_key)
+                c = "0129"[pick % 4] if value[i].isdigit() else "abAB"[pick % 4] if value[i].isalpha() else value[i]
+                lines[n] = key + sep + value[:i] + c + value[i + 1:] + "\n"
+        text = "".join(lines)
+    return text
+
+
+POSITIONS = st.integers(min_value=0, max_value=10**6)
+# Any damage at all, or only value edits, which more often reach the verifier.
+MUTATIONS = st.one_of(
+    st.lists(
+        st.tuples(st.sampled_from(["delete", "duplicate", "truncate", "edit"]), POSITIONS,
+                  st.sampled_from("abABx0129+-: \n")),
+        min_size=1, max_size=3,
+    ),
+    st.lists(st.tuples(st.just("edit-value"), POSITIONS, POSITIONS), min_size=1, max_size=3),
+)
+
+
+class TestDocumentFuzzing:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(word=st.sampled_from(["abba", "abab"]), ops=MUTATIONS)
+    def test_mutated_documents_fail_only_as_rejections(self, word, ops):
+        # A damaged document is rejected, or parsed and then verified or
+        # rejected; no other exception may escape.
+        p = dinf()
+        x = parse_word(word, p.alphabet)
+        try:
+            doc = parse_certificate(mutate(dinf_documents()[word], ops), p.alphabet)
+            if isinstance(doc, EqualityDocument):
+                verify_equality_document(doc, p, x)
+            else:
+                verify_finiteness_document(doc, extend(p, x))
+        except ValueError:  # CertificateSyntaxError included
+            pass

@@ -106,6 +106,42 @@ class TestCursorEnumeration:
         assert p.source.pulled_count == 4
         p.close()
 
+    @pytest.mark.parametrize("text, pulled", [
+        ("generators: a\nfamily: powers aa\n", [0, 2, 3, 4, 5]),
+        # Empty inline relators keep the early stages free of products.
+        ("generators: a\n" + "relator: aA\n" * 4 + "family: powers aa\n", [4, 4, 4, 4, 5, 6]),
+    ], ids=["powers", "padded-powers"])
+    def test_family_pulled_after_each_stage(self, text, pulled):
+        # A source that is never exhausted gives one more relator per stage.
+        p = parse_presentation(text)
+        stream = ProductStream(p)
+        seen = []
+        while len(seen) < len(pulled):
+            if stream.next_event()[0] == "stage":
+                seen.append(p.pulled_count)
+        assert seen == pulled
+
+    @pytest.mark.parametrize("extension", [None, "a"])
+    def test_exhausted_source_not_asked_again(self, extension):
+        p = parse_presentation(Z)
+        asked = []
+        available = p.source.available
+
+        def counted(upto):
+            asked.append(upto)
+            return available(upto)
+
+        p.source.available = counted
+        if extension is not None:
+            p = extend(p, parse_word(extension, p.alphabet))
+        stream = ProductStream(p)
+        for _ in range(10_000):
+            stream.next_event()
+        assert len(asked) == 1  # stage 1 finds the source exhausted
+        if extension is None:
+            # Relator-free: every event after the empty product is a stage.
+            assert stream.stage == 9_998
+
 
 def reference_events(p):
     """The stream's events from the plain itertools.product loop, re-reducing every product."""

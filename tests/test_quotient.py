@@ -10,7 +10,7 @@ from wordrace.oracle import zn_table
 from wordrace.presentation import extend, parse_presentation
 from wordrace.quotient import FinitenessTask, equation_words, surjective_letter_images
 from wordrace.tables import MultiplicationTable, enumerate_tables
-from wordrace.words import alphabet, parse_word
+from wordrace.words import alphabet, concat, invert, parse_word
 
 A = alphabet("a")
 AB = alphabet("ab")
@@ -72,6 +72,82 @@ class TestGoalWords:
         assert cert.coverage_certs == {}
         ok, why = verify_finiteness(cert, p)
         assert ok, why
+
+
+def admit_checked(task, admissions):
+    """Admit candidates; check each one's goals against a from-scratch build.
+
+    Admission reuses the previous candidate's goal words; the reference here
+    rebuilds them all with ``equation_words`` and the coverage words
+    g.tau(u_e)^-1.  Nothing is derived, so every registered waiter stays.
+    Returns the admitted (table, images) pairs.
+    """
+    waiters, cov_waiters, seen = {}, {}, []
+    gens = [bytes([2 * g]) for g in range(task.extended.alphabet.k)]
+    while task.admitted < admissions:
+        before = task.admitted
+        task._admit()
+        if task.admitted == before:
+            continue  # an idle quantum
+        cand = task._parked[-1]
+        seen.append((cand.table, cand.images))
+        goals = {word for _, _, word in equation_words(cand.table, cand.images) if word}
+        assert cand.pending == len(goals)
+        uncovered = []
+        if task.mode == "words":
+            covered = {g: (cand.images.index(gen), None) for g, gen in enumerate(gens) if gen in cand.images}
+            assert cand.cov_resolved == covered
+            uncovered = [g for g in range(len(gens)) if g not in covered]
+        assert cand.uncovered == len(uncovered)
+        if cand.complete():
+            continue
+        for word in goals:
+            waiters.setdefault(word, []).append(cand.admission)
+        for g in uncovered:
+            for e, image in enumerate(cand.images):
+                cov_waiters.setdefault(concat(gens[g], invert(image)), []).append((cand.admission, g, e))
+    assert task._waiters == waiters
+    assert task._cov_waiters == cov_waiters
+    return seen
+
+
+class TestIncrementalGoalWords:
+    @pytest.mark.parametrize(
+        "text, word, mode, admissions",
+        [
+            ("generators: a\n", "aaaaa", "words", 3000),
+            ("generators: a b\nrelator: aa\nrelator: bb\n", "abAB", "words", 3000),
+            ("generators: a b\n", "a", "words", 3000),
+            # 1,586 letter-valued maps onto two generators exist up to order 8.
+            ("generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n", "a", "letters", 1500),
+        ],
+        ids=["z-a5", "dinf-abAB", "f2-a", "d4-letters"],
+    )
+    def test_stream_matches_from_scratch(self, text, word, mode, admissions):
+        p = parse_presentation(text)
+        task = FinitenessTask(extend(p, parse_word(word, p.alphabet)), mode=mode)
+        seen = admit_checked(task, admissions)
+        tables = [table for table, _ in seen]
+        assert any(t is not u for t, u in zip(tables, tables[1:]))  # the table switches
+
+    def test_switch_and_repeat(self):
+        # A repeated (table, images) reuses every word; a change in the
+        # middle element rebuilds from there; a new table starts over.
+        z3 = MultiplicationTable(zn_table(3).cells)
+        klein = (b"", w("a"), w("B"), w("aB"))
+        sequence = [
+            (KLEIN, klein),
+            (KLEIN, klein),
+            (KLEIN, (b"", w("a"), w("ab"), w("aB"))),
+            (KLEIN, (b"", w("A"), w("ab"), w("aB"))),
+            (z3, (b"", w("ab"), w("b"))),
+            (KLEIN, (b"", w("A"), w("ab"), w("aB"))),
+            (KLEIN, (b"", w("A"), w("ab"), w("ab"))),
+        ]
+        p = extend(parse_presentation("generators: a b\nrelator: aa\nrelator: bb\n"), w("abab"))
+        task = FinitenessTask(p)
+        task._candidates = iter([(0, 1, n, table, images) for n, (table, images) in enumerate(sequence)])
+        assert admit_checked(task, len(sequence)) == sequence
 
 
 class TestAssignmentEnumeration:
