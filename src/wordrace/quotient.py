@@ -234,9 +234,9 @@ class FinitenessTask:
         self._parked: list[_Candidate] = []  # indexed by admission
         self._waiters: dict[Word, list[int]] = {}  # goal word -> admissions
         self._cov_waiters: dict[Word, list[tuple[int, int, int]]] = {}  # -> (admission, g, e)
-        self._generators = [bytes([2 * g]) for g in range(extended.alphabet.k)]
         # Letters mode has no coverage goals.
-        self._goals = _GoalCache(self._generators if mode == WORDS_MODE else [])
+        generators = [bytes([2 * g]) for g in range(extended.alphabet.k)] if mode == WORDS_MODE else []
+        self._goals = _GoalCache(generators)
         self._candidates = self._candidate_stream()
 
     @property
@@ -314,7 +314,7 @@ class FinitenessTask:
         uncovered = []
         if self.mode == WORDS_MODE:
             cand.cov_resolved = {}
-            for g, gen in enumerate(self._generators):
+            for g, gen in enumerate(self._goals.generators):
                 if gen in images:  # the goal g.tau(u_e)^-1 is empty: covered for free
                     cand.cov_resolved[g] = (images.index(gen), None)
                 else:
@@ -322,12 +322,11 @@ class FinitenessTask:
             cand.uncovered = len(uncovered)
         if cand.complete():
             return cand
-        a = cand.admission
         for w in goals:
-            self._waiters.setdefault(w, []).append(a)
+            self._waiters.setdefault(w, []).append(cand.admission)
         for g in uncovered:
             for e, w in enumerate(self._goals.coverage[g]):
-                self._cov_waiters.setdefault(w, []).append((a, g, e))
+                self._cov_waiters.setdefault(w, []).append((cand.admission, g, e))
         return None
 
     def _derive(self) -> _Candidate | None:
