@@ -256,6 +256,7 @@ def dinf_documents():
 
 
 def mutate(text, ops):
+    """Apply (operation, position, argument) edits to a document, in order."""
     for op, pos, arg in ops:
         lines = text.splitlines(keepends=True)
         if op == "delete" and lines:

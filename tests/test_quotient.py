@@ -8,7 +8,7 @@ from helpers import images_at_cursor, prove_finite
 from wordrace.certcheck import verify_finiteness
 from wordrace.oracle import zn_table
 from wordrace.presentation import extend, parse_presentation
-from wordrace.quotient import FinitenessTask, equation_words, surjective_letter_images
+from wordrace.quotient import LETTERS_MODE, WORDS_MODE, FinitenessTask, equation_words, surjective_letter_images
 from wordrace.tables import MultiplicationTable, enumerate_tables
 from wordrace.words import alphabet, concat, invert, parse_word
 
@@ -94,7 +94,7 @@ def admit_checked(task, admissions):
         goals = {word for _, _, word in equation_words(cand.table, cand.images) if word}
         assert cand.pending == len(goals)
         uncovered = []
-        if task.mode == "words":
+        if task.mode == WORDS_MODE:
             covered = {g: (cand.images.index(gen), None) for g, gen in enumerate(gens) if gen in cand.images}
             assert cand.cov_resolved == covered
             uncovered = [g for g in range(len(gens)) if g not in covered]
@@ -115,11 +115,11 @@ class TestIncrementalGoalWords:
     @pytest.mark.parametrize(
         "text, word, mode, admissions",
         [
-            ("generators: a\n", "aaaaa", "words", 3000),
-            ("generators: a b\nrelator: aa\nrelator: bb\n", "abAB", "words", 3000),
-            ("generators: a b\n", "a", "words", 3000),
+            ("generators: a\n", "aaaaa", WORDS_MODE, 3000),
+            ("generators: a b\nrelator: aa\nrelator: bb\n", "abAB", WORDS_MODE, 3000),
+            ("generators: a b\n", "a", WORDS_MODE, 3000),
             # 1,586 letter-valued maps onto two generators exist up to order 8.
-            ("generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n", "a", "letters", 1500),
+            ("generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n", "a", LETTERS_MODE, 1500),
         ],
         ids=["z-a5", "dinf-abAB", "f2-a", "d4-letters"],
     )
