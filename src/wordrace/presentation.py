@@ -92,6 +92,10 @@ class RelatorSource:
         self._pull_until(upto)
         return min(upto, len(self._cache))
 
+    def known_relators(self) -> tuple[Word, ...] | None:
+        """Every relator, if the list is finite and known up front; else None."""
+        return None
+
     def close(self) -> None:
         pass
 
@@ -101,6 +105,9 @@ class InlineSource(RelatorSource):
 
     def __init__(self, words):
         super().__init__(tuple(words))
+
+    def known_relators(self) -> tuple[Word, ...]:
+        return self._prefix
 
 
 class FamilySource(RelatorSource):
@@ -198,6 +205,13 @@ class Presentation:
         if self.extended_by is not None:
             return 1 + self.source.available(upto - 1)
         return self.source.available(upto)
+
+    def known_relators(self) -> tuple[Word, ...] | None:
+        """Every relator, X first, if the source's list is finite and known up front."""
+        relators = self.source.known_relators()
+        if relators is None or self.extended_by is None:
+            return relators
+        return (self.extended_by,) + relators
 
     @property
     def pulled_count(self) -> int:

@@ -22,9 +22,24 @@ assembled by infinitely many products, so a goal registered after its
 first assembly is still reached; no candidate ever consumes derivation
 budget by itself, which is what makes the dovetail affordable.
 
-A long run parks tens of thousands of candidates, so they are kept lean:
-waiter lists hold admission indices into one candidate list, a candidate
-counts its pending goals, and the winner's cell goal words are recomputed.
+Most candidates can never complete, and when the relator list of G1 is
+finite and fully known (an inline source: X plus every inline relator)
+admission drops them before building any goal word (``_AbelianCheck``).
+A word trivial in G1 is trivial in its abelianization A = Z^k / L, L the
+span of the relators' exponent-sum vectors (``abelian``).  So a candidate
+is dead if u |-> [tau(u)] breaks some table cell in A, or, in words mode,
+some generator class is the class of no image: a goal word is then
+nontrivial in G1 and the Dyck stream never assembles it.  A dead candidate
+still takes its admission step and index but is not parked, so verdicts,
+step counts, winners and certificates are those of parking it.  The check
+is sound only for a complete relator list: under a ``family:`` or
+``stream:`` source a relator still to come can make any goal trivial, so
+there every candidate is parked.
+
+A long run can park tens of thousands of candidates, so they are kept
+lean: waiter lists hold admission indices into one candidate map, a
+candidate counts its pending goals, and the winner's cell goal words are
+recomputed.
 A certificate holds only what cannot be derived: the table, the images,
 the coverage map (words mode) and one derivation per nonempty goal word.
 
@@ -43,6 +58,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .abelian import Abelianization, Vector
 from .derivation import EqualityCertificate, ProductStream
 from .presentation import Presentation
 from .tables import DEFAULT_MAX_TABLE_ORDER, MultiplicationTable, table_at_cursor
@@ -110,6 +126,18 @@ class _GoalCache:
         self.cell_words: list[Word] = []
         self.coverage: list[list[Word]] = []
 
+    def order(self, table: MultiplicationTable) -> tuple:
+        """The table's cells sorted by max(i, j, k), and ``starts``.
+
+        ``starts[d]`` (d <= r) is the first cell with max(i, j, k) >= d.
+        """
+        order = self._orders.get(table)
+        if order is None:
+            cells = sorted(_cells(table), key=max)
+            starts = [sum(max(cell) < d for cell in cells) for d in range(table.order + 1)]
+            order = self._orders[table] = (cells, starts)
+        return order
+
     def update(self, table: MultiplicationTable, images: tuple[Word, ...]) -> None:
         r = len(images)
         d = 0
@@ -118,13 +146,8 @@ class _GoalCache:
             while d < r and images[d] == previous[d]:
                 d += 1
         else:
-            order = self._orders.get(table)
-            if order is None:
-                cells = sorted(_cells(table), key=max)
-                starts = [sum(max(cell) < d for cell in cells) for d in range(r)]
-                order = self._orders[table] = (cells, starts)
             self._table = table
-            self._cells, self._starts = order
+            self._cells, self._starts = self.order(table)
             self._inverses = [b""] * r
             self.cell_words = [b""] * (r * r)
             self.coverage = [[b""] * r for _ in self.generators]
@@ -137,6 +160,72 @@ class _GoalCache:
         self.cell_words[start:] = _goal_words(self._cells[start:], images, inverses)
         for gen, words in zip(self.generators, self.coverage):
             words[d:] = [concat(gen, inv) for inv in inverses[d:]]
+
+
+class _AbelianCheck:
+    """Tells whether a candidate's goals can all hold in the abelianization A.
+
+    A candidate passes when u |-> [tau(u)] respects every table cell in A,
+    [tau(u_i)] + [tau(u_j)] = [tau(u_k)], and every generator class is the
+    class of some image (only the generators of ``goals`` need covering).
+    The check is incremental like ``_GoalCache``, whose cell orders it
+    shares: it keeps the classes of the last candidate's images and the
+    lowest max(i, j, k) of a cell that fails for them, so a candidate that
+    changes only elements above that level fails without any cell work.
+    A class is a canonical vector; image classes and sums are memoized.
+    """
+
+    def __init__(self, abelianization: Abelianization, goals: _GoalCache):
+        self._abelianization = abelianization
+        self._goals = goals
+        self._word_classes: dict[Word, Vector] = {}
+        self._sums: dict[tuple[Vector, Vector], Vector] = {}
+        self._coverage = [abelianization.class_of(gen) for gen in goals.generators]
+        self._table = None
+        self._images: tuple[Word, ...] = ()
+        self._cells: list[tuple[int, int, int]] = []
+        self._starts: list[int] = []
+        self._classes: list[Vector] = []
+        self._failing = 0  # lowest max(i, j, k) of a failing cell; r if none fails
+
+    def _class_of(self, w: Word) -> Vector:
+        c = self._word_classes.get(w)
+        if c is None:
+            c = self._word_classes[w] = self._abelianization.class_of(w)
+        return c
+
+    def _sum(self, x: Vector, y: Vector) -> Vector:
+        c = self._sums[x, y] = self._abelianization.canonical([a + b for a, b in zip(x, y)])
+        return c
+
+    def passes(self, table: MultiplicationTable, images: tuple[Word, ...]) -> bool:
+        r = len(images)
+        d = 0
+        if table is self._table:
+            previous = self._images
+            while d < r and images[d] == previous[d]:
+                d += 1
+        else:
+            self._table = table
+            self._cells, self._starts = self._goals.order(table)
+        self._images = images
+        if self._failing < d:
+            return False  # the failing cell involves no changed element
+        classes = self._classes
+        classes[d:] = [self._class_of(w) for w in images[d:]]
+        cells = self._cells
+        sums = self._sums
+        for n in range(self._starts[d], len(cells)):
+            i, j, k = cells[n]
+            s = sums.get((classes[i], classes[j]))
+            if s is None:
+                s = self._sum(classes[i], classes[j])
+            if s != classes[k]:
+                self._failing = max(i, j, k)
+                return False
+        self._failing = r
+        present = set(classes)
+        return all(c in present for c in self._coverage)
 
 
 def images_block_size(order: int, alphabet: Alphabet, length_bound: int) -> int:
@@ -230,18 +319,26 @@ class FinitenessTask:
         self.stream = ProductStream(extended)
         self.steps_taken = 0
         self.admitted = 0
+        self.rejected = 0  # admissions that fail the abelian check and are not parked
         self.certificate: FinitenessCertificate | None = None
-        self._parked: list[_Candidate] = []  # indexed by admission
+        self._parked: dict[int, _Candidate] = {}  # admission -> candidate
         self._waiters: dict[Word, list[int]] = {}  # goal word -> admissions
         self._cov_waiters: dict[Word, list[tuple[int, int, int]]] = {}  # -> (admission, g, e)
         # Letters mode has no coverage goals.
         generators = [bytes([2 * g]) for g in range(extended.alphabet.k)] if mode == WORDS_MODE else []
         self._goals = _GoalCache(generators)
+        # Only a finite, fully known relator list pins down the abelianization
+        # of G1: a relator still to come from a family or stream could make
+        # any goal word trivial.
+        relators = extended.known_relators()
+        self._abelian = None
+        if relators is not None:
+            self._abelian = _AbelianCheck(Abelianization(relators, extended.alphabet.k), self._goals)
         self._candidates = self._candidate_stream()
 
     @property
     def parked_count(self) -> int:
-        return self.admitted  # parked candidates are never discarded
+        return len(self._parked)  # parked candidates are never discarded
 
     def _candidate_stream(self):
         # Yields admission tuples (table cursor, length bound, index in the
@@ -304,9 +401,12 @@ class FinitenessTask:
         if admission is None:
             return None
         table, images = admission[3:]
-        cand = _Candidate(self.admitted, table, images, self.mode)
-        self._parked.append(cand)
         self.admitted += 1
+        if self._abelian is not None and not self._abelian.passes(table, images):
+            self.rejected += 1  # some goal word is nontrivial in G1: never complete
+            return None
+        cand = _Candidate(self.admitted - 1, table, images, self.mode)
+        self._parked[cand.admission] = cand
         self._goals.update(table, images)
         goals = set(self._goals.cell_words)
         goals.discard(b"")

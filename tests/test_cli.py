@@ -83,6 +83,22 @@ def test_solve_verify_round_trip(z_pres, tmp_path, capsys):
     assert out.startswith("valid: finiteness")
 
 
+def test_solve_verify_round_trip_on_a_family_source(tmp_path, capsys):
+    # Relators still to come from a family could make any goal trivial, so
+    # the finiteness arm parks every candidate here: no abelian pruning.
+    pres = tmp_path / "powers.pres"
+    pres.write_text("generators: a b\nfamily: powers aa bb\n")
+    out_path = tmp_path / "outcome.json"
+    assert main(["solve", str(pres), "--word", "abab", "--json", "--output", str(out_path)]) == 1
+    doc = json.loads(out_path.read_text())
+    assert doc["verdict"] == "not-equal"
+    assert doc["steps_equal_arm"] == doc["steps_finite_arm"] == 12_249
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text(doc["certificate"])
+    assert main(["verify", str(cert_path), str(pres), "--word", "abab"]) == 0
+    assert capsys.readouterr().out.startswith("valid: finiteness")
+
+
 def test_verify_equality_certificate(dinf_pres, tmp_path, capsys):
     out_path = tmp_path / "outcome.json"
     assert main(["solve", dinf_pres, "--word", "abba", "--json", "--output", str(out_path)]) == 0

@@ -6,9 +6,16 @@ import pytest
 
 from helpers import images_at_cursor, prove_finite
 from wordrace.certcheck import verify_finiteness
-from wordrace.oracle import zn_table
+from wordrace.oracle import exponent_sum, zn_table
 from wordrace.presentation import extend, parse_presentation
-from wordrace.quotient import LETTERS_MODE, WORDS_MODE, FinitenessTask, equation_words, surjective_letter_images
+from wordrace.quotient import (
+    LETTERS_MODE,
+    WORDS_MODE,
+    FinitenessTask,
+    _GoalCache,
+    equation_words,
+    surjective_letter_images,
+)
 from wordrace.tables import MultiplicationTable, enumerate_tables
 from wordrace.words import alphabet, concat, invert, parse_word
 
@@ -75,23 +82,41 @@ class TestGoalWords:
 
 
 def admit_checked(task, admissions):
-    """Admit candidates; check each one's goals against a from-scratch build.
+    """Admit candidates; check the goal words against a from-scratch build.
 
-    Admission reuses the previous candidate's goal words; the reference here
-    rebuilds them all with ``equation_words`` and the coverage words
-    g.tau(u_e)^-1.  Nothing is derived, so every registered waiter stays.
-    Returns the admitted (table, images) pairs.
+    Admission updates the task's goal cache only for the candidates it
+    parks, so every admission the task draws from its candidate stream
+    also drives a separate ``_GoalCache``, whose words are checked against
+    ``equation_words`` and the coverage words g.tau(u_e)^-1 rebuilt from
+    scratch.  Each parked candidate's goal counts, and at the end the
+    waiter maps, are checked against the same reference.  Nothing is
+    derived, so every registered waiter stays.  Returns the admitted
+    (table, images) pairs.
     """
     waiters, cov_waiters, seen = {}, {}, []
     gens = [bytes([2 * g]) for g in range(task.extended.alphabet.k)]
+    cache = _GoalCache(gens if task.mode == WORDS_MODE else [])
+    drawn = []
+    task._candidates = (drawn.append(a) or a for a in task._candidates)
     while task.admitted < admissions:
         before = task.admitted
         task._admit()
         if task.admitted == before:
             continue  # an idle quantum
-        cand = task._parked[-1]
-        seen.append((cand.table, cand.images))
-        goals = {word for _, _, word in equation_words(cand.table, cand.images) if word}
+        table, images = drawn[-1][3:]
+        seen.append((table, images))
+        scratch = equation_words(table, images)
+        cache.update(table, images)
+        cells, _ = cache.order(table)
+        assert {(i, j): word for (i, j, _), word in zip(cells, cache.cell_words)} == {
+            (i, j): word for i, j, word in scratch
+        }
+        assert cache.coverage == [[concat(gen, invert(image)) for image in images] for gen in cache.generators]
+        cand = task._parked.get(before)
+        if cand is None:
+            continue  # rejected by the abelian check; see TestAbelianCheck
+        assert (cand.table, cand.images) == (table, images)
+        goals = {word for _, _, word in scratch if word}
         assert cand.pending == len(goals)
         uncovered = []
         if task.mode == WORDS_MODE:
@@ -106,6 +131,7 @@ def admit_checked(task, admissions):
         for g in uncovered:
             for e, image in enumerate(cand.images):
                 cov_waiters.setdefault(concat(gens[g], invert(image)), []).append((cand.admission, g, e))
+    assert task.parked_count + task.rejected == task.admitted
     assert task._waiters == waiters
     assert task._cov_waiters == cov_waiters
     return seen
@@ -244,15 +270,20 @@ class TestDovetailTotality:
         assert wanted <= visited
 
     def test_admitted_images_follow_images_at_cursor(self):
-        p = extend(parse_presentation("generators: a b\n"), w("a"))
-        task = FinitenessTask(p)
-        for _ in range(20_000):
-            task.step()
-        assert task.admitted > 2000
-        admissions = (a for a in task._candidate_stream() if a is not None)
-        for cand, (t, length_bound, idx, table, images) in zip(task._parked, admissions):
-            assert cand.table == table
-            assert cand.images == images == images_at_cursor(idx, table.order, AB, length_bound)
+        # F2/a parks no candidate; with the relators of <a, b | [a, b]> coming
+        # from a family, G1 is still Z but every candidate is parked.
+        for text in ("generators: a b\n", "generators: a b\nfamily: powers abAB\n"):
+            task = FinitenessTask(extend(parse_presentation(text), w("a")))
+            for _ in range(20_000):
+                task.step()
+            assert task.admitted > 2000
+            admissions = (a for a in task._candidate_stream() if a is not None)
+            for n, (t, length_bound, idx, table, images) in zip(range(task.admitted), admissions):
+                assert images == images_at_cursor(idx, table.order, AB, length_bound)
+                cand = task._parked.get(n)
+                if cand is not None:
+                    assert cand.table == table
+                    assert cand.images == images
 
     def test_strict_mode_exhausts_finite_space(self):
         # k=1: one letter-valued map per table; the space under the order
@@ -265,3 +296,68 @@ class TestDovetailTotality:
         assert task.admitted == table_count
         admissions = itertools.islice(task._candidate_stream(), 60_000 // task.ADMIT_PERIOD)
         assert sum(a is not None for a in admissions) == table_count
+
+
+class TestAbelianCheck:
+    # Each case states by hand when an exponent-sum vector v lies in L, the
+    # span of the relator vectors (the oracle's letter-by-letter exponent
+    # sums give v): Z/a^5 gives 5Z, Dinf/abAB gives 2Z x 2Z,
+    # F2/a gives Z x 0, and D4/a (relators aa, bb, abab, a) gives Z x 2Z.
+    @pytest.mark.parametrize(
+        "text, word, mode, admissions, in_lattice",
+        [
+            ("generators: a\n", "aaaaa", WORDS_MODE, 3000, lambda v: v[0] % 5 == 0),
+            ("generators: a b\nrelator: aa\nrelator: bb\n", "abAB", WORDS_MODE, 3000,
+             lambda v: v[0] % 2 == 0 and v[1] % 2 == 0),
+            ("generators: a b\n", "a", WORDS_MODE, 3000, lambda v: v[1] == 0),
+            ("generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n", "a", LETTERS_MODE, 1500,
+             lambda v: v[1] % 2 == 0),
+        ],
+        ids=["z-a5", "dinf-abAB", "f2-a", "d4-letters"],
+    )
+    def test_rejects_exactly_the_dead_candidates(self, text, word, mode, admissions, in_lattice):
+        # A candidate is dead when a cell goal word, or every coverage word
+        # of some generator, has its exponent-sum vector outside L: that word
+        # is nontrivial in G1, so the candidate can never complete.  The
+        # task must reject every dead candidate and park every other one.
+        p = parse_presentation(text)
+        k = p.alphabet.k
+        task = FinitenessTask(extend(p, parse_word(word, p.alphabet)), mode=mode)
+        gens = [bytes([2 * g]) for g in range(k)] if mode == WORDS_MODE else []
+
+        def trivial_in_a(word):
+            return in_lattice([exponent_sum(word, g) for g in range(k)])
+
+        dead_count = 0
+        for n, admission in enumerate(a for a in task._candidate_stream() if a is not None):
+            if n == admissions:
+                break
+            table, images = admission[3:]
+            dead = not all(trivial_in_a(goal) for _, _, goal in equation_words(table, images)) or any(
+                not any(trivial_in_a(concat(gen, invert(image))) for image in images) for gen in gens
+            )
+            dead_count += dead
+            while task.admitted == n:
+                task._admit()  # idle quanta admit nothing
+            assert (n not in task._parked) == dead, (table.cells, images)
+        assert task.rejected == dead_count > 0
+
+    def test_free_quotient_parks_nothing(self):
+        # G1 = F2/<<a>> is Z, whose abelianization kills every candidate.
+        task = FinitenessTask(extend(parse_presentation("generators: a b\n"), w("a")))
+        for _ in range(20_000):
+            assert task.step() is None
+        assert task.admitted > 2000
+        assert task.parked_count == 0
+        assert task.rejected == task.admitted
+
+    def test_family_source_parks_every_admission(self):
+        # A relator still to come could make any goal trivial: no rejection.
+        task = FinitenessTask(extend(parse_presentation("generators: a b\nfamily: powers aa bb\n"), w("abab")))
+        cert = None
+        while cert is None:
+            cert = task.step()
+        assert task.admitted > 1000
+        assert task.parked_count == task.admitted
+        assert task.rejected == 0
+        assert verify_finiteness(cert, task.extended)[0]
