@@ -23,7 +23,10 @@ Vector = tuple[int, ...]
 
 def exponent_sums(w: Word, k: int) -> Vector:
     """The exponent sum of each of the k generators in the word."""
-    return tuple(w.count(2 * g) - w.count(2 * g + 1) for g in range(k))
+    sums = [0] * k
+    for x in w:
+        sums[x >> 1] += -1 if x & 1 else 1
+    return tuple(sums)
 
 
 def hermite_basis(vectors, k: int) -> list[Vector]:
