@@ -92,8 +92,11 @@ class RelatorSource:
         self._pull_until(upto)
         return min(upto, len(self._cache))
 
-    def known_relators(self) -> tuple[Word, ...] | None:
-        """Every relator, if the list is finite and known up front; else None."""
+    def lattice_relators(self) -> tuple[Word, ...] | None:
+        """Finitely many relators whose exponent sums span those of every relator.
+
+        None when no such finite list is known, as for a stream.
+        """
         return None
 
     def close(self) -> None:
@@ -106,8 +109,8 @@ class InlineSource(RelatorSource):
     def __init__(self, words):
         super().__init__(tuple(words))
 
-    def known_relators(self) -> tuple[Word, ...]:
-        return self._prefix
+    def lattice_relators(self) -> tuple[Word, ...]:
+        return self._prefix  # every relator
 
 
 class FamilySource(RelatorSource):
@@ -123,6 +126,11 @@ class FamilySource(RelatorSource):
         super().__init__(prefix)
         self.base_words = tuple(base_words)
         self.alphabet = alphabet
+
+    def lattice_relators(self) -> tuple[Word, ...]:
+        # t.w.t^-1 has the exponent sums of w, and w itself is relator
+        # t_0.w.t_0^-1 (t_0 is the empty word).
+        return self._prefix + self.base_words
 
     def _produce(self, j: int) -> Word:
         q, m = divmod(j, len(self.base_words))
@@ -206,9 +214,9 @@ class Presentation:
             return 1 + self.source.available(upto - 1)
         return self.source.available(upto)
 
-    def known_relators(self) -> tuple[Word, ...] | None:
-        """Every relator, X first, if the source's list is finite and known up front."""
-        relators = self.source.known_relators()
+    def lattice_relators(self) -> tuple[Word, ...] | None:
+        """X, then the source's relators spanning its exponent-sum lattice; or None."""
+        relators = self.source.lattice_relators()
         if relators is None or self.extended_by is None:
             return relators
         return (self.extended_by,) + relators

@@ -22,8 +22,9 @@ assembled by infinitely many products, so a goal registered after its
 first assembly is still reached; no candidate ever consumes derivation
 budget by itself, which is what makes the dovetail affordable.
 
-Most candidates can never complete, and when the relator list of G1 is
-finite and fully known (an inline source: X plus every inline relator)
+Most candidates can never complete, and when a finite relator list
+spanning the exponent-sum lattice of G1 is known (an inline source, or a
+``family: powers`` source: X plus the inline prefix and the base words)
 admission drops them before building any goal word (``_AbelianCheck``).
 A word trivial in G1 is trivial in its abelianization A = Z^k / L, L the
 span of the relators' exponent-sum vectors (``abelian``).  So a candidate
@@ -32,7 +33,7 @@ some generator class is the class of no image: a goal word is then
 nontrivial in G1 and the Dyck stream never assembles it.  A dead candidate
 still takes its admission step and index but is not parked, so verdicts,
 step counts, winners and certificates are those of parking it.  The check
-is sound only for a complete relator list: under a ``family:`` or
+is sound only for a finite relator list spanning the lattice: under a
 ``stream:`` source a relator still to come can make any goal trivial, so
 there every candidate is parked.
 
@@ -42,15 +43,6 @@ candidate counts its pending goals, and the winner's cell goal words are
 recomputed.
 A certificate holds only what cannot be derived: the table, the images,
 the coverage map (words mode) and one derivation per nonempty goal word.
-
-Goal words are built incrementally.  Consecutive candidates of one table
-come in ``itertools.product`` order and mostly differ only in the images
-of their last elements, so admission keeps the previous candidate's goal
-words and rebuilds only those of the cells and coverage witnesses that
-involve an element whose image changed (``_GoalCache``).  The cell goal
-formula is written once, in ``_goal_words``: ``equation_words`` applies it
-to every cell from scratch, admission to the changed cells.  The coverage
-goals are defined once, in ``_GoalCache.update``.
 """
 
 from __future__ import annotations
@@ -83,83 +75,17 @@ class FinitenessCertificate:
     coverage_certs: dict[int, EqualityCertificate]
 
 
-def _cells(table: MultiplicationTable) -> list[tuple[int, int, int]]:
-    """Every cell (i, j, k) with u_i.u_j = u_k, row-major."""
-    return [(i, j, k) for i, row in enumerate(table.cells) for j, k in enumerate(row)]
-
-
-def _goal_words(cells, images, inverses) -> list[Word]:
-    """The reduced goal word tau(u_i) tau(u_j) tau(u_k)^-1 of each cell (i, j, k)."""
-    return [concat(concat(images[i], images[j]), inverses[k]) for i, j, k in cells]
-
-
 def equation_words(table: MultiplicationTable, images: tuple[Word, ...]):
     """The r*r reduced goal words tau(u_i) tau(u_j) tau(u_k)^-1, row-major.
 
     Empty results are trivially proved (the empty Dyck product derives them).
     """
-    cells = _cells(table)
-    words = _goal_words(cells, images, [invert(w) for w in images])
-    return [(i, j, w) for (i, j, _), w in zip(cells, words)]
-
-
-class _GoalCache:
-    """The goal words of the last admitted candidate, updated for the next one.
-
-    The candidate stream walks image tuples in ``itertools.product`` order,
-    so consecutive candidates of one table mostly differ only in the images
-    of their last elements.  From the first element d whose image changed,
-    only the cells (i, j, k) with max(i, j, k) >= d and the coverage words
-    g.tau(u_e)^-1 with e >= d are rebuilt; a new table starts from scratch.
-    ``cell_words`` follows the table's cells sorted by max(i, j, k), and
-    ``coverage[g][e]`` is the coverage word of generator g at element e.
-    """
-
-    def __init__(self, generators: list[Word]):
-        self.generators = generators
-        self._orders: dict[MultiplicationTable, tuple] = {}  # table -> (cells, starts)
-        self._table = None
-        self._images: tuple[Word, ...] = ()
-        self._inverses: list[Word] = []
-        self._cells: list[tuple[int, int, int]] = []
-        self._starts: list[int] = []  # _starts[d]: first cell with max(i, j, k) >= d
-        self.cell_words: list[Word] = []
-        self.coverage: list[list[Word]] = []
-
-    def order(self, table: MultiplicationTable) -> tuple:
-        """The table's cells sorted by max(i, j, k), and ``starts``.
-
-        ``starts[d]`` (d <= r) is the first cell with max(i, j, k) >= d.
-        """
-        order = self._orders.get(table)
-        if order is None:
-            cells = sorted(_cells(table), key=max)
-            starts = [sum(max(cell) < d for cell in cells) for d in range(table.order + 1)]
-            order = self._orders[table] = (cells, starts)
-        return order
-
-    def update(self, table: MultiplicationTable, images: tuple[Word, ...]) -> None:
-        r = len(images)
-        d = 0
-        if table is self._table:
-            previous = self._images
-            while d < r and images[d] == previous[d]:
-                d += 1
-        else:
-            self._table = table
-            self._cells, self._starts = self.order(table)
-            self._inverses = [b""] * r
-            self.cell_words = [b""] * (r * r)
-            self.coverage = [[b""] * r for _ in self.generators]
-        self._images = images
-        if d == r:
-            return
-        inverses = self._inverses
-        inverses[d:] = [invert(w) for w in images[d:]]
-        start = self._starts[d]
-        self.cell_words[start:] = _goal_words(self._cells[start:], images, inverses)
-        for gen, words in zip(self.generators, self.coverage):
-            words[d:] = [concat(gen, inv) for inv in inverses[d:]]
+    inverses = [invert(w) for w in images]
+    return [
+        (i, j, concat(concat(images[i], images[j]), inverses[k]))
+        for i, row in enumerate(table.cells)
+        for j, k in enumerate(row)
+    ]
 
 
 class _AbelianCheck:
@@ -167,20 +93,25 @@ class _AbelianCheck:
 
     A candidate passes when u |-> [tau(u)] respects every table cell in A,
     [tau(u_i)] + [tau(u_j)] = [tau(u_k)], and every generator class is the
-    class of some image (only the generators of ``goals`` need covering).
-    The check is incremental like ``_GoalCache``, whose cell orders it
-    shares: it keeps the classes of the last candidate's images and the
-    lowest max(i, j, k) of a cell that fails for them, so a candidate that
-    changes only elements above that level fails without any cell work.
+    class of some image (only the ``generators`` given need covering).
+    The candidate stream walks image tuples in ``itertools.product`` order,
+    so consecutive candidates of one table mostly differ only in the images
+    of their last elements.  The check keeps the classes of the last
+    candidate's images and the lowest max(i, j, k) of a cell that fails for
+    them, so a candidate that changes only elements above that level fails
+    without any cell work; otherwise, from the first element d whose image
+    changed, only the cells with max(i, j, k) >= d are checked again.  Each
+    table's cells are sorted by max(i, j, k) once, and ``starts[d]``
+    (d <= r) is the first cell with max(i, j, k) >= d.
     A class is a canonical vector; image classes and sums are memoized.
     """
 
-    def __init__(self, abelianization: Abelianization, goals: _GoalCache):
+    def __init__(self, abelianization: Abelianization, generators: list[Word]):
         self._abelianization = abelianization
-        self._goals = goals
         self._word_classes: dict[Word, Vector] = {}
         self._sums: dict[tuple[Vector, Vector], Vector] = {}
-        self._coverage = [abelianization.class_of(gen) for gen in goals.generators]
+        self._coverage = [abelianization.class_of(gen) for gen in generators]
+        self._orders: dict[MultiplicationTable, tuple] = {}  # table -> (cells, starts)
         self._table = None
         self._images: tuple[Word, ...] = ()
         self._cells: list[tuple[int, int, int]] = []
@@ -207,7 +138,13 @@ class _AbelianCheck:
                 d += 1
         else:
             self._table = table
-            self._cells, self._starts = self._goals.order(table)
+            order = self._orders.get(table)
+            if order is None:
+                cells = [(i, j, k) for i, row in enumerate(table.cells) for j, k in enumerate(row)]
+                cells.sort(key=max)
+                starts = [sum(max(cell) < level for cell in cells) for level in range(r + 1)]
+                order = self._orders[table] = (cells, starts)
+            self._cells, self._starts = order
         self._images = images
         if self._failing < d:
             return False  # the failing cell involves no changed element
@@ -226,12 +163,6 @@ class _AbelianCheck:
         self._failing = r
         present = set(classes)
         return all(c in present for c in self._coverage)
-
-
-def images_block_size(order: int, alphabet: Alphabet, length_bound: int) -> int:
-    """Number of image tuples with nonempty words of length <= the bound."""
-    w = count_words_up_to(length_bound, alphabet.k) - 1
-    return w ** (order - 1)
 
 
 def surjective_letter_images(idx: int, order: int, alphabet: Alphabet):
@@ -325,15 +256,14 @@ class FinitenessTask:
         self._waiters: dict[Word, list[int]] = {}  # goal word -> admissions
         self._cov_waiters: dict[Word, list[tuple[int, int, int]]] = {}  # -> (admission, g, e)
         # Letters mode has no coverage goals.
-        generators = [bytes([2 * g]) for g in range(extended.alphabet.k)] if mode == WORDS_MODE else []
-        self._goals = _GoalCache(generators)
-        # Only a finite, fully known relator list pins down the abelianization
-        # of G1: a relator still to come from a family or stream could make
-        # any goal word trivial.
-        relators = extended.known_relators()
+        self._generators = [bytes([2 * g]) for g in range(extended.alphabet.k)] if mode == WORDS_MODE else []
+        # Only a finite relator list spanning the exponent-sum lattice pins
+        # down the abelianization of G1: a relator still to come from a
+        # stream could make any goal word trivial.
+        relators = extended.lattice_relators()
         self._abelian = None
         if relators is not None:
-            self._abelian = _AbelianCheck(Abelianization(relators, extended.alphabet.k), self._goals)
+            self._abelian = _AbelianCheck(Abelianization(relators, extended.alphabet.k), self._generators)
         self._candidates = self._candidate_stream()
 
     @property
@@ -382,7 +312,7 @@ class FinitenessTask:
                     w = count_words_up_to(length_bound, alphabet.k) - 1
                     while len(image_words) <= w:
                         image_words.append(word_at_index(len(image_words), alphabet))
-                    end = min(bound, images_block_size(table.order, alphabet, length_bound))
+                    end = min(bound, w ** (table.order - 1))
                     # One digit per non-identity element, most significant first.
                     block = itertools.product(image_words[1 : w + 1], repeat=table.order - 1)
                     for idx, images in enumerate(itertools.islice(block, start, end), start):
@@ -407,14 +337,12 @@ class FinitenessTask:
             return None
         cand = _Candidate(self.admitted - 1, table, images, self.mode)
         self._parked[cand.admission] = cand
-        self._goals.update(table, images)
-        goals = set(self._goals.cell_words)
-        goals.discard(b"")
+        goals = {w for _, _, w in equation_words(table, images) if w}
         cand.pending = len(goals)
         uncovered = []
         if self.mode == WORDS_MODE:
             cand.cov_resolved = {}
-            for g, gen in enumerate(self._goals.generators):
+            for g, gen in enumerate(self._generators):
                 if gen in images:  # the goal g.tau(u_e)^-1 is empty: covered for free
                     cand.cov_resolved[g] = (images.index(gen), None)
                 else:
@@ -424,9 +352,12 @@ class FinitenessTask:
             return cand
         for w in goals:
             self._waiters.setdefault(w, []).append(cand.admission)
-        for g in uncovered:
-            for e, w in enumerate(self._goals.coverage[g]):
-                self._cov_waiters.setdefault(w, []).append((cand.admission, g, e))
+        if uncovered:
+            inverses = [invert(image) for image in images]
+            for g in uncovered:
+                gen = self._generators[g]
+                for e, inv in enumerate(inverses):
+                    self._cov_waiters.setdefault(concat(gen, inv), []).append((cand.admission, g, e))
         return None
 
     def _derive(self) -> _Candidate | None:

@@ -89,7 +89,7 @@ def test_hermite_basis_is_echelon_and_spans_the_same_lattice(case):
 
 def abelianization(text, word):
     p = extend(parse_presentation(text), parse_word(word, parse_presentation(text).alphabet))
-    return Abelianization(p.known_relators(), p.alphabet.k)
+    return Abelianization(p.lattice_relators(), p.alphabet.k)
 
 
 def test_z_mod_a6_is_z6():
@@ -120,10 +120,18 @@ def test_exponent_sums():
     assert exponent_sums(b"", 2) == (0, 0)
 
 
-def test_known_relators_only_for_inline_sources():
-    x = parse_word("ab", parse_presentation("generators: a b\n").alphabet)
+def test_lattice_relators_for_inline_and_family_sources():
+    # An inline source gives every relator; a powers family gives its inline
+    # prefix and base words, whose exponent sums are those of every conjugate
+    # t.w.t^-1; a stream gives nothing, since any relator may still come.
+    alph = parse_presentation("generators: a b\n").alphabet
+    x = parse_word("ab", alph)
     inline = extend(parse_presentation("generators: a b\nrelator: aa\n"), x)
-    assert inline.known_relators() == (x, b"\x00\x00")
-    for tail in ("family: powers aa", "stream: relator-command --count 3"):
-        p = extend(parse_presentation(f"generators: a b\nrelator: aa\n{tail}\n"), x)
-        assert p.known_relators() is None
+    assert inline.lattice_relators() == (x, parse_word("aa", alph))
+    family = extend(parse_presentation("generators: a b\nrelator: aa\nfamily: powers bb abAB\n"), x)
+    assert family.lattice_relators() == (x, parse_word("aa", alph), parse_word("bb", alph), parse_word("abAB", alph))
+    pulled = [family.relator(i) for i in range(200)]  # X, aa, then conjugates of bb and abAB
+    assert pulled[2:4] == [parse_word("bb", alph), parse_word("abAB", alph)]
+    assert Abelianization(pulled, 2).basis == Abelianization(family.lattice_relators(), 2).basis
+    stream = extend(parse_presentation("generators: a b\nrelator: aa\nstream: relator-command --count 3\n"), x)
+    assert stream.lattice_relators() is None

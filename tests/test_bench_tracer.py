@@ -58,6 +58,9 @@ def test_tracer_installs_and_counts(layers):
 
     metrics = tracer.metrics()
     assert set(metrics) == METRICS
+    # Admission builds each parked candidate's goal words with equation_words,
+    # so the counter sees admission work, not only the winners' certificates.
+    assert metrics["quotient.goal_words"] >= metrics["quotient.parked_peak"]
     for name in (
         "derivation.products.equal_arm",
         "derivation.products.finite_arm",

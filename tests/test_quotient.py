@@ -1,6 +1,7 @@
 """Finite-quotient search: goal words, image enumeration, the dovetail."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -12,7 +13,6 @@ from wordrace.quotient import (
     LETTERS_MODE,
     WORDS_MODE,
     FinitenessTask,
-    _GoalCache,
     equation_words,
     surjective_letter_images,
 )
@@ -82,20 +82,17 @@ class TestGoalWords:
 
 
 def admit_checked(task, admissions):
-    """Admit candidates; check the goal words against a from-scratch build.
+    """Admit candidates; check the parked ones against a from-scratch build.
 
-    Admission updates the task's goal cache only for the candidates it
-    parks, so every admission the task draws from its candidate stream
-    also drives a separate ``_GoalCache``, whose words are checked against
-    ``equation_words`` and the coverage words g.tau(u_e)^-1 rebuilt from
-    scratch.  Each parked candidate's goal counts, and at the end the
-    waiter maps, are checked against the same reference.  Nothing is
-    derived, so every registered waiter stays.  Returns the admitted
-    (table, images) pairs.
+    Every admission the task draws from its candidate stream is recorded.
+    Each parked candidate's goal counts and coverage state, and at the end
+    the waiter maps, are checked against the cell goal words of
+    ``equation_words`` and the coverage words g.tau(u_e)^-1 built here.
+    Nothing is derived, so every registered waiter stays.  Returns the
+    admitted (table, images) pairs.
     """
     waiters, cov_waiters, seen = {}, {}, []
     gens = [bytes([2 * g]) for g in range(task.extended.alphabet.k)]
-    cache = _GoalCache(gens if task.mode == WORDS_MODE else [])
     drawn = []
     task._candidates = (drawn.append(a) or a for a in task._candidates)
     while task.admitted < admissions:
@@ -105,18 +102,11 @@ def admit_checked(task, admissions):
             continue  # an idle quantum
         table, images = drawn[-1][3:]
         seen.append((table, images))
-        scratch = equation_words(table, images)
-        cache.update(table, images)
-        cells, _ = cache.order(table)
-        assert {(i, j): word for (i, j, _), word in zip(cells, cache.cell_words)} == {
-            (i, j): word for i, j, word in scratch
-        }
-        assert cache.coverage == [[concat(gen, invert(image)) for image in images] for gen in cache.generators]
         cand = task._parked.get(before)
         if cand is None:
             continue  # rejected by the abelian check; see TestAbelianCheck
         assert (cand.table, cand.images) == (table, images)
-        goals = {word for _, _, word in scratch if word}
+        goals = {word for _, _, word in equation_words(table, images) if word}
         assert cand.pending == len(goals)
         uncovered = []
         if task.mode == WORDS_MODE:
@@ -157,9 +147,11 @@ class TestIncrementalGoalWords:
         assert any(t is not u for t, u in zip(tables, tables[1:]))  # the table switches
 
     def test_switch_and_repeat(self):
-        # A repeated (table, images) reuses every word; a change in the
-        # middle element rebuilds from there; a new table starts over.
+        # The abelian check keeps the last candidate's image classes and
+        # failing level: a repeated (table, images) reuses them, a change in
+        # the middle element rechecks from there, a new table starts over.
         z3 = MultiplicationTable(zn_table(3).cells)
+        z4 = MultiplicationTable(zn_table(4).cells)
         klein = (b"", w("a"), w("B"), w("aB"))
         sequence = [
             (KLEIN, klein),
@@ -169,11 +161,37 @@ class TestIncrementalGoalWords:
             (z3, (b"", w("ab"), w("b"))),
             (KLEIN, (b"", w("A"), w("ab"), w("aB"))),
             (KLEIN, (b"", w("A"), w("ab"), w("ab"))),
+            (KLEIN, (b"", w("A"), w("b"), w("ab"))),
+            (z4, (b"", w("a"), w("b"), w("a"))),
+            (z4, (b"", w("a"), w("b"), w("b"))),
+            (z4, (b"", w("a"), w("aa"), w("A"))),
+            (KLEIN, klein),
+            (KLEIN, (b"", w("a"), w("B"), w("a"))),
+            (KLEIN, klein),
         ]
         p = extend(parse_presentation("generators: a b\nrelator: aa\nrelator: bb\n"), w("abab"))
         task = FinitenessTask(p)
         task._candidates = iter([(0, 1, n, table, images) for n, (table, images) in enumerate(sequence)])
         assert admit_checked(task, len(sequence)) == sequence
+
+        # G1 = Dinf/abab: L is 2Z x 2Z.  A candidate is parked iff every cell
+        # goal word and some coverage word of each generator lie in L.
+        def in_lattice(word):
+            return exponent_sum(word, 0) % 2 == 0 and exponent_sum(word, 1) % 2 == 0
+
+        parked = []
+        for n, (table, images) in enumerate(sequence):
+            alive = all(in_lattice(goal) for _, _, goal in equation_words(table, images)) and all(
+                any(in_lattice(concat(gen, invert(image))) for image in images) for gen in (w("a"), w("b"))
+            )
+            assert (n in task._parked) == alive, n
+            parked.append(alive)
+        # Passing, failing at the top level, passing again after a middle
+        # change; in Z4 failing at level 2, failing again without any cell
+        # work (only element 3 changed), then on coverage alone; back in the
+        # Klein table, a change of the last element alone breaks a top-level
+        # cell, and the next one mends it.
+        assert parked == [True, True, False, False, False, False, False, True, False, False, False, True, False, True]
 
 
 class TestAssignmentEnumeration:
@@ -269,14 +287,24 @@ class TestDovetailTotality:
                     break
         assert wanted <= visited
 
-    def test_admitted_images_follow_images_at_cursor(self):
-        # F2/a parks no candidate; with the relators of <a, b | [a, b]> coming
-        # from a family, G1 is still Z but every candidate is parked.
-        for text in ("generators: a b\n", "generators: a b\nfamily: powers abAB\n"):
-            task = FinitenessTask(extend(parse_presentation(text), w("a")))
-            for _ in range(20_000):
-                task.step()
+    def test_admitted_images_follow_images_at_cursor(self, tmp_path):
+        # F2/a parks no candidate; with the relator of <a, b | [a, b]> coming
+        # from a stream, G1 is still Z but every candidate is parked.
+        script = tmp_path / "commutator.py"
+        script.write_text('print("abAB")\n')
+        for text, all_parked in (
+            ("generators: a b\n", False),
+            (f"generators: a b\nstream: {sys.executable} {script}\n", True),
+        ):
+            p = parse_presentation(text)
+            task = FinitenessTask(extend(p, w("a")))
+            try:
+                for _ in range(20_000):
+                    task.step()
+            finally:
+                p.close()
             assert task.admitted > 2000
+            assert task.parked_count == (task.admitted if all_parked else 0)
             admissions = (a for a in task._candidate_stream() if a is not None)
             for n, (t, length_bound, idx, table, images) in zip(range(task.admitted), admissions):
                 assert images == images_at_cursor(idx, table.order, AB, length_bound)
@@ -351,13 +379,32 @@ class TestAbelianCheck:
         assert task.parked_count == 0
         assert task.rejected == task.admitted
 
-    def test_family_source_parks_every_admission(self):
-        # A relator still to come could make any goal trivial: no rejection.
+    def test_family_source_prunes(self):
+        # The inline prefix and the base words span the exponent-sum lattice
+        # of every relator t.w.t^-1 the family will produce, so admission
+        # prunes as on an inline source.
         task = FinitenessTask(extend(parse_presentation("generators: a b\nfamily: powers aa bb\n"), w("abab")))
         cert = None
         while cert is None:
             cert = task.step()
-        assert task.admitted > 1000
-        assert task.parked_count == task.admitted
-        assert task.rejected == 0
+        assert task.rejected > 0
+        assert task.parked_count + task.rejected == task.admitted
         assert verify_finiteness(cert, task.extended)[0]
+
+    def test_stream_source_parks_every_admission(self, tmp_path):
+        # A relator still to come from a stream could make any goal trivial:
+        # no rejection.
+        script = tmp_path / "dinf.py"
+        script.write_text('print("aa")\nprint("bb")\n')
+        p = parse_presentation(f"generators: a b\nstream: {sys.executable} {script}\n")
+        try:
+            task = FinitenessTask(extend(p, w("abab")))
+            cert = None
+            while cert is None:
+                cert = task.step()
+            assert task.admitted > 1000
+            assert task.parked_count == task.admitted
+            assert task.rejected == 0
+            assert verify_finiteness(cert, task.extended)[0]
+        finally:
+            p.close()
