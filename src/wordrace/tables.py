@@ -9,11 +9,21 @@ check.
 Enumeration works row by row: each row of a group table is the permutation
 given by left multiplication, and once rows x and y are placed, the row of
 x.y is forced to be their composition.  Backtracking over the free rows with
-this propagation (plus Latin pruning) visits every complete table exactly
-once, in lexicographic row-major order.  The first table of each isomorphism
-class encountered this way is the lexicographic minimum over all relabelings
+this propagation (plus Latin pruning) yields complete tables in
+lexicographic row-major order.  The first table of each isomorphism class
+encountered this way is the lexicographic minimum over all relabelings
 fixing 0, i.e. the canonical form; later members of the class are rejected
 by an explicit isomorphism search.
+
+Row 1 is the left-regular permutation of element 1: it sends 0 to 1 and all
+its cycles have the length m of the order of 1.  Any two such permutations
+with the same m are conjugate by a relabeling fixing 0 and 1, and relabeling
+a table by it keeps row 0 and carries row 1 to the other permutation.  So
+the row 1 of a lex-minimal table is the least such permutation for its m,
+the seed ``x -> x+1`` inside consecutive blocks of m, wrapping at the end of
+each block; enumeration tries only those seeds as row 1, one per divisor
+m > 1 of r.  The tables it skips are never first of their class, so the
+representatives and their order are those of the full search.
 """
 
 from __future__ import annotations
@@ -23,9 +33,10 @@ from functools import cached_property
 
 from .words import Word
 
-# Enumeration cost grows steeply with the order (the raw backtracking space
-# for order 12 has ~10^7 complete tables); 8 covers the full corpus while
-# keeping worst-case solve latency at desk scale.  Configurable per run.
+# The cap bounds the finiteness arm's candidate space, not enumeration cost:
+# a table of order r opens image blocks of k^r letter maps, or of w^(r-1)
+# maps onto the w words up to a length bound.  8 covers the full corpus
+# while keeping worst-case solve latency at desk scale.  Configurable per run.
 DEFAULT_MAX_TABLE_ORDER = 8
 
 
@@ -137,8 +148,22 @@ def find_isomorphism(c1, c2):
     return next(isomorphisms(c1, c2), None)
 
 
-def _complete_tables(r):
-    """All group tables of order r with identity 0, in row-major lex order."""
+def _row1_seeds(r):
+    """For each divisor m > 1 of r, the least permutation sending 0 to 1
+    whose cycles all have length m; in lex order, which is increasing m."""
+    return [
+        tuple(x + 1 if (x + 1) % m else x + 1 - m for x in range(r))
+        for m in range(2, r + 1)
+        if r % m == 0
+    ]
+
+
+def _complete_tables(r, row1=None):
+    """Group tables of order r with identity 0, in row-major lex order.
+
+    All of them, or, given row1 (a lex-ordered list of permutations), those
+    whose row 1 is one of row1.
+    """
     if r == 1:
         yield ((0,),)
         return
@@ -211,7 +236,7 @@ def _complete_tables(r):
         if i is None:
             yield tuple(rows)
             return
-        for perm in row_candidates(i):
+        for perm in row1 if i == 1 and row1 is not None else row_candidates(i):
             mark = len(placed)
             place(i, perm)
             if propagate(mark):
@@ -229,7 +254,8 @@ def enumerate_tables(order: int) -> tuple[MultiplicationTable, ...]:
 
     The representative emitted for each class is the lexicographically
     minimal member of the class (relabelings fixing element 0), because
-    generation is exhaustive in lex order and the first member wins.
+    generation is in lex order, skips only tables that are not minimal in
+    their class, and the first member wins.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -237,7 +263,7 @@ def enumerate_tables(order: int) -> tuple[MultiplicationTable, ...]:
     if cached is not None:
         return cached
     reps: list[tuple] = []
-    for cells in _complete_tables(order):
+    for cells in _complete_tables(order, _row1_seeds(order)):
         ok, why = is_group_table(cells)
         assert ok, why
         if all(find_isomorphism(cells, rep) is None for rep in reps):

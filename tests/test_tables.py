@@ -3,9 +3,12 @@
 Frozen expected values below were computed before the build from two
 independent oracles: exhaustive cell-by-cell generation for orders <= 4,
 and the orbit-stabilizer identity (raw table count = sum over classes of
-(r-1)!/|Aut|) for orders <= 7.
+(r-1)!/|Aut|) for orders <= 7.  The representative hashes were captured
+while enumeration still filtered every complete table, before row 1 was
+restricted to one seed per cycle length.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -15,6 +18,7 @@ from wordrace.tables import (
     MissingImageError,
     MultiplicationTable,
     _complete_tables,
+    _row1_seeds,
     element_orders,
     enumerate_tables,
     eval_in_table,
@@ -25,9 +29,23 @@ from wordrace.tables import (
 )
 from wordrace.words import alphabet, concat, parse_word
 
-# One class per order except 4 (cyclic, Klein) and 6 (cyclic, S3) and 8
-# (C8, C4xC2, C2^3, D4, Q8).
-CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5}
+# One class per order except 4 (cyclic, Klein), 6 (cyclic, S3), 8
+# (C8, C4xC2, C2^3, D4, Q8), 9 (C9, C3xC3) and 10 (cyclic, D5); OEIS A000001.
+CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2}
+
+# SHA-256 of repr([t.cells for t in enumerate_tables(r)]): the
+# representatives and their order, which fix every cursor and certificate.
+REPRESENTATIVE_HASHES = {
+    1: "4ac279b94d8c735ee76858c2b50da00526af1f31a8c2e829581bbbeae1fea620",
+    2: "d38b092e58757f89eb1061ccf8439cd715c8b7db3cbfa41122d1a8ca3bac7eca",
+    3: "3fbf8e55fa658d03b1ce61f99060ce70167599881f25691c471ed13a62f9a8f5",
+    4: "1343e783b5fb5bc37b35b5076cbc29fab2ee1fa8b75a01bb3d951eff55ec1635",
+    5: "98727697c6837a46a8ae6ed5ffef9037ed0f4327db1f8ba8cf3b804c5d725f94",
+    6: "388efe80ef85ad28f5b6ce6764c488042b0e0cdf7f9d81f05cf43e48e54e9426",
+    7: "9e00b08c520ea96826a0eda85e2f951e158d6cc44263321aacae5e3842fbff91",
+    8: "1e98333681381643b5fbf7ce98e5f702b9d2780de3086fe08a110b5e700f2244",
+    9: "f2c24c470e773036c33c7b8446f83cc90ea9d93771b47b337ac040ca921159e4",
+}
 
 
 def brute_tables(r):
@@ -48,6 +66,29 @@ def brute_tables(r):
         if is_group_table(t)[0]:
             out.append(t)
     return out
+
+
+def first_of_class(tables):
+    """Keep each table not isomorphic to one kept before it, in order."""
+    reps = []
+    for cells in tables:
+        if all(find_isomorphism(cells, rep) is None for rep in reps):
+            reps.append(cells)
+    return reps
+
+
+def cycle_lengths(perm):
+    lengths = set()
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        n, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            n += 1
+        if n:
+            lengths.add(n)
+    return lengths
 
 
 def s3_table():
@@ -125,6 +166,33 @@ class TestEnumeration:
             aut = sum(1 for _ in isomorphisms(rep.cells, rep.cells))
             acc += math.factorial(r - 1) // aut
         assert raw_count == acc
+
+    @pytest.mark.parametrize("r", sorted(REPRESENTATIVE_HASHES))
+    def test_representatives_pinned(self, r):
+        cells = [t.cells for t in enumerate_tables(r)]
+        assert hashlib.sha256(repr(cells).encode()).hexdigest() == REPRESENTATIVE_HASHES[r]
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_same_representatives_as_full_search(self, r):
+        assert [t.cells for t in enumerate_tables(r)] == first_of_class(_complete_tables(r))
+
+    @pytest.mark.parametrize("r", range(2, 8))
+    def test_seeded_search_is_a_subsequence(self, r):
+        seeds = _row1_seeds(r)
+        seeded = list(_complete_tables(r, seeds))
+        assert seeded == [t for t in _complete_tables(r) if t[1] in seeds]
+        assert {t[1] for t in seeded} == set(seeds)
+
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_seeds_are_least_per_cycle_length(self, r):
+        least = {}
+        for perm in itertools.permutations(range(r)):
+            lengths = cycle_lengths(perm)
+            if perm[0] == 1 and len(lengths) == 1:
+                (m,) = lengths
+                least[m] = min(least.get(m, perm), perm)
+        assert sorted(least) == [m for m in range(2, r + 1) if r % m == 0]
+        assert _row1_seeds(r) == [least[m] for m in sorted(least)]
 
     def test_representatives_are_lex_minimal(self):
         # generation is exhaustive in lex order, so each representative is
