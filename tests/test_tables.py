@@ -45,6 +45,7 @@ REPRESENTATIVE_HASHES = {
     7: "9e00b08c520ea96826a0eda85e2f951e158d6cc44263321aacae5e3842fbff91",
     8: "1e98333681381643b5fbf7ce98e5f702b9d2780de3086fe08a110b5e700f2244",
     9: "f2c24c470e773036c33c7b8446f83cc90ea9d93771b47b337ac040ca921159e4",
+    10: "5e4558587abfaaa4f42293de842ffb920fbf34c2351cd21eddfaa55861a1c094",
 }
 
 
@@ -195,8 +196,9 @@ class TestEnumeration:
         assert _row1_seeds(r) == [least[m] for m in sorted(least)]
 
     def test_representatives_are_lex_minimal(self):
-        # generation is exhaustive in lex order, so each representative is
-        # the lex minimum over its class; check directly for order 4
+        # generation is in lex order and skips only tables that are not
+        # minimal in their class, so each representative is the lex minimum
+        # over its class; check directly for order 4
         for rep in enumerate_tables(4):
             relabels = []
             for perm in itertools.permutations(range(1, 4)):
