@@ -104,14 +104,6 @@ def serialize_finiteness(cert: FinitenessCertificate, extended: Presentation) ->
     return "\n".join(out) + "\n"
 
 
-def serialize_certificate(cert, p: Presentation) -> str:
-    if isinstance(cert, EqualityCertificate):
-        return serialize_equality(cert, p)
-    if isinstance(cert, FinitenessCertificate):
-        return serialize_finiteness(cert, p)
-    raise TypeError(f"not a certificate: {cert!r}")
-
-
 # ---------------------------------------------------------------------------
 # parsing
 

@@ -26,6 +26,7 @@ neither is stored.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,32 +53,43 @@ class ProductStream:
 
     ``next_event()`` performs one quantum of work and returns either
     ``("product", factors, assembled_word)`` or ``("stage", n)`` when the
-    enumeration crosses into stage n.  The order of the product events is
-    fixed by the presentation alone, and every product occurs exactly once.
+    enumeration crosses into stage n.  The events come from one generator
+    that, for n = 0, 1, ..., sets ``stage``, pulls the relators stage n
+    needs, yields the stage event and then the stage's products.  The order
+    of the product events is fixed by the presentation alone, and every
+    product occurs exactly once.
     """
 
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
         self.stage = -1
-        self._stage_iter = None
         self._conj_words: list[Word] = []
         self._avail = 0  # relators pulled so far: the settled prefix
         self._nonempty: list[tuple[int, Word]] = []  # its nonempty relators
         self._exhausted = False
+        self._events = self._all_events()
 
     def next_event(self):
-        if self._stage_iter is not None:
-            item = next(self._stage_iter, None)
-            if item is not None:
-                return item
-            self._stage_iter = None
-        self.stage += 1
-        self._stage_iter = self._begin_stage(self.stage)
-        return ("stage", self.stage)
+        return next(self._events)
+
+    def _all_events(self):
+        self.stage = 0
+        yield ("stage", 0)
+        yield ("product", (), b"")
+        for n in itertools.count(1):
+            self.stage = n
+            entries = self._begin_stage(n)
+            yield ("stage", n)
+            if not entries:
+                continue  # an empty stage, as on a relator-free presentation
+            for m in range(1, n + 1):
+                skippable = m <= n - 1  # all-old products this short were in stage n-1
+                for factors, word, old in _prefixes(entries, m):
+                    if not (skippable and old):
+                        yield ("product", factors, word)
 
     def _begin_stage(self, n: int):
-        if n == 0:
-            return iter([("product", (), b"")])
+        # Pulls the relators stage n >= 1 needs; returns its (old, word, factor) entries.
         p = self.presentation
         prev_avail = self._avail
         if not self._exhausted:
@@ -90,7 +102,7 @@ class ProductStream:
             self._avail = avail
         nonempty = self._nonempty
         if not nonempty:
-            return iter(())
+            return []
         k = p.alphabet.k
         want = count_words_up_to(n, k)
         while len(self._conj_words) < want:
@@ -109,25 +121,18 @@ class ProductStream:
                             DyckFactor(t, rel_idx, sign),
                         )
                     )
-        return self._stage_products(n, entries)
+        return entries
 
-    @staticmethod
-    def _stage_products(n: int, entries):
-        # Depth first, in itertools.product order, so that each reduced
-        # prefix is computed once for all products that extend it.
-        def prefixes(depth):
-            if depth == 0:
-                yield (), b"", True
-                return
-            for factors, word, old in prefixes(depth - 1):
-                for e_old, e_word, factor in entries:
-                    yield factors + (factor,), concat(word, e_word), old and e_old
 
-        for m in range(1, n + 1):
-            skippable = m <= n - 1  # all-old products this short were in stage n-1
-            for factors, word, old in prefixes(m):
-                if not (skippable and old):
-                    yield ("product", factors, word)
+def _prefixes(entries, depth):
+    # Products of depth entries as (factors, reduced word, all old), in itertools.product
+    # order, depth first so that each reduced prefix is computed once for its extensions.
+    if depth == 0:
+        yield (), b"", True
+        return
+    for factors, word, old in _prefixes(entries, depth - 1):
+        for e_old, e_word, factor in entries:
+            yield factors + (factor,), concat(word, e_word), old and e_old
 
 
 class EqualityTask:

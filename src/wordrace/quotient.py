@@ -54,7 +54,7 @@ from .abelian import Abelianization, Vector
 from .derivation import EqualityCertificate, ProductStream
 from .presentation import Presentation
 from .tables import DEFAULT_MAX_TABLE_ORDER, MultiplicationTable, table_at_cursor
-from .words import Alphabet, Word, concat, count_words_up_to, invert, word_at_index
+from .words import Word, concat, count_words_up_to, invert, word_at_index
 
 WORDS_MODE = "words"
 LETTERS_MODE = "letters"
@@ -165,19 +165,6 @@ class _AbelianCheck:
         return all(c in present for c in self._coverage)
 
 
-def surjective_letter_images(idx: int, order: int, alphabet: Alphabet):
-    """Decode idx in [0, k^order) as a letter-valued tau; None if not onto."""
-    k = alphabet.k
-    digits = []
-    for _ in range(order):
-        idx, d = divmod(idx, k)
-        digits.append(d)
-    digits.reverse()
-    if len(set(digits)) != k:
-        return None
-    return tuple(bytes([2 * d]) for d in digits)
-
-
 class _Candidate:
     """One admitted (table, images) pair parked on its unresolved goals.
 
@@ -224,10 +211,11 @@ class _Candidate:
 class FinitenessTask:
     """Dovetails candidate admission with the shared derivation stream.
 
-    Every admit_period-th step admits the next candidate from the graded
-    (table cursor, length bound, image-tuple index) enumeration; all other
-    steps advance the Dyck enumeration of the extended presentation by one
-    quantum and wake any candidates waiting on the assembled word.  The
+    Steps follow one fixed cycle of ADMIT_PERIOD turns: ADMIT_PERIOD - 1
+    derivation turns, each advancing the Dyck enumeration of the extended
+    presentation by one quantum and waking any candidates waiting on the
+    assembled word, then one admission of the next candidate from the
+    graded (table cursor, length bound, image-tuple index) enumeration.  The
     first candidate whose goals are all discharged wins; ties break by
     admission order, so outcomes are deterministic.
     """
@@ -265,6 +253,7 @@ class FinitenessTask:
         if relators is not None:
             self._abelian = _AbelianCheck(Abelianization(relators, extended.alphabet.k), self._generators)
         self._candidates = self._candidate_stream()
+        self._turns = itertools.cycle([self._derive] * (self.ADMIT_PERIOD - 1) + [self._admit])
 
     @property
     def parked_count(self) -> int:
@@ -275,56 +264,51 @@ class FinitenessTask:
         # block, table, images); yields None for an idle quantum when a
         # grade opens nothing new, and forever once the candidate space is
         # provably exhausted (finite letters-mode space under the order cap).
+        # A block (length bound, head, choices, repeat) holds the images
+        # head + tail, tail in itertools.product(choices, repeat=repeat): letter
+        # maps (bound 0), or the empty word and nonempty words up to the bound.
         alphabet = self.extended.alphabet
+        k = alphabet.k
+        letters_mode = self.mode == LETTERS_MODE
+        letters = [bytes([2 * g]) for g in range(k)]
         image_words = [b""]  # word_at_index(n) at index n, grown with the length bound
         pointers: dict[tuple[int, int], int] = {}
-        grade = 0
-        while True:
+        for grade in itertools.count():
             tmax = grade // 2
             lmax = max(1, grade // 2)
             bound = 1 << grade
-            yielded = False
-            capped = False
-            more_possible = False
+            while not letters_mode and len(image_words) < count_words_up_to(lmax, k):
+                image_words.append(word_at_index(len(image_words), alphabet))
+            yielded = capped = more_possible = False
             for t in range(tmax + 1):
                 table = table_at_cursor(t, self.max_table_order)
                 if table is None:
                     capped = True
                     break
-                if self.mode == LETTERS_MODE:
-                    key = (t, 0)
-                    start = pointers.get(key, 0)
-                    block = alphabet.k ** table.order
-                    end = min(bound, block)
-                    for idx in range(start, end):
-                        images = surjective_letter_images(idx, table.order, alphabet)
-                        if images is not None:
-                            yielded = True
-                            yield (t, 0, idx, table, images)
-                    pointers[key] = end
-                    if end < block:
-                        more_possible = True
-                    continue
-                more_possible = True  # word-valued blocks grow with the length bound
-                for length_bound in range(1, lmax + 1):
+                if letters_mode:
+                    blocks = [(0, (), letters, table.order)]
+                else:
+                    blocks = (
+                        (n, (b"",), image_words[1 : count_words_up_to(n, k)], table.order - 1)
+                        for n in range(1, lmax + 1)
+                    )
+                for length_bound, head, choices, repeat in blocks:
                     key = (t, length_bound)
                     start = pointers.get(key, 0)
-                    w = count_words_up_to(length_bound, alphabet.k) - 1
-                    while len(image_words) <= w:
-                        image_words.append(word_at_index(len(image_words), alphabet))
-                    end = min(bound, w ** (table.order - 1))
-                    # One digit per non-identity element, most significant first.
-                    block = itertools.product(image_words[1 : w + 1], repeat=table.order - 1)
-                    for idx, images in enumerate(itertools.islice(block, start, end), start):
-                        yielded = True
-                        yield (t, length_bound, idx, table, (b"",) + images)
+                    size = len(choices) ** repeat
+                    end = min(bound, size)
+                    block = itertools.product(choices, repeat=repeat)
+                    for idx, tail in enumerate(itertools.islice(block, start, end), start):
+                        if not letters_mode or len(set(tail)) == k:  # letter maps must be onto
+                            yielded = True
+                            yield (t, length_bound, idx, table, head + tail)
                     pointers[key] = end
+                    if end < size or not letters_mode:  # word-valued blocks grow with the length bound
+                        more_possible = True
             if capped and not more_possible:
-                while True:
-                    yield None
+                yield from itertools.repeat(None)
             if not yielded:
                 yield None
-            grade += 1
 
     def _admit(self) -> _Candidate | None:
         admission = next(self._candidates)
@@ -394,10 +378,7 @@ class FinitenessTask:
         if self.certificate is not None:
             raise ValueError("task already resolved")
         self.steps_taken += 1
-        if self.steps_taken % self.ADMIT_PERIOD == 0:
-            winner = self._admit()
-        else:
-            winner = self._derive()
+        winner = next(self._turns)()
         if winner is not None:
             self.certificate = winner.to_certificate()
             return self.certificate

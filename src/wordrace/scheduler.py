@@ -3,9 +3,11 @@
 Arm 1 tries to prove X = 1 in the given presentation; arm 2 tries to
 prove X != 1 by exhibiting the extended group <S | X u R> as a finite
 quotient.  The arms alternate in quanta, arm 1 first, so their step
-counts never differ by more than one quantum.  Under the just-infinite
-hypothesis exactly one arm terminates; without it (the hypothesis is a
-caller-supplied promise) a bounded run simply exhausts its budget.
+counts never differ by more than one quantum: the schedule is one lazy
+sequence of turns, each arm's step ``quantum`` times, cycled and cut after
+the step budget.  Under the just-infinite hypothesis exactly one arm
+terminates; without it (the hypothesis is a caller-supplied promise) a
+bounded run simply exhausts its budget.
 
 A step is one EqualityTask quantum (one Dyck candidate assembled and
 compared, or one stage advance) or one FinitenessTask quantum.  The word
@@ -16,6 +18,7 @@ relator stream cannot block a trivially true query.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .derivation import EqualityCertificate, EqualityTask
@@ -70,24 +73,15 @@ def solve(
 
     arm1 = EqualityTask(p, target)
     arm2 = FinitenessTask(extend(p, target), mode=tau_mode, max_table_order=max_table_order)
-    remaining = budget.max_total_steps
-
-    while True:
-        for _ in range(budget.quantum):
-            if remaining is not None and remaining <= 0:
-                break
-            cert = arm1.step()
-            if remaining is not None:
-                remaining -= 1
-            if cert is not None:
-                return Outcome(EQUAL, cert, arm1.steps_taken, arm2.steps_taken)
-        for _ in range(budget.quantum):
-            if remaining is not None and remaining <= 0:
-                break
-            fcert = arm2.step()
-            if remaining is not None:
-                remaining -= 1
-            if fcert is not None:
-                return Outcome(NOT_EQUAL, fcert, arm1.steps_taken, arm2.steps_taken)
-        if remaining is not None and remaining <= 0:
-            return Outcome(EXHAUSTED, None, arm1.steps_taken, arm2.steps_taken)
+    # Turns are the arms' bound step methods: one ``arm.step()`` call site
+    # seeing both arm classes would defeat CPython's per-site specialization.
+    steps = itertools.cycle((arm1.step, arm2.step))
+    turns = itertools.chain.from_iterable(map(itertools.repeat, steps, itertools.repeat(budget.quantum)))
+    if budget.max_total_steps is not None:
+        turns = itertools.islice(turns, budget.max_total_steps)
+    for step in turns:
+        cert = step()
+        if cert is not None:
+            verdict = EQUAL if isinstance(cert, EqualityCertificate) else NOT_EQUAL
+            return Outcome(verdict, cert, arm1.steps_taken, arm2.steps_taken)
+    return Outcome(EXHAUSTED, None, arm1.steps_taken, arm2.steps_taken)

@@ -21,8 +21,11 @@ with the same m are conjugate by a relabeling fixing 0 and 1, and relabeling
 a table by it keeps row 0 and carries row 1 to the other permutation.  So
 the row 1 of a lex-minimal table is the least such permutation for its m,
 the seed ``x -> x+1`` inside consecutive blocks of m, wrapping at the end of
-each block; enumeration tries only those seeds as row 1, one per divisor
-m > 1 of r.  The tables it skips are never first of their class, so the
+each block.  The seed of a smaller m is lex smaller (it has 0 at position
+m - 1, where a larger m has m), so a lex-minimal table labels 1 an element
+of the least order m > 1 in its group.  By Lagrange and Cauchy that order is
+p, the least prime dividing r, so enumeration tries only the seed of p as
+row 1.  The tables it skips are never first of their class, so the
 representatives and their order are those of the full search.
 """
 
@@ -149,13 +152,12 @@ def find_isomorphism(c1, c2):
 
 
 def _row1_seeds(r):
-    """For each divisor m > 1 of r, the least permutation sending 0 to 1
-    whose cycles all have length m; in lex order, which is increasing m."""
-    return [
-        tuple(x + 1 if (x + 1) % m else x + 1 - m for x in range(r))
-        for m in range(2, r + 1)
-        if r % m == 0
-    ]
+    """[the least permutation sending 0 to 1 whose cycles all have length p],
+    p the least prime dividing r; [] for r = 1."""
+    for p in range(2, r + 1):
+        if r % p == 0:
+            return [tuple(x + 1 if (x + 1) % p else x + 1 - p for x in range(r))]
+    return []
 
 
 def _complete_tables(r, row1=None):

@@ -28,10 +28,6 @@ class MalformedWordError(ValueError):
     """A letter sequence refers outside its alphabet or is unparseable."""
 
 
-class AlphabetMismatchError(ValueError):
-    """Operands were built over different alphabets."""
-
-
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered generator names; single lowercase Latin letters, all distinct."""

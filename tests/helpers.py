@@ -2,12 +2,14 @@
 
 None of these runs on the solver's path: they drive a task to a budget,
 re-assemble a product the slow way, index enumerations by cursor, or print
-a presentation back, so that tests can state what the solver must match.
+a presentation or certificate back, so that tests can state what the
+solver must match.
 """
 
-from wordrace.derivation import EqualityTask, ProductStream
+from wordrace.certcheck import serialize_equality, serialize_finiteness
+from wordrace.derivation import EqualityCertificate, EqualityTask, ProductStream
 from wordrace.presentation import InlineSource
-from wordrace.quotient import WORDS_MODE, FinitenessTask
+from wordrace.quotient import WORDS_MODE, FinitenessCertificate, FinitenessTask
 from wordrace.tables import DEFAULT_MAX_TABLE_ORDER
 from wordrace.words import concat_all, conjugate, count_words_up_to, format_word, invert, word_at_index
 
@@ -82,3 +84,12 @@ def serialize_presentation(p):
     for i in range(p.source.pulled_count):
         lines.append("relator: " + format_word(p.source.relator(i), p.alphabet))
     return "\n".join(lines) + "\n"
+
+
+def serialize_certificate(cert, p):
+    """The certificate document of either kind; p is extended for a finiteness one."""
+    if isinstance(cert, EqualityCertificate):
+        return serialize_equality(cert, p)
+    if isinstance(cert, FinitenessCertificate):
+        return serialize_finiteness(cert, p)
+    raise TypeError(f"not a certificate: {cert!r}")

@@ -12,7 +12,6 @@ from wordrace.certcheck import (
     FinitenessDocument,
     parse_certificate,
     presentation_digest,
-    serialize_certificate,
     serialize_equality,
     serialize_finiteness,
     verify_equality,
@@ -20,7 +19,7 @@ from wordrace.certcheck import (
     verify_finiteness,
     verify_finiteness_document,
 )
-from helpers import prove_equal, prove_finite
+from helpers import prove_equal, prove_finite, serialize_certificate
 from wordrace.derivation import DyckFactor, EqualityCertificate
 from wordrace.presentation import extend, parse_presentation
 from wordrace.quotient import FinitenessCertificate

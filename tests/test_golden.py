@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from wordrace.certcheck import serialize_certificate
+from helpers import serialize_certificate
 from wordrace.presentation import extend, parse_presentation
 from wordrace.quotient import LETTERS_MODE, WORDS_MODE
 from wordrace.scheduler import EXHAUSTED, NOT_EQUAL, Budget, solve

@@ -14,7 +14,6 @@ from wordrace.quotient import (
     WORDS_MODE,
     FinitenessTask,
     equation_words,
-    surjective_letter_images,
 )
 from wordrace.tables import MultiplicationTable, enumerate_tables
 from wordrace.words import alphabet, concat, invert, parse_word
@@ -209,10 +208,17 @@ class TestAssignmentEnumeration:
         assert len(seen) == n == 16  # (count_words_up_to(2) - 1)^2
 
     def test_surjective_letter_images(self):
-        # k=2, r=2: 4 functions, 2 surjective
-        onto = [surjective_letter_images(i, 2, AB) for i in range(4)]
-        onto = [x for x in onto if x is not None]
-        assert onto == [(w("a"), w("b")), (w("b"), w("a"))]
+        # k=2: a letters-mode task admits exactly the maps onto {a, b}, in
+        # lex order: 2 of the 4 at order 2 and 6 of the 8 at order 3.
+        task = FinitenessTask(extend(parse_presentation("generators: a b\n"), w("a")), mode=LETTERS_MODE)
+        admitted = {}
+        for admission in itertools.islice(task._candidate_stream(), 10_000):
+            if admission is not None:
+                table, images = admission[3:]
+                admitted.setdefault(table.order, []).append(images)
+        a, b = w("a"), w("b")
+        assert admitted[2] == [(a, b), (b, a)]
+        assert admitted[3] == [(a, a, b), (a, b, a), (a, b, b), (b, a, a), (b, a, b), (b, b, a)]
 
 
 class TestStepFiniteness:

@@ -108,3 +108,27 @@ def test_budget_validation():
         Budget(quantum=0)
     with pytest.raises(ValueError):
         Budget(-1)
+
+
+def test_exhausted_split_follows_the_turn_cycle():
+    # Turns run q steps of the equality arm, then q of the finiteness arm,
+    # and so on, cut after B steps: with B = 2qf + m the equality arm has
+    # taken fq + min(m, q) steps and the finiteness arm the rest.
+    p = parse_presentation("generators: a b\n")
+    x = parse_word("a", p.alphabet)
+    for quantum in range(1, 5):
+        for total in range(26):
+            f, m = divmod(total, 2 * quantum)
+            out = solve(p, x, Budget(total, quantum))
+            assert out.verdict == EXHAUSTED
+            assert (out.steps_equal_arm, out.steps_finite_arm) == (
+                f * quantum + min(m, quantum),
+                f * quantum + max(0, m - quantum),
+            ), (total, quantum)
+
+
+def test_huge_quantum_costs_nothing_up_front():
+    p = parse_presentation("generators: a b\n")
+    out = solve(p, parse_word("a", p.alphabet), Budget(10, quantum=10**12))
+    assert out.verdict == EXHAUSTED
+    assert (out.steps_equal_arm, out.steps_finite_arm) == (10, 0)

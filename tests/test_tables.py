@@ -5,7 +5,7 @@ independent oracles: exhaustive cell-by-cell generation for orders <= 4,
 and the orbit-stabilizer identity (raw table count = sum over classes of
 (r-1)!/|Aut|) for orders <= 7.  The representative hashes were captured
 while enumeration still filtered every complete table, before row 1 was
-restricted to one seed per cycle length.
+restricted to seeds.
 """
 
 import hashlib
@@ -193,7 +193,10 @@ class TestEnumeration:
                 (m,) = lengths
                 least[m] = min(least.get(m, perm), perm)
         assert sorted(least) == [m for m in range(2, r + 1) if r % m == 0]
-        assert _row1_seeds(r) == [least[m] for m in sorted(least)]
+        # The one seed is that of the least cycle length, the least prime
+        # dividing r: by Cauchy's theorem every group of order r has an
+        # element of that order.
+        assert _row1_seeds(r) == [least[min(least)]]
 
     def test_representatives_are_lex_minimal(self):
         # generation is in lex order and skips only tables that are not
