@@ -18,7 +18,7 @@ from .presentation import StreamError, extend, parse_presentation
 from .quotient import LETTERS_MODE, WORDS_MODE
 from .scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Budget, solve
 from .tables import DEFAULT_MAX_TABLE_ORDER, enumerate_tables
-from .words import format_word, parse_word, reduce_word
+from .words import format_word, parse_word
 
 EXIT_ERROR = 3
 
@@ -101,10 +101,10 @@ def _cmd_solve(args) -> int:
             certificate_text = certcheck.serialize_equality(outcome.certificate, p)
         elif outcome.verdict == NOT_EQUAL:
             certificate_text = certcheck.serialize_finiteness(
-                outcome.certificate, extend(p, reduce_word(word))
+                outcome.certificate, extend(p, word)
             )
 
-        reduced_text = format_word(reduce_word(word), p.alphabet)
+        reduced_text = format_word(word, p.alphabet)
         if args.as_json:
             doc = json.dumps(
                 {
@@ -139,13 +139,13 @@ def _cmd_verify(args) -> int:
         doc = certcheck.parse_certificate(_read(args.certificate), p.alphabet)
         if isinstance(doc, certcheck.EqualityDocument):
             target = doc.certificate.target
-            if args.word is not None and reduce_word(parse_word(args.word, p.alphabet)) != target:
+            if args.word is not None and parse_word(args.word, p.alphabet) != target:
                 print("invalid: certificate is for a different word")
                 return 1
             ok, why = certcheck.verify_equality_document(doc, p, target)
             kind = "equality"
         else:
-            if args.word is not None and reduce_word(parse_word(args.word, p.alphabet)) != doc.target:
+            if args.word is not None and parse_word(args.word, p.alphabet) != doc.target:
                 print("invalid: certificate is for a different word")
                 return 1
             extended = extend(p, doc.target)

@@ -38,9 +38,10 @@ is sound only for a finite relator list spanning the lattice: under a
 there every candidate is parked.
 
 A long run can park tens of thousands of candidates, so they are kept
-lean: waiter lists hold admission indices into one candidate map, a
-candidate counts its pending goals, and the winner's cell goal words are
-recomputed.
+lean: one waiter map lists, for each goal word, (admission, g, e) entries
+into one candidate map (g = -1 for a cell goal, else the coverage goal of
+generator g by element e), a candidate counts its pending goals of both
+kinds, and the winner's goal words are recomputed.
 A certificate holds only what cannot be derived: the table, the images,
 the coverage map (words mode) and one derivation per nonempty goal word.
 """
@@ -91,19 +92,16 @@ def equation_words(table: MultiplicationTable, images: tuple[Word, ...]):
 class _AbelianCheck:
     """Tells whether a candidate's goals can all hold in the abelianization A.
 
-    A candidate passes when u |-> [tau(u)] respects every table cell in A,
-    [tau(u_i)] + [tau(u_j)] = [tau(u_k)], and every generator class is the
-    class of some image (only the ``generators`` given need covering).
-    The candidate stream walks image tuples in ``itertools.product`` order,
-    so consecutive candidates of one table mostly differ only in the images
-    of their last elements.  The check keeps the classes of the last
-    candidate's images and the lowest max(i, j, k) of a cell that fails for
-    them, so a candidate that changes only elements above that level fails
-    without any cell work; otherwise, from the first element d whose image
-    changed, only the cells with max(i, j, k) >= d are checked again.  Each
-    table's cells are sorted by max(i, j, k) once, and ``starts[d]``
-    (d <= r) is the first cell with max(i, j, k) >= d.
-    A class is a canonical vector; image classes and sums are memoized.
+    A candidate passes when u |-> [tau(u)] is a homomorphism T -> A and each
+    class of the ``generators`` given is the class of some image.  It is one
+    iff [tau(u_0)] = 0 (all the order-1 table needs) and it respects the
+    cells (x, s, x.s) for every x and every s in the table's generating set:
+    [tau(x.y)] = [tau(x)] + [tau(y)] follows by induction on the length of
+    y as a product of generators.  Classes are canonical vectors; image
+    classes and sums are memoized.  Candidates of one table come in ``itertools.product`` order,
+    mostly changing only their last images, so the table and the images up
+    to max(i, j, k) of the last failing cell are kept: a candidate sharing
+    them fails at once.
     """
 
     def __init__(self, abelianization: Abelianization, generators: list[Word]):
@@ -111,13 +109,8 @@ class _AbelianCheck:
         self._word_classes: dict[Word, Vector] = {}
         self._sums: dict[tuple[Vector, Vector], Vector] = {}
         self._coverage = [abelianization.class_of(gen) for gen in generators]
-        self._orders: dict[MultiplicationTable, tuple] = {}  # table -> (cells, starts)
-        self._table = None
-        self._images: tuple[Word, ...] = ()
-        self._cells: list[tuple[int, int, int]] = []
-        self._starts: list[int] = []
-        self._classes: list[Vector] = []
-        self._failing = 0  # lowest max(i, j, k) of a failing cell; r if none fails
+        self._zero = abelianization.class_of(b"")
+        self._dead: tuple = (None, ())  # (table, images[:L + 1]) of the last failing cell
 
     def _class_of(self, w: Word) -> Vector:
         c = self._word_classes.get(w)
@@ -125,42 +118,25 @@ class _AbelianCheck:
             c = self._word_classes[w] = self._abelianization.class_of(w)
         return c
 
-    def _sum(self, x: Vector, y: Vector) -> Vector:
-        c = self._sums[x, y] = self._abelianization.canonical([a + b for a, b in zip(x, y)])
-        return c
-
     def passes(self, table: MultiplicationTable, images: tuple[Word, ...]) -> bool:
-        r = len(images)
-        d = 0
-        if table is self._table:
-            previous = self._images
-            while d < r and images[d] == previous[d]:
-                d += 1
-        else:
-            self._table = table
-            order = self._orders.get(table)
-            if order is None:
-                cells = [(i, j, k) for i, row in enumerate(table.cells) for j, k in enumerate(row)]
-                cells.sort(key=max)
-                starts = [sum(max(cell) < level for cell in cells) for level in range(r + 1)]
-                order = self._orders[table] = (cells, starts)
-            self._cells, self._starts = order
-        self._images = images
-        if self._failing < d:
-            return False  # the failing cell involves no changed element
-        classes = self._classes
-        classes[d:] = [self._class_of(w) for w in images[d:]]
-        cells = self._cells
+        dead_table, dead_prefix = self._dead
+        if table is dead_table and images[: len(dead_prefix)] == dead_prefix:
+            return False  # the last failing cell involves no changed element
+        classes = [self._class_of(w) for w in images]
+        if classes[0] != self._zero:  # the identity cell
+            self._dead = (table, images[:1])
+            return False
         sums = self._sums
-        for n in range(self._starts[d], len(cells)):
-            i, j, k = cells[n]
-            s = sums.get((classes[i], classes[j]))
-            if s is None:
-                s = self._sum(classes[i], classes[j])
-            if s != classes[k]:
-                self._failing = max(i, j, k)
-                return False
-        self._failing = r
+        for s in table.generators:
+            cs = classes[s]
+            for x, row in enumerate(table.cells):
+                cx = classes[x]
+                c = sums.get((cx, cs))
+                if c is None:
+                    c = sums[cx, cs] = self._abelianization.canonical([a + b for a, b in zip(cx, cs)])
+                if c != classes[row[s]]:
+                    self._dead = (table, images[: max(x, s, row[s]) + 1])
+                    return False
         present = set(classes)
         return all(c in present for c in self._coverage)
 
@@ -168,44 +144,20 @@ class _AbelianCheck:
 class _Candidate:
     """One admitted (table, images) pair parked on its unresolved goals.
 
-    It counts its underived cell goal words and uncovered generators, and
-    keeps derivations only of resolved goals: ``eq_certs`` (word -> cert,
-    made on first use) and ``cov_resolved`` (generator -> (element, cert)).
+    ``pending`` counts its underived cell goal words and the generators it
+    has still to cover.  Only resolved goals are kept, in containers made on
+    first use: ``certs`` (goal word -> derivation) and ``coverage``
+    (generator -> the witness element whose goal was derived first).
     """
 
-    __slots__ = ("admission", "table", "images", "mode", "pending", "eq_certs", "uncovered", "cov_resolved")
+    __slots__ = ("table", "images", "pending", "certs", "coverage")
 
-    def __init__(self, admission, table, images, mode):
-        self.admission = admission
+    def __init__(self, table, images, pending):
         self.table = table
         self.images = images
-        self.mode = mode
-        self.pending = 0
-        self.eq_certs = None
-        self.uncovered = 0
-        self.cov_resolved = None
-
-    def complete(self) -> bool:
-        return not self.pending and not self.uncovered
-
-    def to_certificate(self) -> FinitenessCertificate:
-        equation_certs = {
-            (i, j): self.eq_certs[w] for i, j, w in equation_words(self.table, self.images) if w != b""
-        }
-        coverage = None
-        coverage_certs = {}
-        if self.mode == WORDS_MODE:
-            resolved = sorted(self.cov_resolved.items())
-            coverage = {g: e for g, (e, _) in resolved}
-            coverage_certs = {g: c for g, (_, c) in resolved if c is not None}
-        return FinitenessCertificate(
-            table=self.table,
-            images=self.images,
-            mode=self.mode,
-            coverage=coverage,
-            equation_certs=equation_certs,
-            coverage_certs=coverage_certs,
-        )
+        self.pending = pending
+        self.certs = None
+        self.coverage = None
 
 
 class FinitenessTask:
@@ -241,8 +193,9 @@ class FinitenessTask:
         self.rejected = 0  # admissions that fail the abelian check and are not parked
         self.certificate: FinitenessCertificate | None = None
         self._parked: dict[int, _Candidate] = {}  # admission -> candidate
-        self._waiters: dict[Word, list[int]] = {}  # goal word -> admissions
-        self._cov_waiters: dict[Word, list[tuple[int, int, int]]] = {}  # -> (admission, g, e)
+        # Goal word -> (admission, g, e): g = -1 for a cell goal, otherwise
+        # the coverage goal g.tau(u_e)^-1 of generator g by element e.
+        self._waiters: dict[Word, list[tuple[int, int, int]]] = {}
         # Letters mode has no coverage goals.
         self._generators = [bytes([2 * g]) for g in range(extended.alphabet.k)] if mode == WORDS_MODE else []
         # Only a finite relator list spanning the exponent-sum lattice pins
@@ -315,33 +268,25 @@ class FinitenessTask:
         if admission is None:
             return None
         table, images = admission[3:]
+        a = self.admitted
         self.admitted += 1
         if self._abelian is not None and not self._abelian.passes(table, images):
             self.rejected += 1  # some goal word is nontrivial in G1: never complete
             return None
-        cand = _Candidate(self.admitted - 1, table, images, self.mode)
-        self._parked[cand.admission] = cand
         goals = {w for _, _, w in equation_words(table, images) if w}
-        cand.pending = len(goals)
-        uncovered = []
-        if self.mode == WORDS_MODE:
-            cand.cov_resolved = {}
-            for g, gen in enumerate(self._generators):
-                if gen in images:  # the goal g.tau(u_e)^-1 is empty: covered for free
-                    cand.cov_resolved[g] = (images.index(gen), None)
-                else:
-                    uncovered.append(g)
-            cand.uncovered = len(uncovered)
-        if cand.complete():
+        # A generator that is an image has the empty goal g.tau(u_e)^-1: covered for free.
+        to_cover = [g for g, gen in enumerate(self._generators) if gen not in images]
+        cand = self._parked[a] = _Candidate(table, images, len(goals) + len(to_cover))
+        if not cand.pending:
             return cand
+        waiters = self._waiters
+        cell = (a, -1, -1)
         for w in goals:
-            self._waiters.setdefault(w, []).append(cand.admission)
-        if uncovered:
-            inverses = [invert(image) for image in images]
-            for g in uncovered:
-                gen = self._generators[g]
-                for e, inv in enumerate(inverses):
-                    self._cov_waiters.setdefault(concat(gen, inv), []).append((cand.admission, g, e))
+            waiters.setdefault(w, []).append(cell)
+        inverses = [invert(image) for image in images] if to_cover else []
+        for g in to_cover:
+            for e, inv in enumerate(inverses):
+                waiters.setdefault(concat(self._generators[g], inv), []).append((a, g, e))
         return None
 
     def _derive(self) -> _Candidate | None:
@@ -349,29 +294,42 @@ class FinitenessTask:
         if ev[0] != "product":
             return None
         word = ev[2]
-        eq_waiters = self._waiters.pop(word, ())
-        cov_waiters = self._cov_waiters.pop(word, ())
-        if not eq_waiters and not cov_waiters:
+        waiters = self._waiters.pop(word, None)
+        if waiters is None:
             return None
         cert = EqualityCertificate(factors=ev[1], target=word)
         parked = self._parked
         winner = None
-        for a in eq_waiters:
+        for a, g, e in waiters:
             cand = parked[a]
-            if cand.eq_certs is None:
-                cand.eq_certs = {}
-            cand.eq_certs[word] = cert
+            if g >= 0:  # a coverage goal: the first derived witness covers g
+                if cand.coverage is None:
+                    cand.coverage = {}
+                elif g in cand.coverage:
+                    continue
+                cand.coverage[g] = e
+            if cand.certs is None:
+                cand.certs = {}
+            cand.certs[word] = cert
             cand.pending -= 1
-            if cand.complete() and (winner is None or a < winner):
+            if not cand.pending and (winner is None or a < winner):
                 winner = a
-        for a, g, e in cov_waiters:
-            cand = parked[a]
-            if g not in cand.cov_resolved:
-                cand.cov_resolved[g] = (e, cert)
-                cand.uncovered -= 1
-                if cand.complete() and (winner is None or a < winner):
-                    winner = a
         return None if winner is None else parked[winner]
+
+    def _certificate(self, cand: _Candidate) -> FinitenessCertificate:
+        table, images = cand.table, cand.images
+        equation_certs = {(i, j): cand.certs[w] for i, j, w in equation_words(table, images) if w}
+        coverage = None
+        coverage_certs = {}
+        if self.mode == WORDS_MODE:
+            coverage = {}
+            for g, gen in enumerate(self._generators):
+                if gen in images:
+                    coverage[g] = images.index(gen)
+                else:
+                    e = coverage[g] = cand.coverage[g]
+                    coverage_certs[g] = cand.certs[concat(gen, invert(images[e]))]
+        return FinitenessCertificate(table, images, self.mode, coverage, equation_certs, coverage_certs)
 
     def step(self) -> FinitenessCertificate | None:
         """One dovetail quantum: a derivation step or a candidate admission."""
@@ -380,6 +338,6 @@ class FinitenessTask:
         self.steps_taken += 1
         winner = next(self._turns)()
         if winner is not None:
-            self.certificate = winner.to_certificate()
+            self.certificate = self._certificate(winner)
             return self.certificate
         return None

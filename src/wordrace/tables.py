@@ -63,6 +63,33 @@ class MultiplicationTable:
             inv[e] = row.index(0)
         return tuple(inv)
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The table's greedy generating set, ``generating_set(cells)``."""
+        return generating_set(self.cells)
+
+
+def generating_set(cells) -> tuple[int, ...]:
+    """The greedy generating set of a Latin square with identity 0.
+
+    Each pick is the least element outside the closure of 0 and the earlier
+    picks under the product.  That closure is a subsquare, and a proper
+    subsquare has at most half the order, so there are at most log2 r picks.
+    """
+    picks, closure, inside = [], [0], {0}
+    for g in range(1, len(cells)):
+        if g not in inside:
+            picks.append(g)
+            closure.append(g)
+            inside.add(g)
+            for n, x in enumerate(closure):  # also visits what is appended meanwhile
+                for y in closure[: n + 1]:
+                    for z in (cells[x][y], cells[y][x]):
+                        if z not in inside:
+                            inside.add(z)
+                            closure.append(z)
+    return tuple(picks)
+
 
 def is_group_table(cells) -> tuple[bool, str | None]:
     """Check the three table invariants; report the first violation found."""
@@ -87,8 +114,10 @@ def is_group_table(cells) -> tuple[bool, str | None]:
     for j in range(r):
         if len({cells[i][j] for i in range(r)}) != r:
             return False, f"column {j} is not a permutation"
-    for i in range(r):
-        for j in range(r):
+    # Light's test: the elements j with (i.j).k = i.(j.k) for all i, k are
+    # closed under the product, so checking a generating set suffices.
+    for j in generating_set(cells):
+        for i in range(r):
             ij = cells[i][j]
             for k in range(r):
                 if cells[ij][k] != cells[i][cells[j][k]]:

@@ -63,13 +63,6 @@ def alphabet(names: str) -> Alphabet:
     return Alphabet(tuple(names))
 
 
-def letter(index: int, sign: int) -> int:
-    """Letter byte for generator ``index`` with ``sign`` +1 or -1."""
-    if sign not in (1, -1):
-        raise MalformedWordError(f"sign must be +1 or -1, got {sign}")
-    return 2 * index + (0 if sign == 1 else 1)
-
-
 def letter_index(x: int) -> int:
     return x >> 1
 
@@ -78,13 +71,11 @@ def letter_sign(x: int) -> int:
     return -1 if x & 1 else 1
 
 
-def reduce_word(raw, alphabet: Alphabet | None = None) -> Word:
-    """Freely reduce a letter sequence; idempotent on already-reduced input."""
-    if alphabet is not None:
-        bound = 2 * alphabet.k
-        for x in raw:
-            if not 0 <= x < bound:
-                raise MalformedWordError(f"letter {x} out of range for k={alphabet.k}")
+def reduce_word(raw) -> Word:
+    """Freely reduce a letter sequence; idempotent on already-reduced input.
+
+    Letters are not range-checked: callers check outside input on entry.
+    """
     out = bytearray()
     for x in raw:
         if out and out[-1] == x ^ 1:

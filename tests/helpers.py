@@ -11,7 +11,37 @@ from wordrace.derivation import EqualityCertificate, EqualityTask, ProductStream
 from wordrace.presentation import InlineSource
 from wordrace.quotient import WORDS_MODE, FinitenessCertificate, FinitenessTask
 from wordrace.tables import DEFAULT_MAX_TABLE_ORDER
-from wordrace.words import concat_all, conjugate, count_words_up_to, format_word, invert, word_at_index
+from wordrace.words import (
+    MalformedWordError,
+    concat_all,
+    conjugate,
+    count_words_up_to,
+    format_word,
+    invert,
+    word_at_index,
+)
+
+
+def letter(index, sign):
+    """Letter byte for generator ``index`` with ``sign`` +1 or -1."""
+    if sign not in (1, -1):
+        raise MalformedWordError(f"sign must be +1 or -1, got {sign}")
+    return 2 * index + (0 if sign == 1 else 1)
+
+
+def associativity_failure(cells):
+    """The first triple (i, j, k), row-major, with (i.j).k != i.(j.k); None if none.
+
+    The cubic reference for the generating-set check in ``is_group_table``.
+    """
+    r = len(cells)
+    for i in range(r):
+        for j in range(r):
+            ij = cells[i][j]
+            for k in range(r):
+                if cells[ij][k] != cells[i][cells[j][k]]:
+                    return i, j, k
+    return None
 
 
 def prove_equal(p, x, budget):

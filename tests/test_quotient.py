@@ -1,6 +1,7 @@
 """Finite-quotient search: goal words, image enumeration, the dovetail."""
 
 import itertools
+import random
 import sys
 
 import pytest
@@ -16,7 +17,7 @@ from wordrace.quotient import (
     equation_words,
 )
 from wordrace.tables import MultiplicationTable, enumerate_tables
-from wordrace.words import alphabet, concat, invert, parse_word
+from wordrace.words import alphabet, concat, count_words_up_to, invert, parse_word, word_at_index
 
 A = alphabet("a")
 AB = alphabet("ab")
@@ -54,12 +55,14 @@ class TestGoalWords:
         # image is covered outright.
         p = extend(parse_presentation("generators: a b\nrelator: aa\nrelator: bb\n"), w("abab"))
         task = FinitenessTask(p)
-        task._candidates = iter([(0, 1, 0, KLEIN, (b"", w("a"), w("B"), w("aB")))])
+        images = (b"", w("a"), w("B"), w("aB"))
+        task._candidates = iter([(0, 1, 0, KLEIN, images)])
         assert task._admit() is None
         cand = task._parked[0]
-        assert cand.cov_resolved == {0: (1, None)}
-        assert cand.uncovered == 1
-        cov = {e: word for word, waiters in task._cov_waiters.items() for _, g, e in waiters if g == 1}
+        goals = {word for _, _, word in equation_words(KLEIN, images) if word}
+        assert cand.pending == len(goals) + 1  # the cell goals and generator b
+        assert all(g != 0 for waiters in task._waiters.values() for _, g, _ in waiters)
+        cov = {e: word for word, waiters in task._waiters.items() for _, g, e in waiters if g == 1}
         assert cov == {0: w("b"), 1: w("bA"), 2: w("bb"), 3: w("bbA")}
 
     def test_coverage_goes_to_the_first_witness(self):
@@ -84,14 +87,13 @@ def admit_checked(task, admissions):
     """Admit candidates; check the parked ones against a from-scratch build.
 
     Every admission the task draws from its candidate stream is recorded.
-    Each parked candidate's goal counts and coverage state, and at the end
-    the waiter maps, are checked against the cell goal words of
-    ``equation_words`` and the coverage words g.tau(u_e)^-1 built here.
-    Nothing is derived, so every registered waiter stays.  Returns the
-    admitted (table, images) pairs.
+    Each parked candidate's pending count, and at the end the waiter map,
+    are checked against the cell goal words of ``equation_words`` and the
+    coverage words g.tau(u_e)^-1 built here.  Nothing is derived, so every
+    registered waiter stays.  Returns the admitted (table, images) pairs.
     """
-    waiters, cov_waiters, seen = {}, {}, []
-    gens = [bytes([2 * g]) for g in range(task.extended.alphabet.k)]
+    waiters, seen = {}, []
+    gens = [bytes([2 * g]) for g in range(task.extended.alphabet.k)] if task.mode == WORDS_MODE else []
     drawn = []
     task._candidates = (drawn.append(a) or a for a in task._candidates)
     while task.admitted < admissions:
@@ -105,28 +107,23 @@ def admit_checked(task, admissions):
         if cand is None:
             continue  # rejected by the abelian check; see TestAbelianCheck
         assert (cand.table, cand.images) == (table, images)
+        assert cand.certs is None and cand.coverage is None
         goals = {word for _, _, word in equation_words(table, images) if word}
-        assert cand.pending == len(goals)
-        uncovered = []
-        if task.mode == WORDS_MODE:
-            covered = {g: (cand.images.index(gen), None) for g, gen in enumerate(gens) if gen in cand.images}
-            assert cand.cov_resolved == covered
-            uncovered = [g for g in range(len(gens)) if g not in covered]
-        assert cand.uncovered == len(uncovered)
-        if cand.complete():
+        to_cover = [g for g, gen in enumerate(gens) if gen not in images]
+        assert cand.pending == len(goals) + len(to_cover)
+        if not cand.pending:
             continue
         for word in goals:
-            waiters.setdefault(word, []).append(cand.admission)
-        for g in uncovered:
-            for e, image in enumerate(cand.images):
-                cov_waiters.setdefault(concat(gens[g], invert(image)), []).append((cand.admission, g, e))
+            waiters.setdefault(word, []).append((before, -1, -1))
+        for g in to_cover:
+            for e, image in enumerate(images):
+                waiters.setdefault(concat(gens[g], invert(image)), []).append((before, g, e))
     assert task.parked_count + task.rejected == task.admitted
     assert task._waiters == waiters
-    assert task._cov_waiters == cov_waiters
     return seen
 
 
-class TestIncrementalGoalWords:
+class TestGoalLedger:
     @pytest.mark.parametrize(
         "text, word, mode, admissions",
         [
@@ -146,9 +143,11 @@ class TestIncrementalGoalWords:
         assert any(t is not u for t, u in zip(tables, tables[1:]))  # the table switches
 
     def test_switch_and_repeat(self):
-        # The abelian check keeps the last candidate's image classes and
-        # failing level: a repeated (table, images) reuses them, a change in
-        # the middle element rechecks from there, a new table starts over.
+        # The abelian check keeps one dead prefix: the table and the images
+        # up to max(i, j, k) of the last cell that failed.  A candidate of
+        # that table agreeing with it on the prefix fails without cell work;
+        # any other candidate (a repeat of a passing one, a change inside the
+        # prefix, another table) is checked from scratch.
         z3 = MultiplicationTable(zn_table(3).cells)
         z4 = MultiplicationTable(zn_table(4).cells)
         klein = (b"", w("a"), w("B"), w("aB"))
@@ -185,10 +184,12 @@ class TestIncrementalGoalWords:
             )
             assert (n in task._parked) == alive, n
             parked.append(alive)
-        # Passing, failing at the top level, passing again after a middle
-        # change; in Z4 failing at level 2, failing again without any cell
-        # work (only element 3 changed), then on coverage alone; back in the
-        # Klein table, a change of the last element alone breaks a top-level
+        # Passing, and again when repeated; failing at a cell that reaches
+        # element 3, so a change of element 1 or of element 3 is checked
+        # again; in Z4 failing at a cell up to element 2, failing again
+        # without any cell work (only element 3 changed, outside the dead
+        # prefix), then, after a change inside it, on coverage alone; back
+        # in the Klein table, a change of the last element alone breaks a
         # cell, and the next one mends it.
         assert parked == [True, True, False, False, False, False, False, True, False, False, False, True, False, True]
 
@@ -346,8 +347,12 @@ class TestAbelianCheck:
             ("generators: a b\n", "a", WORDS_MODE, 3000, lambda v: v[1] == 0),
             ("generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n", "a", LETTERS_MODE, 1500,
              lambda v: v[1] % 2 == 0),
+            # One letter map per table up to order 8, all 14 dead; the
+            # order-1 table's generating set is empty, so only its identity
+            # cell a.a.a^-1 shows it.
+            ("generators: a\n", "aa", LETTERS_MODE, 14, lambda v: v[0] % 2 == 0),
         ],
-        ids=["z-a5", "dinf-abAB", "f2-a", "d4-letters"],
+        ids=["z-a5", "dinf-abAB", "f2-a", "d4-letters", "z-aa-letters"],
     )
     def test_rejects_exactly_the_dead_candidates(self, text, word, mode, admissions, in_lattice):
         # A candidate is dead when a cell goal word, or every coverage word
@@ -363,9 +368,8 @@ class TestAbelianCheck:
             return in_lattice([exponent_sum(word, g) for g in range(k)])
 
         dead_count = 0
-        for n, admission in enumerate(a for a in task._candidate_stream() if a is not None):
-            if n == admissions:
-                break
+        stream = (a for a in task._candidate_stream() if a is not None)
+        for n, admission in enumerate(itertools.islice(stream, admissions)):
             table, images = admission[3:]
             dead = not all(trivial_in_a(goal) for _, _, goal in equation_words(table, images)) or any(
                 not any(trivial_in_a(concat(gen, invert(image))) for image in images) for gen in gens
@@ -375,6 +379,76 @@ class TestAbelianCheck:
                 task._admit()  # idle quanta admit nothing
             assert (n not in task._parked) == dead, (table.cells, images)
         assert task.rejected == dead_count > 0
+
+    @pytest.mark.parametrize(
+        "text, word, mode, in_lattice",
+        [
+            ("generators: a\n", "aa", WORDS_MODE, lambda v: v[0] % 2 == 0),
+            ("generators: a\n", "aaaaa", WORDS_MODE, lambda v: v[0] % 5 == 0),
+            ("generators: a b\nrelator: aa\nrelator: bb\n", "abAB", WORDS_MODE,
+             lambda v: v[0] % 2 == 0 and v[1] % 2 == 0),
+            ("generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n", "a", LETTERS_MODE,
+             lambda v: v[1] % 2 == 0),
+            # A = Z x Z/2, from b and c; the letter a is trivial in A.
+            ("generators: a b c\nrelator: a\nrelator: cc\n", "bcBC", LETTERS_MODE,
+             lambda v: v[1] == 0 and v[2] % 2 == 0),
+        ],
+        ids=["z-a2", "z-a5", "dinf-abAB", "d4-letters", "zz2-letters"],
+    )
+    def test_matches_every_cell(self, text, word, mode, in_lattice):
+        # Random sequences of (table, images), with repeats, one-element
+        # changes and table switches, against all r^2 cells and the coverage
+        # words checked one by one.
+        p = parse_presentation(text)
+        k = p.alphabet.k
+        check = FinitenessTask(extend(p, parse_word(word, p.alphabet)), mode=mode)._abelian
+        gens = [bytes([2 * g]) for g in range(k)] if mode == WORDS_MODE else []
+        if mode == WORDS_MODE:
+            choices = [word_at_index(n, p.alphabet) for n in range(1, count_words_up_to(2, k))]
+        else:
+            choices = [bytes([2 * g]) for g in range(k)]
+        first = 1 if mode == WORDS_MODE else 0  # the identity's image is pinned in words mode
+        tables = [t for r in range(1, 7) for t in enumerate_tables(r)]
+        rng = random.Random(20_251_018)
+        vectors = {}
+
+        def vector(word):
+            if word not in vectors:
+                vectors[word] = [exponent_sum(word, g) for g in range(k)]
+            return vectors[word]
+
+        def alive(table, images):
+            v = [vector(image) for image in images]
+            return all(
+                in_lattice([x + y - z for x, y, z in zip(v[i], v[j], v[c])])
+                for i, row in enumerate(table.cells)
+                for j, c in enumerate(row)
+            ) and all(any(in_lattice(vector(concat(gen, invert(image)))) for image in images) for gen in gens)
+
+        def fresh(table):
+            return (b"",) * first + tuple(rng.choice(choices) for _ in range(first, table.order))
+
+        table = rng.choice(tables)
+        images = fresh(table)
+        verdicts = []
+        for _ in range(3000):
+            move = rng.random()
+            if move < 0.1:
+                table = rng.choice(tables)
+                images = fresh(table)
+            elif move < 0.2:  # look for a live candidate of this table
+                for trial in (fresh(table) for _ in range(50)):
+                    if alive(table, trial):
+                        images = trial
+                        break
+            elif move < 0.8 and first < table.order:
+                e = rng.randrange(first, table.order)
+                images = images[:e] + (rng.choice(choices),) + images[e + 1 :]
+            # otherwise a repeat
+            expected = alive(table, images)
+            assert check.passes(table, images) == expected, (table.cells, images)
+            verdicts.append(expected)
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_free_quotient_parks_nothing(self):
         # G1 = F2/<<a>> is Z, whose abelianization kills every candidate.

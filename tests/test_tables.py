@@ -14,6 +14,7 @@ import math
 
 import pytest
 
+from helpers import associativity_failure
 from wordrace.tables import (
     MissingImageError,
     MultiplicationTable,
@@ -23,6 +24,7 @@ from wordrace.tables import (
     enumerate_tables,
     eval_in_table,
     find_isomorphism,
+    generating_set,
     is_group_table,
     isomorphisms,
     table_at_cursor,
@@ -67,6 +69,34 @@ def brute_tables(r):
         if is_group_table(t)[0]:
             out.append(t)
     return out
+
+
+def reduced_latin_squares(r):
+    """Every Latin square of order r whose row 0 and column 0 are the identity."""
+    rows = [tuple(range(r))]
+
+    def rec(i):
+        if i == r:
+            yield tuple(rows)
+            return
+        for rest in itertools.permutations([v for v in range(r) if v != i]):
+            perm = (i,) + rest
+            if all(perm[j] != row[j] for row in rows for j in range(1, r)):
+                rows.append(perm)
+                yield from rec(i + 1)
+                rows.pop()
+
+    yield from rec(1)
+
+
+def closure(cells, elements):
+    """The least set holding 0 and the elements and closed under the product."""
+    inside = {0, *elements}
+    while True:
+        grown = inside | {cells[x][y] for x in inside for y in inside}
+        if grown == inside:
+            return inside
+        inside = grown
 
 
 def first_of_class(tables):
@@ -120,6 +150,60 @@ class TestIsGroupTable:
     def test_identity_violations_reported(self):
         ok, why = is_group_table(((1, 0), (0, 1)))
         assert not ok and "identity" in why
+
+    def test_generating_set_agrees_with_cubic_on_latin_squares(self):
+        # Orders 4 and 5 have 4 + 56 Latin squares with identity: the 4 + 6
+        # group tables and 50 non-associative loops of order 5.
+        squares = [sq for r in (4, 5) for sq in reduced_latin_squares(r)]
+        assert len(squares) == 60
+        assert sum(associativity_failure(sq) is not None for sq in squares) == 50
+        for sq in squares:
+            ok, why = is_group_table(sq)
+            assert ok == (associativity_failure(sq) is None), (sq, why)
+            assert ok or why.startswith("associativity fails at")
+
+    def test_second_generator_counts(self):
+        # A loop of order 6 generated by 1 and 2: every (x.1).y = x.(1.y),
+        # but (2.2).4 != 2.(2.4).
+        loop = (
+            (0, 1, 2, 3, 4, 5),
+            (1, 0, 3, 2, 5, 4),
+            (2, 3, 4, 5, 0, 1),
+            (3, 2, 5, 4, 1, 0),
+            (4, 5, 0, 1, 3, 2),
+            (5, 4, 1, 0, 2, 3),
+        )
+        assert generating_set(loop) == (1, 2)
+        assert associativity_failure(loop) == (2, 2, 4)
+        assert is_group_table(loop) == (False, "associativity fails at (2,2,4)")
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_generating_set_agrees_with_cubic_on_groups(self, r):
+        for t in enumerate_tables(r):
+            assert associativity_failure(t.cells) is None
+            assert is_group_table(t.cells) == (True, None)
+
+    @pytest.mark.parametrize("r", (4, 5))
+    def test_generating_set_is_greedy_and_small(self, r):
+        # Each pick is the least element outside the closure of the earlier
+        # picks, the picks generate the square, and there are at most
+        # log2 r of them.
+        for sq in reduced_latin_squares(r):
+            picks = generating_set(sq)
+            assert closure(sq, picks) == set(range(r))
+            for n, g in enumerate(picks):
+                inside = closure(sq, picks[:n])
+                assert g == min(set(range(r)) - inside)
+            assert 1 << len(picks) <= r
+
+    def test_generating_sets_of_small_groups(self):
+        # A representative labels 1 an element of order 2 (see _row1_seeds),
+        # so on 2-groups the greedy set reaches log2 r even when the group
+        # is cyclic.
+        assert generating_set(((0,),)) == ()
+        assert [t.generators for t in enumerate_tables(3)] == [(1,)]
+        assert [t.generators for t in enumerate_tables(4)] == [(1, 2), (1, 2)]
+        assert [t.generators for t in enumerate_tables(8)] == [(1, 2, 4)] * 5
 
 
 class TestEnumeration:

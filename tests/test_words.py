@@ -4,6 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import letter
+from wordrace.certcheck import verify_finiteness
+from wordrace.presentation import extend, parse_presentation
+from wordrace.quotient import LETTERS_MODE, FinitenessCertificate
+from wordrace.scheduler import solve
+from wordrace.tables import MultiplicationTable
 from wordrace.words import (
     Alphabet,
     MalformedWordError,
@@ -15,7 +21,6 @@ from wordrace.words import (
     count_words_up_to,
     format_word,
     invert,
-    letter,
     parse_word,
     reduce_word,
     word_at_index,
@@ -59,8 +64,21 @@ class TestReduce:
         assert reduce_word(raw) == raw
 
     def test_out_of_range_letter(self):
+        # reduce_word trusts its letters; every entry point for outside
+        # input rejects a letter beyond the alphabet.
         with pytest.raises(MalformedWordError):
-            reduce_word(bytes([letter(3, 1)]), AB)
+            parse_word("d", AB)
+        p = parse_presentation("generators: a b\n")
+        bad = bytes([letter(0, 1), letter(3, 1)])
+        with pytest.raises(ValueError):
+            extend(p, bad)
+        with pytest.raises(ValueError):
+            solve(p, bad)
+        cert = FinitenessCertificate(
+            table=MultiplicationTable(((0,),)), images=(bad,), mode=LETTERS_MODE,
+            coverage=None, equation_certs={}, coverage_certs={},
+        )
+        assert verify_finiteness(cert, extend(p, w("a"))) == (False, "image 0 is not over the alphabet")
 
     @given(st.lists(st.integers(min_value=0, max_value=3), max_size=30))
     def test_idempotent(self, raw):
