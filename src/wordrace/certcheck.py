@@ -3,21 +3,28 @@
 The verifier is straight-line by design: it re-pulls the cited relators,
 re-assembles products with fresh reductions, and compares letters, sharing
 only the word and table primitives with the provers.  No search code runs
-here, so a prover bug cannot certify itself.  A claimed relator count is
-compared with the factors before any relator is pulled, so a document
-cannot make the verifier pull more relators than its factors cite.
+here, so a prover bug cannot certify itself.
+
+There is one path per certificate kind.  ``verify_equality`` and
+``verify_finiteness`` check an in-memory certificate; a finiteness
+certificate must carry exactly the nested certificates its nonempty goals
+need.  ``verify_equality_document`` and ``verify_finiteness_document``
+check a parsed document in three passes: first every claim (the target,
+each ``relators-used`` count against its own factors, each nested count
+against the enclosing one), before any relator is pulled; then the
+certificate, by the certificate check; and last the digests.
 
 Certificate documents are canonical text: fixed field order, compact word
 format, newline-terminated.  A document binds itself to a presentation via
 the SHA-256 digest of the serialized alphabet plus the pulled-relator
 prefix it cites (``relators-used`` lines).  Equality documents carry the
 factor list; finiteness documents carry the table, the image words, the
-coverage witnesses, and one nested equality document per nonempty goal.
-The in-memory certificates hold the same fields and nothing derivable:
-the ``relators-used`` count of a document is worked out from the factors,
-here and only here, by ``relators_used_by``.
+coverage witnesses, and one nested equality document per nonempty goal,
+at most one per cell or generator.  The in-memory certificates hold the
+same fields and nothing derivable: the ``relators-used`` count of a
+document is worked out from the factors, here and only here, by
+``relators_used_by``.
 """
-
 from __future__ import annotations
 
 import hashlib
@@ -27,7 +34,9 @@ from .derivation import DyckFactor, EqualityCertificate
 from .presentation import Presentation, prefix_document
 from .quotient import LETTERS_MODE, WORDS_MODE, FinitenessCertificate
 from .tables import MultiplicationTable, is_group_table
-from .words import Alphabet, Word, concat_all, conjugate, format_word, invert, parse_word, reduce_word
+from .words import (
+    Alphabet, Word, concat_all, conjugate, format_word, invert, is_word_over, parse_word, reduce_word,
+)
 
 
 class CertificateSyntaxError(ValueError):
@@ -45,61 +54,54 @@ def relators_used_by(cert: EqualityCertificate) -> int:
 
 
 def relators_used_by_finiteness(cert: FinitenessCertificate) -> int:
-    used = [relators_used_by(c) for c in cert.equation_certs.values()]
-    used += [relators_used_by(c) for c in cert.coverage_certs.values()]
-    return max(used, default=0)
+    nested = [*cert.equation_certs.values(), *cert.coverage_certs.values()]
+    return max(map(relators_used_by, nested), default=0)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _equality_lines(cert: EqualityCertificate, p: Presentation, out: list[str]) -> None:
+def _equality_lines(cert: EqualityCertificate, p: Presentation) -> list[str]:
     a = p.alphabet
-    out.append("certificate: equality")
-    out.append("presentation: " + presentation_digest(p, relators_used_by(cert)))
-    out.append("target: " + format_word(cert.target, a))
-    out.append(f"relators-used: {relators_used_by(cert)}")
-    out.append(f"factors: {len(cert.factors)}")
-    for f in cert.factors:
-        sign = "+" if f.sign == 1 else "-"
-        out.append(f"factor: {format_word(f.conjugator, a)} {f.relator_index} {sign}")
-    out.append("end: certificate")
+    used = relators_used_by(cert)
+    return [
+        "certificate: equality",
+        "presentation: " + presentation_digest(p, used),
+        "target: " + format_word(cert.target, a),
+        f"relators-used: {used}",
+        f"factors: {len(cert.factors)}",
+        *(f"factor: {format_word(f.conjugator, a)} {f.relator_index} {'+' if f.sign == 1 else '-'}"
+          for f in cert.factors),
+        "end: certificate",
+    ]
 
 
 def serialize_equality(cert: EqualityCertificate, p: Presentation) -> str:
-    lines: list[str] = []
-    _equality_lines(cert, p, lines)
-    return "\n".join(lines) + "\n"
+    return "\n".join(_equality_lines(cert, p)) + "\n"
 
 
 def serialize_finiteness(cert: FinitenessCertificate, extended: Presentation) -> str:
     a = extended.alphabet
-    r = cert.table.order
-    out: list[str] = []
-    out.append("certificate: finiteness")
-    out.append("presentation: " + presentation_digest(extended, relators_used_by_finiteness(cert)))
-    out.append("target: " + format_word(extended.extended_by, a))
-    out.append("tau-mode: " + cert.mode)
-    out.append(f"relators-used: {relators_used_by_finiteness(cert)}")
-    out.append(f"order: {r}")
-    for row in cert.table.cells:
-        out.append("row: " + " ".join(str(v) for v in row))
-    for image in cert.images:
-        out.append("image: " + format_word(image, a))
+    used = relators_used_by_finiteness(cert)
+    out = [
+        "certificate: finiteness",
+        "presentation: " + presentation_digest(extended, used),
+        "target: " + format_word(extended.extended_by, a),
+        "tau-mode: " + cert.mode,
+        f"relators-used: {used}",
+        f"order: {cert.table.order}",
+    ]
+    out += ["row: " + " ".join(str(v) for v in row) for row in cert.table.cells]
+    out += ["image: " + format_word(image, a) for image in cert.images]
     if cert.mode == WORDS_MODE:
-        for g in range(a.k):
-            out.append(f"cover: {a.generators[g]} {cert.coverage[g]}")
-    cells = sorted(cert.equation_certs)
-    out.append(f"equation-certs: {len(cells)}")
-    for i, j in cells:
-        out.append(f"cell: {i} {j}")
-        _equality_lines(cert.equation_certs[(i, j)], extended, out)
-    gens = sorted(cert.coverage_certs)
-    out.append(f"cover-certs: {len(gens)}")
-    for g in gens:
-        out.append(f"cover-cert: {a.generators[g]}")
-        _equality_lines(cert.coverage_certs[g], extended, out)
+        out += [f"cover: {a.generators[g]} {cert.coverage[g]}" for g in range(a.k)]
+    out.append(f"equation-certs: {len(cert.equation_certs)}")
+    for (i, j), nested in sorted(cert.equation_certs.items()):
+        out += [f"cell: {i} {j}", *_equality_lines(nested, extended)]
+    out.append(f"cover-certs: {len(cert.coverage_certs)}")
+    for g, nested in sorted(cert.coverage_certs.items()):
+        out += [f"cover-cert: {a.generators[g]}", *_equality_lines(nested, extended)]
     out.append("end: certificate")
     return "\n".join(out) + "\n"
 
@@ -163,17 +165,28 @@ def _parse_equality_body(lines: _Lines, alphabet: Alphabet) -> EqualityDocument:
             raise CertificateSyntaxError(f"bad factor line {rest!r}")
         if sign_text not in ("+", "-"):
             raise CertificateSyntaxError(f"bad sign {sign_text!r}")
-        factors.append(
-            DyckFactor(
-                parse_word(conj_text, alphabet),
-                int(idx_text),
-                1 if sign_text == "+" else -1,
-            )
-        )
-    end = lines.next()
-    if end != "end: certificate":
+        factors.append(DyckFactor(parse_word(conj_text, alphabet), int(idx_text), 1 if sign_text == "+" else -1))
+    if (end := lines.next()) != "end: certificate":
         raise CertificateSyntaxError(f"expected end of certificate, got {end!r}")
     return EqualityDocument(digest, relators_used, EqualityCertificate(tuple(factors), target))
+
+
+def _cell(text: str) -> tuple[int, int]:
+    i, j = (int(v) for v in text.split())
+    return i, j
+
+
+def _parse_nested(lines: _Lines, alphabet: Alphabet, count_key: str, key: str, parse_key) -> dict:
+    """Nested equality documents by key; a key given twice is a syntax error."""
+    docs = {}
+    for _ in range(int(lines.expect(count_key))):
+        k = parse_key(lines.expect(key))
+        if k in docs:
+            raise CertificateSyntaxError(f"duplicate {key!r} block for {k!r}")
+        if lines.expect("certificate") != "equality":
+            raise CertificateSyntaxError("nested certificate must be an equality certificate")
+        docs[k] = _parse_equality_body(lines, alphabet)
+    return docs
 
 
 def _parse_finiteness_body(lines: _Lines, alphabet: Alphabet) -> FinitenessDocument:
@@ -200,39 +213,17 @@ def _parse_finiteness_body(lines: _Lines, alphabet: Alphabet) -> FinitenessDocum
         for _ in range(alphabet.k):
             name, element = lines.expect("cover").split()
             coverage[alphabet.index(name)] = int(element)
-    eq_count = int(lines.expect("equation-certs"))
-    equation_docs = {}
-    equation_certs = {}
-    for _ in range(eq_count):
-        i, j = (int(v) for v in lines.expect("cell").split())
-        kind = lines.expect("certificate")
-        if kind != "equality":
-            raise CertificateSyntaxError("nested certificate must be an equality certificate")
-        doc = _parse_equality_body(lines, alphabet)
-        equation_docs[(i, j)] = doc
-        equation_certs[(i, j)] = doc.certificate
-    cov_count = int(lines.expect("cover-certs"))
-    coverage_docs = {}
-    coverage_certs = {}
-    for _ in range(cov_count):
-        name = lines.expect("cover-cert")
-        kind = lines.expect("certificate")
-        if kind != "equality":
-            raise CertificateSyntaxError("nested certificate must be an equality certificate")
-        doc = _parse_equality_body(lines, alphabet)
-        g = alphabet.index(name)
-        coverage_docs[g] = doc
-        coverage_certs[g] = doc.certificate
-    end = lines.next()
-    if end != "end: certificate":
+    equation_docs = _parse_nested(lines, alphabet, "equation-certs", "cell", _cell)
+    coverage_docs = _parse_nested(lines, alphabet, "cover-certs", "cover-cert", alphabet.index)
+    if (end := lines.next()) != "end: certificate":
         raise CertificateSyntaxError(f"expected end of certificate, got {end!r}")
     cert = FinitenessCertificate(
         table=table,
         images=images,
         mode=mode,
         coverage=coverage,
-        equation_certs=equation_certs,
-        coverage_certs=coverage_certs,
+        equation_certs={cell: doc.certificate for cell, doc in equation_docs.items()},
+        coverage_certs={g: doc.certificate for g, doc in coverage_docs.items()},
     )
     return FinitenessDocument(digest, relators_used, target, cert, equation_docs, coverage_docs)
 
@@ -252,26 +243,16 @@ def parse_certificate(text: str, alphabet: Alphabet):
 # verification
 
 
-def verify_equality(
-    cert: EqualityCertificate,
-    p: Presentation,
-    x: Word,
-    claimed_digest: str | None = None,
-    claimed_relators_used: int | None = None,
-) -> tuple[bool, str]:
+def verify_equality(cert: EqualityCertificate, p: Presentation, x: Word) -> tuple[bool, str]:
     """Re-assemble the product and compare letter for letter with reduce(x)."""
     target = reduce_word(x)
     if cert.target != target:
         return False, "certificate target differs from the reduced input word"
-    used = relators_used_by(cert)
-    if claimed_relators_used is not None and claimed_relators_used != used:
-        return False, "relators-used differs from the cited factors"
-    bound = 2 * p.alphabet.k
     parts = []
     for n, f in enumerate(cert.factors):
         if f.sign not in (1, -1):
             return False, f"factor {n} has invalid sign {f.sign}"
-        if any(not 0 <= letter < bound for letter in f.conjugator):
+        if not is_word_over(f.conjugator, p.alphabet):
             return False, f"factor {n} conjugator is not over the alphabet"
         if f.relator_index < 0:
             return False, f"factor {n} cites negative relator index"
@@ -280,51 +261,36 @@ def verify_equality(
             return False, f"factor {n} cites relator {f.relator_index} beyond the exhausted source"
         body = rel if f.sign == 1 else invert(rel)
         parts.append(conjugate(reduce_word(f.conjugator), body))
-    assembled = concat_all(parts)
-    if assembled != target:
+    if concat_all(parts) != target:
         return False, "assembled product does not reduce to the target"
-    if claimed_digest is not None and claimed_digest != presentation_digest(p, used):
-        return False, "presentation digest mismatch"
     return True, "ok"
 
 
 def verify_equality_document(doc: EqualityDocument, p: Presentation, x: Word) -> tuple[bool, str]:
-    return verify_equality(
-        doc.certificate, p, x,
-        claimed_digest=doc.digest,
-        claimed_relators_used=doc.relators_used,
-    )
+    """Check the relator claim, then the certificate, then the digest."""
+    if doc.relators_used != relators_used_by(doc.certificate):
+        return False, "relators-used differs from the cited factors"
+    ok, why = verify_equality(doc.certificate, p, x)
+    if ok and doc.digest != presentation_digest(p, doc.relators_used):
+        return False, "presentation digest mismatch"
+    return ok, why
 
 
-def _single_positive_letter(w: Word, k: int) -> bool:
-    return len(w) == 1 and w[0] % 2 == 0 and w[0] // 2 < k
+def _goal_label(key, a: Alphabet) -> str:
+    return f"cell ({key[0]},{key[1]})" if isinstance(key, tuple) else f"generator {a.generators[key]}"
 
 
-def verify_finiteness(
-    cert: FinitenessCertificate,
-    extended: Presentation,
-    claimed_digest: str | None = None,
-    claimed_relators_used: int | None = None,
-    equation_docs=None,
-    coverage_docs=None,
-) -> tuple[bool, str]:
+def verify_finiteness(cert: FinitenessCertificate, extended: Presentation) -> tuple[bool, str]:
     """Check the table axioms, the shape of tau, and every goal word.
 
     A goal word that reduces to the empty word needs no derivation (the
     empty product derives it); every other goal must carry a nested
     equality certificate for exactly that word, valid over the extended
-    presentation.  Relator claims are checked before any goal, so a nested
-    certificate cannot pull relators beyond the enclosing claim.
+    presentation.  The nested certificates must be exactly those the
+    nonempty goals need, so none goes unchecked.
     """
     if not extended.extended:
         return False, "presentation is not extended by a target word"
-    used = relators_used_by_finiteness(cert)
-    if claimed_relators_used is not None:
-        if claimed_relators_used != used:
-            return False, "relators-used differs from the nested certificates"
-        nested = [*(equation_docs or {}).values(), *(coverage_docs or {}).values()]
-        if any(doc.relators_used > used for doc in nested):
-            return False, "a nested certificate claims more relators than the enclosing one"
     a = extended.alphabet
     table = cert.table
     ok, why = is_group_table(table.cells)
@@ -333,9 +299,8 @@ def verify_finiteness(
     images = cert.images
     if len(images) != table.order:
         return False, "image count differs from the table order"
-    bound = 2 * a.k
     for i, w in enumerate(images):
-        if any(not 0 <= letter < bound for letter in w):
+        if not is_word_over(w, a):
             return False, f"image {i} is not over the alphabet"
         if reduce_word(w) != w:
             return False, f"image {i} is not reduced"
@@ -350,67 +315,61 @@ def verify_finiteness(
             if not 0 <= cert.coverage[g] < table.order:
                 return False, f"coverage element for {a.generators[g]} out of range"
     elif cert.mode == LETTERS_MODE:
-        if not all(_single_positive_letter(w, a.k) for w in images):
+        if not all(len(w) == 1 and w[0] % 2 == 0 for w in images):
             return False, "letters-mode images must be single generator letters"
         if {w[0] // 2 for w in images} != set(range(a.k)):
             return False, "letters-mode images are not onto the generators"
     else:
         return False, f"unknown tau mode {cert.mode!r}"
 
-    def check_goal(goal: Word, nested: EqualityCertificate | None, doc, label: str):
-        if goal == b"":
-            if nested is not None:
-                return False, f"unexpected certificate for trivial goal at {label}"
-            return True, "ok"
-        if nested is None:
-            return False, f"missing certificate for goal at {label}"
-        if nested.target != goal:
-            return False, f"certificate at {label} proves the wrong word"
-        if doc is not None:
-            good, why2 = verify_equality_document(doc, extended, goal)
-        else:
-            good, why2 = verify_equality(nested, extended, goal)
-        if not good:
-            return False, f"certificate at {label} invalid: {why2}"
-        return True, "ok"
-
-    cells = table.cells
+    # Goals by key: (i, j) for a table cell, generator number g for a coverage goal.
     goals = {
         (i, j): concat_all((images[i], images[j], invert(images[k])))
-        for i, row in enumerate(cells)
+        for i, row in enumerate(table.cells)
         for j, k in enumerate(row)
     }
-    for (i, j), goal in goals.items():
-        nested = cert.equation_certs.get((i, j))
-        doc = equation_docs.get((i, j)) if equation_docs is not None else None
-        good, why = check_goal(goal, nested, doc, f"cell ({i},{j})")
-        if not good:
-            return False, why
-    extra = set(cert.equation_certs) - {cell for cell, goal in goals.items() if goal != b""}
-    if extra:
-        return False, f"unexpected equation certificates at {sorted(extra)}"
-
     if cert.mode == WORDS_MODE:
-        for g in range(a.k):
-            goal = concat_all((bytes([2 * g]), invert(images[cert.coverage[g]])))
-            nested = cert.coverage_certs.get(g)
-            doc = coverage_docs.get(g) if coverage_docs is not None else None
-            good, why = check_goal(goal, nested, doc, f"generator {a.generators[g]}")
+        goals.update((g, concat_all((bytes([2 * g]), invert(images[cert.coverage[g]])))) for g in range(a.k))
+    proofs = {**cert.equation_certs, **cert.coverage_certs}
+    unexpected = proofs.keys() - {key for key, goal in goals.items() if goal}
+    if unexpected:
+        return False, f"unexpected certificates at {sorted(map(repr, unexpected))}"
+    for key, goal in goals.items():
+        if goal:
+            if key not in proofs:
+                return False, f"missing certificate for goal at {_goal_label(key, a)}"
+            good, why = verify_equality(proofs[key], extended, goal)
             if not good:
-                return False, why
-
-    if claimed_digest is not None and claimed_digest != presentation_digest(extended, used):
-        return False, "presentation digest mismatch"
+                return False, f"certificate at {_goal_label(key, a)} invalid: {why}"
     return True, "ok"
 
 
 def verify_finiteness_document(doc: FinitenessDocument, extended: Presentation) -> tuple[bool, str]:
+    """Check every claim, then the certificate, then every digest.
+
+    The target, the enclosing relator claim and each nested claim are
+    checked before any relator is pulled, so a document cannot make the
+    verifier pull more relators than its nested factors cite.
+    """
     if extended.extended_by != doc.target:
         return False, "document target differs from the extension word"
-    return verify_finiteness(
-        doc.certificate, extended,
-        claimed_digest=doc.digest,
-        claimed_relators_used=doc.relators_used,
-        equation_docs=doc.equation_docs,
-        coverage_docs=doc.coverage_docs,
-    )
+    if doc.relators_used != relators_used_by_finiteness(doc.certificate):
+        return False, "relators-used differs from the nested certificates"
+    nested = {
+        _goal_label(key, extended.alphabet): inner
+        for key, inner in [*doc.equation_docs.items(), *doc.coverage_docs.items()]
+    }
+    for label, inner in nested.items():
+        if inner.relators_used > doc.relators_used:
+            return False, "a nested certificate claims more relators than the enclosing one"
+        if inner.relators_used != relators_used_by(inner.certificate):
+            return False, f"certificate at {label} invalid: relators-used differs from the cited factors"
+    ok, why = verify_finiteness(doc.certificate, extended)
+    if not ok:
+        return ok, why
+    if doc.digest != presentation_digest(extended, doc.relators_used):
+        return False, "presentation digest mismatch"
+    for label, inner in nested.items():
+        if inner.digest != presentation_digest(extended, inner.relators_used):
+            return False, f"certificate at {label} invalid: presentation digest mismatch"
+    return True, "ok"

@@ -137,22 +137,17 @@ def _cmd_verify(args) -> int:
     p = parse_presentation(_read(args.presentation))
     try:
         doc = certcheck.parse_certificate(_read(args.certificate), p.alphabet)
-        if isinstance(doc, certcheck.EqualityDocument):
-            target = doc.certificate.target
-            if args.word is not None and parse_word(args.word, p.alphabet) != target:
-                print("invalid: certificate is for a different word")
-                return 1
+        equality = isinstance(doc, certcheck.EqualityDocument)
+        target = doc.certificate.target if equality else doc.target
+        if args.word is not None and parse_word(args.word, p.alphabet) != target:
+            print("invalid: certificate is for a different word")
+            return 1
+        if equality:
             ok, why = certcheck.verify_equality_document(doc, p, target)
-            kind = "equality"
         else:
-            if args.word is not None and parse_word(args.word, p.alphabet) != doc.target:
-                print("invalid: certificate is for a different word")
-                return 1
-            extended = extend(p, doc.target)
-            ok, why = certcheck.verify_finiteness_document(doc, extended)
-            kind = "finiteness"
+            ok, why = certcheck.verify_finiteness_document(doc, extend(p, target))
         if ok:
-            print(f"valid: {kind} certificate")
+            print(f"valid: {'equality' if equality else 'finiteness'} certificate")
             return 0
         print(f"invalid: {why}")
         return 1

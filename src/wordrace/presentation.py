@@ -31,7 +31,7 @@ import subprocess
 import threading
 from dataclasses import dataclass
 
-from .words import Alphabet, Word, conjugate, format_word, parse_word, reduce_word, word_at_index
+from .words import Alphabet, Word, conjugate, format_word, is_word_over, parse_word, reduce_word, word_at_index
 
 
 class SourceExhausted(Exception):
@@ -234,8 +234,7 @@ def extend(p: Presentation, x: Word) -> Presentation:
     """The presentation of G1 = G/Ncl(x): x, freely reduced, becomes relator 0."""
     if p.extended:
         raise ValueError("presentation is already extended")
-    bound = 2 * p.alphabet.k
-    if any(not 0 <= letter < bound for letter in x):
+    if not is_word_over(x, p.alphabet):
         raise ValueError("word is not over the presentation's alphabet")
     x = reduce_word(x)
     if x == b"":

@@ -25,7 +25,7 @@ from .derivation import EqualityCertificate, EqualityTask
 from .presentation import Presentation, extend
 from .quotient import WORDS_MODE, FinitenessCertificate, FinitenessTask
 from .tables import DEFAULT_MAX_TABLE_ORDER
-from .words import Word, reduce_word
+from .words import Word, is_word_over, reduce_word
 
 EQUAL = "equal"
 NOT_EQUAL = "not-equal"
@@ -64,8 +64,7 @@ def solve(
     """Decide X = 1 in the presented group, returning a checkable witness."""
     if p.extended:
         raise ValueError("solve expects an unextended presentation")
-    bound = 2 * p.alphabet.k
-    if any(not 0 <= letter < bound for letter in x):
+    if not is_word_over(x, p.alphabet):
         raise ValueError("word is not over the presentation's alphabet")
     target = reduce_word(x)
     if target == b"":

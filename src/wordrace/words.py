@@ -63,6 +63,11 @@ def alphabet(names: str) -> Alphabet:
     return Alphabet(tuple(names))
 
 
+def is_word_over(w: Word, alphabet: Alphabet) -> bool:
+    """Whether every letter of w is a generator of the alphabet or its inverse."""
+    return all(0 <= letter < 2 * alphabet.k for letter in w)
+
+
 def letter_index(x: int) -> int:
     return x >> 1
 
@@ -74,7 +79,8 @@ def letter_sign(x: int) -> int:
 def reduce_word(raw) -> Word:
     """Freely reduce a letter sequence; idempotent on already-reduced input.
 
-    Letters are not range-checked: callers check outside input on entry.
+    Letters are not range-checked: callers check outside input on entry
+    with :func:`is_word_over`.
     """
     out = bytearray()
     for x in raw:

@@ -22,11 +22,12 @@ from wordrace.certcheck import (
 from helpers import prove_equal, prove_finite, serialize_certificate
 from wordrace.derivation import DyckFactor, EqualityCertificate
 from wordrace.presentation import extend, parse_presentation
-from wordrace.quotient import FinitenessCertificate
+from wordrace.quotient import LETTERS_MODE, WORDS_MODE, FinitenessCertificate
 from wordrace.scheduler import EQUAL, NOT_EQUAL, solve
 from wordrace.words import parse_word
 
 DINF = "generators: a b\nrelator: aa\nrelator: bb\n"
+D4 = "generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n"
 Z = "generators: a\n"
 
 
@@ -96,11 +97,11 @@ class TestEqualityVerification:
     def test_max_index_inconsistency_rejected(self, equality_cert):
         # The relator count a document states must be the factors' highest
         # index plus one.
+        p = dinf()
         used = max(f.relator_index for f in equality_cert.factors) + 1
         for claimed in (used - 1, used + 1):
-            ok, why = verify_equality(
-                equality_cert, dinf(), equality_cert.target, claimed_relators_used=claimed
-            )
+            doc = EqualityDocument("0" * 64, claimed, equality_cert)
+            ok, why = verify_equality_document(doc, p, equality_cert.target)
             assert not ok
             assert "relators-used" in why
 
@@ -215,6 +216,30 @@ class TestFinitenessVerification:
         ok, why = verify_finiteness(finiteness_cert, z())
         assert not ok
 
+    def test_letters_mode_rejects_coverage_certificates(self):
+        # Letters mode has no coverage goals, so a cover-cert block is never
+        # checked; it must be refused, or it would set relators-used unseen.
+        p = parse_presentation(D4)
+        extended = extend(p, parse_word("a", p.alphabet))
+        cert = solve(p, parse_word("a", p.alphabet), tau_mode=LETTERS_MODE).certificate
+        assert cert.mode == LETTERS_MODE
+        extra = EqualityCertificate((DyckFactor(b"", 3, 1),), parse_word("abab", p.alphabet))
+        forged = FinitenessCertificate(
+            table=cert.table,
+            images=cert.images,
+            mode=cert.mode,
+            coverage=cert.coverage,
+            equation_certs=cert.equation_certs,
+            coverage_certs={0: extra},
+        )
+        assert verify_finiteness(cert, extended) == (True, "ok")
+        ok, why = verify_finiteness(forged, extended)
+        assert not ok and "unexpected" in why
+        doc = parse_certificate(serialize_finiteness(forged, extended), p.alphabet)
+        assert doc.relators_used == 4
+        ok, why = verify_finiteness_document(doc, extended)
+        assert not ok and "unexpected" in why
+
 
 class TestDocumentParsing:
     def test_rejects_unknown_kind(self):
@@ -240,17 +265,38 @@ class TestDocumentParsing:
         assert presentation_digest(p, 2) == presentation_digest(dinf(), 2)
         assert presentation_digest(p, 1) != presentation_digest(p, 2)
 
+    def test_rejects_duplicate_nested_block(self):
+        # A second block for the same cell would replace the first, so one of
+        # the two would never be verified.
+        p = dinf()
+        text = fuzz_documents()["abab"]
+        head, count, rest = text.partition("equation-certs: ")
+        n, _, blocks = rest.partition("\n")
+        first = blocks[: blocks.index("end: certificate\n") + len("end: certificate\n")]
+        assert first.startswith("cell: ")
+        forged = f"{head}{count}{int(n) + 1}\n{first}{blocks}"
+        with pytest.raises(CertificateSyntaxError, match="duplicate"):
+            parse_certificate(forged, p.alphabet)
+
+
+# name -> (presentation, word, tau mode, the word's verdict)
+FUZZ_CASES = {
+    "abba": (DINF, "abba", WORDS_MODE, EQUAL),
+    "abab": (DINF, "abab", WORDS_MODE, NOT_EQUAL),  # by the Klein group
+    "d4-a": (D4, "a", LETTERS_MODE, NOT_EQUAL),  # by Z/2, letters mode
+}
+
 
 @functools.cache
-def dinf_documents():
-    """Serialized Dinf certificates: abba = 1, and abab != 1 by the Klein group."""
+def fuzz_documents():
+    """The serialized certificate of each fuzz case."""
     out = {}
-    for word, verdict in (("abba", EQUAL), ("abab", NOT_EQUAL)):
-        p = dinf()
+    for name, (text, word, mode, verdict) in FUZZ_CASES.items():
+        p = parse_presentation(text)
         x = parse_word(word, p.alphabet)
-        result = solve(p, x)
+        result = solve(p, x, tau_mode=mode)
         assert result.verdict == verdict
-        out[word] = serialize_certificate(result.certificate, extend(p, x) if verdict == NOT_EQUAL else p)
+        out[name] = serialize_certificate(result.certificate, extend(p, x) if verdict == NOT_EQUAL else p)
     return out
 
 
@@ -301,17 +347,22 @@ MUTATIONS = st.one_of(
 
 class TestDocumentFuzzing:
     @settings(max_examples=1000, deadline=None, derandomize=True)
-    @given(word=st.sampled_from(["abba", "abab"]), ops=MUTATIONS)
-    def test_mutated_documents_fail_only_as_rejections(self, word, ops):
+    @given(case=st.sampled_from(sorted(FUZZ_CASES)), ops=MUTATIONS)
+    def test_mutated_documents_fail_only_as_rejections(self, case, ops):
         # A damaged document is rejected, or parsed and then verified or
-        # rejected; no other exception may escape.
-        p = dinf()
+        # rejected; no other exception may escape.  One that verifies must
+        # certify the word's known verdict.
+        text, word, _, verdict = FUZZ_CASES[case]
+        p = parse_presentation(text)
         x = parse_word(word, p.alphabet)
         try:
-            doc = parse_certificate(mutate(dinf_documents()[word], ops), p.alphabet)
+            doc = parse_certificate(mutate(fuzz_documents()[case], ops), p.alphabet)
             if isinstance(doc, EqualityDocument):
-                verify_equality_document(doc, p, x)
+                ok, why = verify_equality_document(doc, p, x)
+                certified = EQUAL
             else:
-                verify_finiteness_document(doc, extend(p, x))
+                ok, why = verify_finiteness_document(doc, extend(p, x))
+                certified = NOT_EQUAL
         except ValueError:  # CertificateSyntaxError included
-            pass
+            return
+        assert not ok or certified == verdict, why
