@@ -1,9 +1,10 @@
 """Recursively enumerable group presentations with lazily pulled relators.
 
-A presentation is an alphabet plus a relator source.  Sources cache every
-relator they have produced, so ``relator(i)`` is deterministic across calls;
-a finite presentation is just a source that signals exhaustion, and all
-downstream consumers treat exhaustion as "no further relators ever".
+A presentation is an alphabet plus a relator source: the inline prefix, then
+one producer that yields the relators beyond it.  The source caches every
+relator it has pulled, so ``relator(i)`` is deterministic across calls; a
+finite presentation is a source whose producer ends, and all downstream
+consumers treat exhaustion as "no further relators ever".
 
 File format (line oriented, ``#`` starts a comment):
 
@@ -14,10 +15,14 @@ File format (line oriented, ``#`` starts a comment):
     family: powers aa bb
 
 Relator lines before a ``stream:``/``family:`` line form an inline prefix.
-A stream is an external command whose stdout yields one relator per line in
-the compact word format; end of stream means the source is exhausted.  The
-builtin ``powers`` family never terminates: it emits t.w.t^-1 for every
-base word w, over all conjugators t in enumeration order.
+A stream is an external command whose stdout yields one relator per ASCII
+line in the compact word format; end of stream means the source is
+exhausted.  The command is spawned on the first pull and stopped at end of
+stream or on ``close()``.  A stream that fails (to spawn, or on a line that
+is not ASCII or not a word) stays failed: every later pull past the cached
+relators raises the same ``StreamError``.  The builtin ``powers`` family
+never terminates: it emits t.w.t^-1 for every base word w, over all
+conjugators t in enumeration order.
 
 Extending a presentation with a word X (the Algorithm 2 step) places X at
 relator index 0 and shifts the base relators up by one, so X is available
@@ -29,13 +34,15 @@ from __future__ import annotations
 import shlex
 import subprocess
 import threading
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .words import Alphabet, Word, conjugate, format_word, is_word_over, parse_word, reduce_word, word_at_index
 
 
 class SourceExhausted(Exception):
-    """An inline source has no relator at the requested index."""
+    """A source has no relator at the requested index."""
 
 
 class StreamError(RuntimeError):
@@ -50,34 +57,39 @@ class PresentationSyntaxError(ValueError):
 
 
 class RelatorSource:
-    """Base class: a cache of pulled relators in front of a producer.
+    """A cache of pulled relators, holding the inline prefix, in front of a producer.
 
-    Subclasses implement ``_produce(j)`` returning the j-th relator beyond
-    the inline prefix, or None once the producer is exhausted.  Pulls are
-    serialized by a lock; relators already pulled never change.
+    The producer iterates over the relators beyond the prefix; its end is the
+    source's exhaustion, and the first error it raises is raised again by
+    every later pull that needs a new relator.  ``lattice`` is a finite list
+    of relators whose exponent sums span those of every relator, or None when
+    none is known, as for a stream.  Pulls are serialized by a lock.
     """
 
-    def __init__(self, prefix: tuple[Word, ...] = ()):
-        self._prefix = tuple(prefix)
-        self._cache: list[Word] = list(self._prefix)
-        self._exhausted = False
+    def __init__(
+        self, prefix: Iterable[Word], producer: Iterable[Word] = (), lattice: tuple[Word, ...] | None = None
+    ):
+        self._cache: list[Word] = list(prefix)
+        self._producer = iter(producer)
+        self._lattice = lattice
+        self._error: BaseException | None = None
         self._lock = threading.Lock()
 
     @property
     def pulled_count(self) -> int:
         return len(self._cache)
 
-    def _produce(self, j: int) -> Word | None:
-        return None
-
     def _pull_until(self, n: int) -> None:
         with self._lock:
-            while len(self._cache) < n and not self._exhausted:
-                nxt = self._produce(len(self._cache) - len(self._prefix))
-                if nxt is None:
-                    self._exhausted = True
-                else:
-                    self._cache.append(nxt)
+            if n <= len(self._cache):
+                return
+            if self._error is not None:
+                raise self._error
+            try:
+                self._cache.extend(islice(self._producer, n - len(self._cache)))
+            except BaseException as exc:
+                self._error = exc
+                raise
 
     def relator(self, i: int) -> Word:
         if i < 0:
@@ -93,92 +105,52 @@ class RelatorSource:
         return min(upto, len(self._cache))
 
     def lattice_relators(self) -> tuple[Word, ...] | None:
-        """Finitely many relators whose exponent sums span those of every relator.
-
-        None when no such finite list is known, as for a stream.
-        """
-        return None
+        """Finitely many relators whose exponent sums span those of every relator; or None."""
+        return self._lattice
 
     def close(self) -> None:
-        pass
+        """Close the producer; a stream stops its command."""
+        with self._lock:
+            if hasattr(self._producer, "close"):  # a generator; an inline source has none
+                self._producer.close()
 
 
-class InlineSource(RelatorSource):
-    """A finite list of relators; exhaustion beyond the end."""
+def _powers(base: tuple[Word, ...], alphabet: Alphabet) -> Iterator[Word]:
+    """The builtin ``powers`` family: t_q.w.t_q^-1 for each base word w, for q = 0, 1, ...
 
-    def __init__(self, words):
-        super().__init__(tuple(words))
-
-    def lattice_relators(self) -> tuple[Word, ...]:
-        return self._prefix  # every relator
-
-
-class FamilySource(RelatorSource):
-    """Builtin infinite family ``powers``: conjugates of the base words.
-
-    Relator j with m base words is t_q . w_(j mod m) . t_q^-1 where
-    q = j div m and t_q is the q-th word in enumeration order.
+    t_q is the q-th word in enumeration order, so t_0 is the empty word.
     """
-
-    def __init__(self, base_words, alphabet: Alphabet, prefix=()):
-        if not base_words:
-            raise PresentationSyntaxError("family powers needs at least one base word")
-        super().__init__(prefix)
-        self.base_words = tuple(base_words)
-        self.alphabet = alphabet
-
-    def lattice_relators(self) -> tuple[Word, ...]:
-        # t.w.t^-1 has the exponent sums of w, and w itself is relator
-        # t_0.w.t_0^-1 (t_0 is the empty word).
-        return self._prefix + self.base_words
-
-    def _produce(self, j: int) -> Word:
-        q, m = divmod(j, len(self.base_words))
-        t = word_at_index(q, self.alphabet)
-        return conjugate(t, self.base_words[m])
+    for q in count():
+        t = word_at_index(q, alphabet)
+        for w in base:
+            yield conjugate(t, w)
 
 
-class StreamSource(RelatorSource):
-    """Relators read lazily, one per line, from an external command's stdout."""
+def _stream(command: str, alphabet: Alphabet) -> Iterator[Word]:
+    """Relators read one per ASCII line from ``command``'s stdout.
 
-    def __init__(self, command: str, alphabet: Alphabet, prefix=()):
-        super().__init__(prefix)
-        self.command = command
-        self.alphabet = alphabet
-        self._proc: subprocess.Popen | None = None
-        self._line_no = 0
-
-    def _start(self) -> None:
-        argv = shlex.split(self.command)
-        if not argv:
-            raise StreamError("empty stream command")
-        try:
-            self._proc = subprocess.Popen(
-                argv, stdout=subprocess.PIPE, stdin=subprocess.DEVNULL, text=True
-            )
-        except OSError as exc:
-            raise StreamError(f"cannot spawn relator stream {self.command!r}: {exc}") from exc
-
-    def _produce(self, j: int) -> Word | None:
-        if self._proc is None:
-            self._start()
-        line = self._proc.stdout.readline()
-        if line == "":
-            return None
-        self._line_no += 1
-        try:
-            return parse_word(line.strip(), self.alphabet)
-        except ValueError as exc:
-            raise StreamError(f"bad relator on stream line {self._line_no}: {exc}") from exc
-
-    def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.terminate()
+    The command is spawned on the first pull; it is stopped and reaped at
+    end of stream, on an error, or when the generator is closed.
+    """
+    try:
+        proc = subprocess.Popen(shlex.split(command), stdout=subprocess.PIPE, stdin=subprocess.DEVNULL)
+    except (OSError, ValueError) as exc:
+        raise StreamError(f"cannot spawn relator stream {command!r}: {exc}") from exc
+    try:
+        for line_no, line in enumerate(proc.stdout, start=1):
             try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+                word = parse_word(line.decode("ascii").strip(), alphabet)
+            except ValueError as exc:  # UnicodeDecodeError included
+                raise StreamError(f"bad relator on stream line {line_no}: {exc}") from exc
+            yield word
+    finally:
+        proc.terminate()  # a no-op once the child has exited
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
 
 @dataclass
@@ -295,19 +267,22 @@ def parse_presentation(text: str) -> Presentation:
         raise PresentationSyntaxError("missing generators line")
 
     if tail is None:
-        source: RelatorSource = InlineSource(inline)
+        source = RelatorSource(inline, lattice=tuple(inline))
     elif tail[0] == "stream":
-        source = StreamSource(tail[1], alphabet, prefix=inline)
+        source = RelatorSource(inline, _stream(tail[1], alphabet))
     else:
         parts = tail[1].split()
         name, args = parts[0], parts[1:]
         if name not in _FAMILIES:
             raise PresentationSyntaxError(f"unknown family {name!r}", tail_line)
         try:
-            base = [parse_word(a, alphabet) for a in args]
+            base = tuple(parse_word(a, alphabet) for a in args)
         except ValueError as exc:
             raise PresentationSyntaxError(str(exc), tail_line) from exc
-        source = FamilySource(base, alphabet, prefix=inline)
+        if not base:
+            raise PresentationSyntaxError("family powers needs at least one base word")
+        # t.w.t^-1 has the exponent sums of w, and w itself is relator t_0.w.t_0^-1.
+        source = RelatorSource(inline, _powers(base, alphabet), lattice=tuple(inline) + base)
 
     return Presentation(alphabet, source)
 

@@ -8,7 +8,6 @@ solver must match.
 
 from wordrace.certcheck import serialize_equality, serialize_finiteness
 from wordrace.derivation import EqualityCertificate, EqualityTask, ProductStream
-from wordrace.presentation import InlineSource
 from wordrace.quotient import WORDS_MODE, FinitenessCertificate, FinitenessTask
 from wordrace.tables import DEFAULT_MAX_TABLE_ORDER
 from wordrace.words import (
@@ -107,12 +106,12 @@ def images_at_cursor(n, order, alphabet, length_bound):
 
 
 def serialize_presentation(p):
-    """Inverse of parse for inline presentations."""
-    if not isinstance(p.source, InlineSource):
+    """Inverse of parse for inline presentations: finite sources whose lattice list is every relator."""
+    relators = p.source.lattice_relators()
+    if relators is None or p.source.available(len(relators) + 1) > len(relators):
         raise ValueError("only inline presentations serialize")
     lines = ["generators: " + " ".join(p.alphabet.generators)]
-    for i in range(p.source.pulled_count):
-        lines.append("relator: " + format_word(p.source.relator(i), p.alphabet))
+    lines += ["relator: " + format_word(w, p.alphabet) for w in relators]
     return "\n".join(lines) + "\n"
 
 

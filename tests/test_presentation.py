@@ -1,5 +1,6 @@
 """Presentations: parsing, lazy relator sources, extension."""
 
+import os
 import sys
 import textwrap
 
@@ -216,3 +217,91 @@ def test_prefix_document_is_canonical():
     p = parse_presentation(DINF_TEXT)
     assert prefix_document(p, 2) == "generators: a b\nrelator: aa\nrelator: bb\n"
     assert prefix_document(p, 0) == "generators: a b\n"
+
+
+def stream_presentation(tmp_path, body, *args):
+    """A presentation over a and b whose stream runs ``body`` as a Python script."""
+    script = tmp_path / "emit.py"
+    script.write_text(textwrap.dedent(body))
+    command = " ".join(map(str, (sys.executable, script, *args)))
+    return parse_presentation(f"generators: a b\nstream: {command}\n")
+
+
+def test_failed_stream_stays_failed(tmp_path):
+    p = stream_presentation(tmp_path, 'print("aa")\nprint("zz")\nprint("bb")\n')
+    try:
+        with pytest.raises(StreamError, match="line 2") as first:
+            p.relator(1)
+        with pytest.raises(StreamError) as again:
+            p.relator(1)  # not the next line, bb, under the failed index
+        assert again.value is first.value
+        assert p.relator(0) == parse_word("aa", p.alphabet)  # cached before the failure
+    finally:
+        p.close()
+
+
+def test_failed_spawn_is_not_retried(tmp_path):
+    script = tmp_path / "late"
+    p = parse_presentation(f"generators: a\nstream: {script}\n")
+    with pytest.raises(StreamError, match="cannot spawn") as first:
+        p.relator(0)
+    script.write_text(f'#!{sys.executable}\nprint("aa")\n')
+    script.chmod(0o755)
+    with pytest.raises(StreamError) as again:
+        p.relator(0)
+    assert again.value is first.value
+
+
+def test_stream_non_ascii_line_is_stream_error(tmp_path):
+    p = stream_presentation(tmp_path, 'import sys\nsys.stdout.buffer.write(b"aa\\n\\xff\\n")\n')
+    try:
+        with pytest.raises(StreamError, match="line 2"):
+            p.available(5)
+        assert p.pulled_count == 1
+    finally:
+        p.close()
+
+
+PID_SCRIPT = """
+    import os, sys
+    with open(sys.argv[1], "w") as fh:
+        fh.write(str(os.getpid()))
+    while True:
+        print("aa", flush=True)
+        print("bb", flush=True)
+        if sys.argv[2] == "once":
+            break
+"""
+
+
+def assert_gone(pid):
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)  # a child still running, or exited but unreaped, is found
+
+
+def test_close_before_any_pull_spawns_nothing(tmp_path):
+    pid_file = tmp_path / "pid"
+    p = stream_presentation(tmp_path, PID_SCRIPT, pid_file, "forever")
+    p.close()
+    assert p.available(1) == 0  # a closed source is exhausted
+    assert not pid_file.exists()
+
+
+def test_close_stops_never_ending_stream(tmp_path):
+    pid_file = tmp_path / "pid"
+    p = stream_presentation(tmp_path, PID_SCRIPT, pid_file, "forever")
+    try:
+        assert p.available(5) == 5
+    finally:
+        p.close()
+    assert_gone(int(pid_file.read_text()))
+
+
+def test_stream_end_reaps_child_before_close(tmp_path):
+    pid_file = tmp_path / "pid"
+    p = stream_presentation(tmp_path, PID_SCRIPT, pid_file, "once")
+    try:
+        assert p.available(5) == 2
+        assert_gone(int(pid_file.read_text()))
+    finally:
+        p.close()
