@@ -1,10 +1,10 @@
 """Decision engine for the word problem in finitely generated just infinite groups.
 
 Two semi-decision procedures race under fair interleaving: one enumerates
-products of conjugated relators to prove X = 1, the other searches finite
-multiplication tables and element-to-word assignments to prove X != 1 by
-exhibiting the extended group as a finite quotient.  Either outcome comes
-with an independently checkable certificate.
+products of conjugated relators to prove X = 1, the other enumerates the
+cosets of the trivial subgroup of the extended group, with a proof on
+every table entry, to prove X != 1 by exhibiting that group as finite.
+Either outcome comes with an independently checkable certificate.
 """
 
 from .derivation import DyckFactor, EqualityCertificate, EqualityTask

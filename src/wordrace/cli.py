@@ -45,7 +45,9 @@ def _build_parser() -> _Parser:
         help="run until resolved; may never terminate if the group is not just infinite",
     )
     ps.add_argument("--quantum", type=int, default=1, help="steps per arm turn")
-    ps.add_argument("--max-table-order", type=int, default=DEFAULT_MAX_TABLE_ORDER)
+    ps.add_argument("--max-table-order", type=int, default=DEFAULT_MAX_TABLE_ORDER,
+                    help="largest table order a finiteness certificate may have; in words mode the order "
+                         "of the emitted table, in letters mode that of every table searched")
     ps.add_argument("--strict-tau", action="store_true",
                     help="literal letter-valued surjections instead of word-valued assignments")
     ps.add_argument("--json", action="store_true", dest="as_json")

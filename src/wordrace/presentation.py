@@ -61,7 +61,8 @@ class RelatorSource:
 
     The producer iterates over the relators beyond the prefix; its end is the
     source's exhaustion, and the first error it raises is raised again by
-    every later pull that needs a new relator.  ``lattice`` is a finite list
+    every later pull that needs a new relator.  ``inline_count`` is the
+    length of the prefix.  ``lattice`` is a finite list
     of relators whose exponent sums span those of every relator, or None when
     none is known, as for a stream.  Pulls are serialized by a lock.
     """
@@ -70,6 +71,7 @@ class RelatorSource:
         self, prefix: Iterable[Word], producer: Iterable[Word] = (), lattice: tuple[Word, ...] | None = None
     ):
         self._cache: list[Word] = list(prefix)
+        self.inline_count = len(self._cache)
         self._producer = iter(producer)
         self._lattice = lattice
         self._error: BaseException | None = None
@@ -197,6 +199,12 @@ class Presentation:
     def pulled_count(self) -> int:
         extra = 1 if self.extended_by is not None else 0
         return self.source.pulled_count + extra
+
+    @property
+    def inline_count(self) -> int:
+        """How many relators are given up front: X, if extended, and the inline prefix."""
+        extra = 1 if self.extended_by is not None else 0
+        return self.source.inline_count + extra
 
     def close(self) -> None:
         self.source.close()

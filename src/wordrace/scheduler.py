@@ -6,8 +6,10 @@ quotient.  The arms alternate in quanta, arm 1 first, so their step
 counts never differ by more than one quantum: the schedule is one lazy
 sequence of turns, each arm's step ``quantum`` times, cycled and cut after
 the step budget.  Under the just-infinite hypothesis exactly one arm
-terminates; without it (the hypothesis is a caller-supplied promise) a
-bounded run simply exhausts its budget.
+terminates.  Without it (the hypothesis is a caller-supplied promise) a
+bounded run may exhaust its budget, and on a finite group both arms can
+terminate: there a not-equal verdict proves only that <S | X u R> is
+finite, which it is whatever X is.
 
 A step is one EqualityTask quantum (one Dyck candidate assembled and
 compared, or one stage advance) or one FinitenessTask quantum.  The word

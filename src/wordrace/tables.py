@@ -36,10 +36,10 @@ from functools import cached_property
 
 from .words import Word
 
-# The cap bounds the finiteness arm's candidate space, not enumeration cost:
-# a table of order r opens image blocks of k^r letter maps, or of w^(r-1)
-# maps onto the w words up to a length bound.  8 covers the full corpus
-# while keeping worst-case solve latency at desk scale.  Configurable per run.
+# The largest order of a finiteness certificate's table.  In letters mode it
+# bounds the candidate space, not enumeration cost: a table of order r opens
+# a block of k^r letter maps.  In words mode it caps the order of the closed
+# coset table that is emitted.  8 covers the full corpus.  Configurable per run.
 DEFAULT_MAX_TABLE_ORDER = 8
 
 

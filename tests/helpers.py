@@ -1,9 +1,9 @@
 """Test-side conveniences and reference enumerations built on the library.
 
 None of these runs on the solver's path: they drive a task to a budget,
-re-assemble a product the slow way, index enumerations by cursor, or print
-a presentation or certificate back, so that tests can state what the
-solver must match.
+re-assemble a product the slow way, index the Dyck enumeration by cursor,
+or print a presentation or certificate back, so that tests can state what
+the solver must match.
 """
 
 from wordrace.certcheck import serialize_equality, serialize_finiteness
@@ -14,10 +14,8 @@ from wordrace.words import (
     MalformedWordError,
     concat_all,
     conjugate,
-    count_words_up_to,
     format_word,
     invert,
-    word_at_index,
 )
 
 
@@ -85,24 +83,6 @@ def dyck_at_cursor(c, p):
             seen += 1
             if seen == c:
                 return ev[1]
-
-
-def images_at_cursor(n, order, alphabet, length_bound):
-    """Image tuples by index, in the order the finiteness arm admits them.
-
-    Element 0 maps to the empty word; the others take nonempty words of
-    length <= the bound, one digit per element, most significant first.
-    None past the end of the block.
-    """
-    w = count_words_up_to(length_bound, alphabet.k) - 1
-    if n < 0 or n >= w ** (order - 1):
-        return None
-    digits = []
-    for _ in range(order - 1):
-        n, d = divmod(n, w)
-        digits.append(d)
-    digits.reverse()
-    return (b"",) + tuple(word_at_index(d + 1, alphabet) for d in digits)
 
 
 def serialize_presentation(p):

@@ -12,6 +12,7 @@ import pytest
 
 from wordrace import derivation, quotient
 from wordrace.presentation import parse_presentation
+from wordrace.quotient import LETTERS_MODE
 from wordrace.scheduler import NOT_EQUAL, Budget, solve
 from wordrace.words import parse_word
 
@@ -44,12 +45,14 @@ def layers():
 
 def test_tracer_installs_and_counts(layers):
     originals = (derivation.ProductStream.next_event, quotient.FinitenessTask.step, quotient.equation_words)
-    p = parse_presentation("generators: a b\nrelator: aa\nrelator: bb\n")
+    # Letters mode: the arm whose admissions, goal words and derivation
+    # stream the tracer counts (words mode runs a coset enumeration).
+    p = parse_presentation("generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n")
     tracer = layers.LayerTracer()
     tracer.install()
     try:
-        for text in ("abab", "ab"):
-            out = solve(p, parse_word(text, p.alphabet), Budget())
+        for text in ("a", "b"):
+            out = solve(p, parse_word(text, p.alphabet), Budget(), tau_mode=LETTERS_MODE)
             assert out.verdict == NOT_EQUAL
             tracer.end_query()
     finally:

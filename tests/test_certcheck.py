@@ -284,6 +284,10 @@ FUZZ_CASES = {
     "abba": (DINF, "abba", WORDS_MODE, EQUAL),
     "abab": (DINF, "abab", WORDS_MODE, NOT_EQUAL),  # by the Klein group
     "d4-a": (D4, "a", LETTERS_MODE, NOT_EQUAL),  # by Z/2, letters mode
+    # Coset-enumeration certificates with shortened edge proofs.
+    "abAB": (DINF, "abAB", WORDS_MODE, NOT_EQUAL),  # order 4
+    "ababab": (DINF, "ababab", WORDS_MODE, NOT_EQUAL),  # order 6
+    "z-a8": (Z, "aaaaaaaa", WORDS_MODE, NOT_EQUAL),  # order 8
 }
 
 
@@ -346,7 +350,7 @@ MUTATIONS = st.one_of(
 
 
 class TestDocumentFuzzing:
-    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @settings(max_examples=2000, deadline=None, derandomize=True)
     @given(case=st.sampled_from(sorted(FUZZ_CASES)), ops=MUTATIONS)
     def test_mutated_documents_fail_only_as_rejections(self, case, ops):
         # A damaged document is rejected, or parsed and then verified or

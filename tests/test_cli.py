@@ -84,15 +84,15 @@ def test_solve_verify_round_trip(z_pres, tmp_path, capsys):
 
 
 def test_solve_verify_round_trip_on_a_family_source(tmp_path, capsys):
-    # Relators still to come from a family could make any goal trivial, so
-    # the finiteness arm parks every candidate here: no abelian pruning.
+    # The family's relators aa and bb join the coset enumeration after 1000
+    # and 2000 finiteness steps; G1 = <a, b | abab, aa, bb> then closes.
     pres = tmp_path / "powers.pres"
     pres.write_text("generators: a b\nfamily: powers aa bb\n")
     out_path = tmp_path / "outcome.json"
     assert main(["solve", str(pres), "--word", "abab", "--json", "--output", str(out_path)]) == 1
     doc = json.loads(out_path.read_text())
     assert doc["verdict"] == "not-equal"
-    assert doc["steps_equal_arm"] == doc["steps_finite_arm"] == 12_249
+    assert doc["steps_equal_arm"] == doc["steps_finite_arm"] == 2_229
     cert_path = tmp_path / "cert.txt"
     cert_path.write_text(doc["certificate"])
     assert main(["verify", str(cert_path), str(pres), "--word", "abab"]) == 0

@@ -1,4 +1,10 @@
-"""Finite-quotient search: goal words, image enumeration, the dovetail."""
+"""The finiteness arm: goal words, the letters-mode dovetail, words-mode steps.
+
+Words mode runs the coset enumeration of ``cosets.py`` (see
+``test_cosets.py``); the admission, goal-ledger and abelian-check tests
+here exercise the letters-mode candidate race, whose checks are the same
+for word-valued images.
+"""
 
 import itertools
 import random
@@ -6,18 +12,14 @@ import sys
 
 import pytest
 
-from helpers import images_at_cursor, prove_finite
+from helpers import prove_finite
+from wordrace.abelian import Abelianization
 from wordrace.certcheck import verify_finiteness
 from wordrace.oracle import exponent_sum, zn_table
 from wordrace.presentation import extend, parse_presentation
-from wordrace.quotient import (
-    LETTERS_MODE,
-    WORDS_MODE,
-    FinitenessTask,
-    equation_words,
-)
+from wordrace.quotient import LETTERS_MODE, FinitenessTask, _AbelianCheck, equation_words
 from wordrace.tables import MultiplicationTable, enumerate_tables
-from wordrace.words import alphabet, concat, count_words_up_to, invert, parse_word, word_at_index
+from wordrace.words import alphabet, count_words_up_to, parse_word, word_at_index
 
 A = alphabet("a")
 AB = alphabet("ab")
@@ -49,34 +51,26 @@ class TestGoalWords:
         assert goals[(3, 3)] == w("abab")      # ab.ab.empty^-1
         assert goals[(2, 1)] == w("baBA")
 
-    def test_coverage_words(self):
-        # An admitted candidate parks each uncovered generator g on the
-        # words g.tau(u_e)^-1 of every element e; a generator that is an
-        # image is covered outright.
-        p = extend(parse_presentation("generators: a b\nrelator: aa\nrelator: bb\n"), w("abab"))
-        task = FinitenessTask(p)
-        images = (b"", w("a"), w("B"), w("aB"))
-        task._candidates = iter([(0, 1, 0, KLEIN, images)])
-        assert task._admit() is None
-        cand = task._parked[0]
-        goals = {word for _, _, word in equation_words(KLEIN, images) if word}
-        assert cand.pending == len(goals) + 1  # the cell goals and generator b
-        assert all(g != 0 for waiters in task._waiters.values() for _, g, _ in waiters)
-        cov = {e: word for word, waiters in task._waiters.items() for _, g, e in waiters if g == 1}
-        assert cov == {0: w("b"), 1: w("bA"), 2: w("bb"), 3: w("bbA")}
+    def test_coverage_takes_the_edges_out_of_coset_0(self):
+        # Dinf/ab is Z/2 with a = b: the images are the shortlex transversal
+        # (empty, a), both generators lead from element 0 to element 1, and
+        # only b, which is not the image a, needs a coverage proof.
+        p = extend(parse_presentation("generators: a b\nrelator: aa\nrelator: bb\n"), w("ab"))
+        cert = prove_finite(p, 1_000)
+        assert cert.images == (b"", w("a"))
+        assert cert.coverage == {0: 1, 1: 1}
+        assert list(cert.coverage_certs) == [1]
+        assert cert.coverage_certs[1].target == w("bA")
+        ok, why = verify_finiteness(cert, p)
+        assert ok, why
 
     def test_coverage_goes_to_the_first_witness(self):
-        # tau hits the generator a at elements 1 and 2: element 1 covers it.
-        p = extend(parse_presentation("generators: a\n"), w("a", A))
-        task = FinitenessTask(p)
-        admission = (0, 1, 0, MultiplicationTable(zn_table(3).cells), (b"", w("a", A), w("a", A)))
-        task._candidates = itertools.chain([admission], itertools.repeat(None))
-        for _ in range(10_000):
-            cert = task.step()
-            if cert is not None:
-                break
+        # Z/a^3: the generator a is the image of element 1, which is where
+        # its edge out of coset 0 leads, so it needs no coverage proof.
+        p = extend(parse_presentation("generators: a\n"), w("aaa", A))
+        cert = prove_finite(p, 1_000)
         assert cert is not None
-        assert cert.images == admission[4]
+        assert cert.images == (b"", w("a", A), w("A", A))
         assert cert.coverage == {0: 1}
         assert cert.coverage_certs == {}
         ok, why = verify_finiteness(cert, p)
@@ -84,16 +78,15 @@ class TestGoalWords:
 
 
 def admit_checked(task, admissions):
-    """Admit candidates; check the parked ones against a from-scratch build.
+    """Admit letters-mode candidates; check the parked ones against a from-scratch build.
 
     Every admission the task draws from its candidate stream is recorded.
     Each parked candidate's pending count, and at the end the waiter map,
-    are checked against the cell goal words of ``equation_words`` and the
-    coverage words g.tau(u_e)^-1 built here.  Nothing is derived, so every
-    registered waiter stays.  Returns the admitted (table, images) pairs.
+    are checked against the cell goal words of ``equation_words``.  Nothing
+    is derived, so every registered waiter stays.  Returns the admitted
+    (table, images) pairs.
     """
     waiters, seen = {}, []
-    gens = [bytes([2 * g]) for g in range(task.extended.alphabet.k)] if task.mode == WORDS_MODE else []
     drawn = []
     task._candidates = (drawn.append(a) or a for a in task._candidates)
     while task.admitted < admissions:
@@ -101,23 +94,17 @@ def admit_checked(task, admissions):
         task._admit()
         if task.admitted == before:
             continue  # an idle quantum
-        table, images = drawn[-1][3:]
+        table, images = drawn[-1][2:]
         seen.append((table, images))
         cand = task._parked.get(before)
         if cand is None:
             continue  # rejected by the abelian check; see TestAbelianCheck
         assert (cand.table, cand.images) == (table, images)
-        assert cand.certs is None and cand.coverage is None
+        assert cand.certs is None
         goals = {word for _, _, word in equation_words(table, images) if word}
-        to_cover = [g for g, gen in enumerate(gens) if gen not in images]
-        assert cand.pending == len(goals) + len(to_cover)
-        if not cand.pending:
-            continue
+        assert cand.pending == len(goals)
         for word in goals:
-            waiters.setdefault(word, []).append((before, -1, -1))
-        for g in to_cover:
-            for e, image in enumerate(images):
-                waiters.setdefault(concat(gens[g], invert(image)), []).append((before, g, e))
+            waiters.setdefault(word, []).append(before)
     assert task.parked_count + task.rejected == task.admitted
     assert task._waiters == waiters
     return seen
@@ -125,19 +112,20 @@ def admit_checked(task, admissions):
 
 class TestGoalLedger:
     @pytest.mark.parametrize(
-        "text, word, mode, admissions",
+        "text, word, admissions",
         [
-            ("generators: a\n", "aaaaa", WORDS_MODE, 3000),
-            ("generators: a b\nrelator: aa\nrelator: bb\n", "abAB", WORDS_MODE, 3000),
-            ("generators: a b\n", "a", WORDS_MODE, 3000),
+            # One letter map per table on one generator: 14 up to order 8.
+            ("generators: a\n", "aaaaa", 14),
             # 1,586 letter-valued maps onto two generators exist up to order 8.
-            ("generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n", "a", LETTERS_MODE, 1500),
+            ("generators: a b\nrelator: aa\nrelator: bb\n", "abAB", 1500),
+            ("generators: a b\n", "a", 1500),
+            ("generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n", "a", 1500),
         ],
         ids=["z-a5", "dinf-abAB", "f2-a", "d4-letters"],
     )
-    def test_stream_matches_from_scratch(self, text, word, mode, admissions):
+    def test_stream_matches_from_scratch(self, text, word, admissions):
         p = parse_presentation(text)
-        task = FinitenessTask(extend(p, parse_word(word, p.alphabet)), mode=mode)
+        task = FinitenessTask(extend(p, parse_word(word, p.alphabet)), mode=LETTERS_MODE)
         seen = admit_checked(task, admissions)
         tables = [table for table, _ in seen]
         assert any(t is not u for t, u in zip(tables, tables[1:]))  # the table switches
@@ -147,7 +135,8 @@ class TestGoalLedger:
         # up to max(i, j, k) of the last cell that failed.  A candidate of
         # that table agreeing with it on the prefix fails without cell work;
         # any other candidate (a repeat of a passing one, a change inside the
-        # prefix, another table) is checked from scratch.
+        # prefix, another table) is checked from scratch.  The images are
+        # words, which the check handles as it does letters.
         z3 = MultiplicationTable(zn_table(3).cells)
         z4 = MultiplicationTable(zn_table(4).cells)
         klein = (b"", w("a"), w("B"), w("aB"))
@@ -168,46 +157,31 @@ class TestGoalLedger:
             (KLEIN, klein),
         ]
         p = extend(parse_presentation("generators: a b\nrelator: aa\nrelator: bb\n"), w("abab"))
-        task = FinitenessTask(p)
-        task._candidates = iter([(0, 1, n, table, images) for n, (table, images) in enumerate(sequence)])
+        task = FinitenessTask(p, mode=LETTERS_MODE)
+        task._candidates = iter([(0, n, table, images) for n, (table, images) in enumerate(sequence)])
         assert admit_checked(task, len(sequence)) == sequence
 
         # G1 = Dinf/abab: L is 2Z x 2Z.  A candidate is parked iff every cell
-        # goal word and some coverage word of each generator lie in L.
+        # goal word lies in L.
         def in_lattice(word):
             return exponent_sum(word, 0) % 2 == 0 and exponent_sum(word, 1) % 2 == 0
 
         parked = []
         for n, (table, images) in enumerate(sequence):
-            alive = all(in_lattice(goal) for _, _, goal in equation_words(table, images)) and all(
-                any(in_lattice(concat(gen, invert(image))) for image in images) for gen in (w("a"), w("b"))
-            )
+            alive = all(in_lattice(goal) for _, _, goal in equation_words(table, images))
             assert (n in task._parked) == alive, n
             parked.append(alive)
         # Passing, and again when repeated; failing at a cell that reaches
         # element 3, so a change of element 1 or of element 3 is checked
         # again; in Z4 failing at a cell up to element 2, failing again
         # without any cell work (only element 3 changed, outside the dead
-        # prefix), then, after a change inside it, on coverage alone; back
-        # in the Klein table, a change of the last element alone breaks a
-        # cell, and the next one mends it.
-        assert parked == [True, True, False, False, False, False, False, True, False, False, False, True, False, True]
+        # prefix), then, after a change inside it, passing; back in the
+        # Klein table, a change of the last element alone breaks a cell, and
+        # the next one mends it.
+        assert parked == [True, True, False, False, False, False, False, True, False, False, True, True, False, True]
 
 
 class TestAssignmentEnumeration:
-    def test_images_enumeration_covers_block(self):
-        seen = set()
-        n = 0
-        while True:
-            images = images_at_cursor(n, 3, A, 2)
-            if images is None:
-                break
-            assert images[0] == b""
-            assert all(img != b"" for img in images[1:])
-            seen.add(images)
-            n += 1
-        assert len(seen) == n == 16  # (count_words_up_to(2) - 1)^2
-
     def test_surjective_letter_images(self):
         # k=2: a letters-mode task admits exactly the maps onto {a, b}, in
         # lex order: 2 of the 4 at order 2 and 6 of the 8 at order 3.
@@ -215,7 +189,7 @@ class TestAssignmentEnumeration:
         admitted = {}
         for admission in itertools.islice(task._candidate_stream(), 10_000):
             if admission is not None:
-                table, images = admission[3:]
+                table, images = admission[2:]
                 admitted.setdefault(table.order, []).append(images)
         a, b = w("a"), w("b")
         assert admitted[2] == [(a, b), (b, a)]
@@ -280,41 +254,46 @@ class TestStepFiniteness:
 
 class TestDovetailTotality:
     def test_candidate_space_visited(self):
-        # Every (table cursor, length bound, index) triple within small
-        # bounds is admitted after finitely many steps.
+        # Every (table cursor, index) pair of a letter map onto the
+        # generators within small bounds is admitted after finitely many
+        # steps.  Order 1 has no such map on two generators; order 2 has the
+        # indices 1 and 2 of (a, a), (a, b), (b, a), (b, b), and order 3 all
+        # but the first and the last of its eight.
         p = extend(parse_presentation("generators: a b\n"), w("a"))
-        task = FinitenessTask(p)
-        # table cursor 0 has order 1 (single empty-images candidate)
-        wanted = {(0, 1, 0)} | {(1, 1, i) for i in range(4)}
+        task = FinitenessTask(p, mode=LETTERS_MODE)
+        wanted = {(1, 1), (1, 2)} | {(2, i) for i in range(1, 7)}
         visited = set()
         for admission in itertools.islice(task._candidate_stream(), 200_000 // task.ADMIT_PERIOD):
             if admission is not None:
-                visited.add(admission[:3])
+                visited.add(admission[:2])
                 if wanted <= visited:
                     break
         assert wanted <= visited
 
-    def test_admitted_images_follow_images_at_cursor(self, tmp_path):
+    def test_admitted_images_follow_product_order(self, tmp_path):
         # F2/a parks no candidate; with the relator of <a, b | [a, b]> coming
-        # from a stream, G1 is still Z but every candidate is parked.
+        # from a stream, G1 is still Z but every candidate is parked.  Both
+        # admit all 1,586 letter maps onto {a, b} up to order 8, each the
+        # index-th tuple of itertools.product over the letters.
         script = tmp_path / "commutator.py"
         script.write_text('print("abAB")\n')
+        letters = [w("a"), w("b")]
         for text, all_parked in (
             ("generators: a b\n", False),
             (f"generators: a b\nstream: {sys.executable} {script}\n", True),
         ):
             p = parse_presentation(text)
-            task = FinitenessTask(extend(p, w("a")))
+            task = FinitenessTask(extend(p, w("a")), mode=LETTERS_MODE)
             try:
                 for _ in range(20_000):
                     task.step()
             finally:
                 p.close()
-            assert task.admitted > 2000
+            assert task.admitted == 1586
             assert task.parked_count == (task.admitted if all_parked else 0)
             admissions = (a for a in task._candidate_stream() if a is not None)
-            for n, (t, length_bound, idx, table, images) in zip(range(task.admitted), admissions):
-                assert images == images_at_cursor(idx, table.order, AB, length_bound)
+            for n, (t, idx, table, images) in zip(range(task.admitted), admissions):
+                assert images == next(itertools.islice(itertools.product(letters, repeat=table.order), idx, None))
                 cand = task._parked.get(n)
                 if cand is not None:
                     assert cand.table == table
@@ -339,30 +318,29 @@ class TestAbelianCheck:
     # sums give v): Z/a^5 gives 5Z, Dinf/abAB gives 2Z x 2Z,
     # F2/a gives Z x 0, and D4/a (relators aa, bb, abab, a) gives Z x 2Z.
     @pytest.mark.parametrize(
-        "text, word, mode, admissions, in_lattice",
+        "text, word, admissions, in_lattice",
         [
-            ("generators: a\n", "aaaaa", WORDS_MODE, 3000, lambda v: v[0] % 5 == 0),
-            ("generators: a b\nrelator: aa\nrelator: bb\n", "abAB", WORDS_MODE, 3000,
+            ("generators: a\n", "aaaaa", 14, lambda v: v[0] % 5 == 0),
+            ("generators: a b\nrelator: aa\nrelator: bb\n", "abAB", 1500,
              lambda v: v[0] % 2 == 0 and v[1] % 2 == 0),
-            ("generators: a b\n", "a", WORDS_MODE, 3000, lambda v: v[1] == 0),
-            ("generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n", "a", LETTERS_MODE, 1500,
+            ("generators: a b\n", "a", 1500, lambda v: v[1] == 0),
+            ("generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n", "a", 1500,
              lambda v: v[1] % 2 == 0),
             # One letter map per table up to order 8, all 14 dead; the
             # order-1 table's generating set is empty, so only its identity
             # cell a.a.a^-1 shows it.
-            ("generators: a\n", "aa", LETTERS_MODE, 14, lambda v: v[0] % 2 == 0),
+            ("generators: a\n", "aa", 14, lambda v: v[0] % 2 == 0),
         ],
         ids=["z-a5", "dinf-abAB", "f2-a", "d4-letters", "z-aa-letters"],
     )
-    def test_rejects_exactly_the_dead_candidates(self, text, word, mode, admissions, in_lattice):
-        # A candidate is dead when a cell goal word, or every coverage word
-        # of some generator, has its exponent-sum vector outside L: that word
-        # is nontrivial in G1, so the candidate can never complete.  The
-        # task must reject every dead candidate and park every other one.
+    def test_rejects_exactly_the_dead_candidates(self, text, word, admissions, in_lattice):
+        # A candidate is dead when a cell goal word has its exponent-sum
+        # vector outside L: that word is nontrivial in G1, so the candidate
+        # can never complete.  The task must reject every dead candidate and
+        # park every other one.
         p = parse_presentation(text)
         k = p.alphabet.k
-        task = FinitenessTask(extend(p, parse_word(word, p.alphabet)), mode=mode)
-        gens = [bytes([2 * g]) for g in range(k)] if mode == WORDS_MODE else []
+        task = FinitenessTask(extend(p, parse_word(word, p.alphabet)), mode=LETTERS_MODE)
 
         def trivial_in_a(word):
             return in_lattice([exponent_sum(word, g) for g in range(k)])
@@ -370,10 +348,8 @@ class TestAbelianCheck:
         dead_count = 0
         stream = (a for a in task._candidate_stream() if a is not None)
         for n, admission in enumerate(itertools.islice(stream, admissions)):
-            table, images = admission[3:]
-            dead = not all(trivial_in_a(goal) for _, _, goal in equation_words(table, images)) or any(
-                not any(trivial_in_a(concat(gen, invert(image))) for image in images) for gen in gens
-            )
+            table, images = admission[2:]
+            dead = not all(trivial_in_a(goal) for _, _, goal in equation_words(table, images))
             dead_count += dead
             while task.admitted == n:
                 task._admit()  # idle quanta admit nothing
@@ -381,33 +357,33 @@ class TestAbelianCheck:
         assert task.rejected == dead_count > 0
 
     @pytest.mark.parametrize(
-        "text, word, mode, in_lattice",
+        "text, word, word_images, in_lattice",
         [
-            ("generators: a\n", "aa", WORDS_MODE, lambda v: v[0] % 2 == 0),
-            ("generators: a\n", "aaaaa", WORDS_MODE, lambda v: v[0] % 5 == 0),
-            ("generators: a b\nrelator: aa\nrelator: bb\n", "abAB", WORDS_MODE,
+            ("generators: a\n", "aa", True, lambda v: v[0] % 2 == 0),
+            ("generators: a\n", "aaaaa", True, lambda v: v[0] % 5 == 0),
+            ("generators: a b\nrelator: aa\nrelator: bb\n", "abAB", True,
              lambda v: v[0] % 2 == 0 and v[1] % 2 == 0),
-            ("generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n", "a", LETTERS_MODE,
+            ("generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n", "a", False,
              lambda v: v[1] % 2 == 0),
             # A = Z x Z/2, from b and c; the letter a is trivial in A.
-            ("generators: a b c\nrelator: a\nrelator: cc\n", "bcBC", LETTERS_MODE,
+            ("generators: a b c\nrelator: a\nrelator: cc\n", "bcBC", False,
              lambda v: v[1] == 0 and v[2] % 2 == 0),
         ],
         ids=["z-a2", "z-a5", "dinf-abAB", "d4-letters", "zz2-letters"],
     )
-    def test_matches_every_cell(self, text, word, mode, in_lattice):
+    def test_matches_every_cell(self, text, word, word_images, in_lattice):
         # Random sequences of (table, images), with repeats, one-element
-        # changes and table switches, against all r^2 cells and the coverage
-        # words checked one by one.
+        # changes and table switches, against all r^2 cells checked one by
+        # one.  The images are letters, or nonempty words of length <= 2
+        # with the identity's image pinned to the empty word.
         p = parse_presentation(text)
         k = p.alphabet.k
-        check = FinitenessTask(extend(p, parse_word(word, p.alphabet)), mode=mode)._abelian
-        gens = [bytes([2 * g]) for g in range(k)] if mode == WORDS_MODE else []
-        if mode == WORDS_MODE:
+        check = _AbelianCheck(Abelianization(extend(p, parse_word(word, p.alphabet)).lattice_relators(), k))
+        if word_images:
             choices = [word_at_index(n, p.alphabet) for n in range(1, count_words_up_to(2, k))]
         else:
             choices = [bytes([2 * g]) for g in range(k)]
-        first = 1 if mode == WORDS_MODE else 0  # the identity's image is pinned in words mode
+        first = 1 if word_images else 0
         tables = [t for r in range(1, 7) for t in enumerate_tables(r)]
         rng = random.Random(20_251_018)
         vectors = {}
@@ -423,7 +399,7 @@ class TestAbelianCheck:
                 in_lattice([x + y - z for x, y, z in zip(v[i], v[j], v[c])])
                 for i, row in enumerate(table.cells)
                 for j, c in enumerate(row)
-            ) and all(any(in_lattice(vector(concat(gen, invert(image)))) for image in images) for gen in gens)
+            )
 
         def fresh(table):
             return (b"",) * first + tuple(rng.choice(choices) for _ in range(first, table.order))
@@ -451,11 +427,13 @@ class TestAbelianCheck:
         assert 0 < sum(verdicts) < len(verdicts)
 
     def test_free_quotient_parks_nothing(self):
-        # G1 = F2/<<a>> is Z, whose abelianization kills every candidate.
-        task = FinitenessTask(extend(parse_presentation("generators: a b\n"), w("a")))
+        # G1 = F2/<<a>> is Z, whose abelianization kills every letter map
+        # onto {a, b}: a finite table maps to the torsion of Z, so every
+        # image would be the trivial letter a.
+        task = FinitenessTask(extend(parse_presentation("generators: a b\n"), w("a")), mode=LETTERS_MODE)
         for _ in range(20_000):
             assert task.step() is None
-        assert task.admitted > 2000
+        assert task.admitted == 1586
         assert task.parked_count == 0
         assert task.rejected == task.admitted
 
@@ -463,7 +441,8 @@ class TestAbelianCheck:
         # The inline prefix and the base words span the exponent-sum lattice
         # of every relator t.w.t^-1 the family will produce, so admission
         # prunes as on an inline source.
-        task = FinitenessTask(extend(parse_presentation("generators: a b\nfamily: powers aa bb\n"), w("abab")))
+        p = parse_presentation("generators: a b\nfamily: powers aa bb abab\n")
+        task = FinitenessTask(extend(p, w("a")), mode=LETTERS_MODE)
         cert = None
         while cert is None:
             cert = task.step()
@@ -473,16 +452,16 @@ class TestAbelianCheck:
 
     def test_stream_source_parks_every_admission(self, tmp_path):
         # A relator still to come from a stream could make any goal trivial:
-        # no rejection.
-        script = tmp_path / "dinf.py"
-        script.write_text('print("aa")\nprint("bb")\n')
+        # no rejection.  The same D4/a inline rejects all but 7 of the 263.
+        script = tmp_path / "d4.py"
+        script.write_text('print("aa")\nprint("bb")\nprint("abab")\n')
         p = parse_presentation(f"generators: a b\nstream: {sys.executable} {script}\n")
         try:
-            task = FinitenessTask(extend(p, w("abab")))
+            task = FinitenessTask(extend(p, w("a")), mode=LETTERS_MODE)
             cert = None
             while cert is None:
                 cert = task.step()
-            assert task.admitted > 1000
+            assert task.admitted == 263
             assert task.parked_count == task.admitted
             assert task.rejected == 0
             assert verify_finiteness(cert, task.extended)[0]
