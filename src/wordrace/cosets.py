@@ -187,8 +187,11 @@ class CosetEnumeration:
         return f, i, b, j
 
     def _look_ahead(self, c, x):
-        """Steps while the table is full and c.x is to be defined: each scans the next
-        (live coset, relator) pair without defining, and may deduce or find a coincidence."""
+        """Steps while the table is full and c.x is still to be defined.
+
+        Each scans the next (live coset, relator) pair without defining, and
+        may deduce an entry or find a coincidence.
+        """
         parent, table, rels = self._parent, self._table, self._rels
         d, n = self._look
         while self.live >= self._limit and parent[c] == c and table[c][x] < 0:
@@ -224,7 +227,11 @@ class CosetEnumeration:
         self._queue.append(d)
 
     def _proof(self, c, x):
-        """The proof of the entry c.x; an entry and its mirror share one node, which proves the one whose letter is a generator."""
+        """The proof of the entry c.x.
+
+        An entry and its mirror share one node, which proves the one whose
+        letter is a generator; the other reads its inverse.
+        """
         p = self._table[c][self.k2 + x]
         return inv(p) if x & 1 else p
 
@@ -235,8 +242,11 @@ class CosetEnumeration:
         row_c[k2 + x] = row_d[k2 + (x ^ 1)] = inv(proof) if x & 1 else proof
 
     def _event(self, c, rel, f, i, b, j):
-        """From relator rel at c: deduce f.word[i] = b (a gap of one letter) and return None,
-        or return the steps of the coincidence of f and b (no gap)."""
+        """What the scan of relator rel at c found between f and b.
+
+        A gap of one letter is deduced, f.word[i] = b, and None returned; no
+        gap with f != b is a coincidence, whose steps are returned.
+        """
         index, word = rel
         table = self._table
         forward = []
@@ -304,7 +314,7 @@ class CosetEnumeration:
         if phi == psi:
             return
         proof = cat(inv(p_a), proof, p_b)  # proves rep(phi) rep(psi)^-1
-        if phi < psi:  # the older slot survives; coset 0 always does
+        if phi < psi:  # the smaller slot survives, so coset 0 always does
             phi, psi, proof = psi, phi, inv(proof)
         self._parent[phi], self._uproof[phi] = psi, proof
         self.live -= 1
