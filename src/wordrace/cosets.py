@@ -28,7 +28,8 @@ the table is full a step is one deduction-only lookahead scan of one
 A closed table of at most ``max_table_order`` cosets yields the fields of
 a finiteness certificate (``proofs.certificate_fields``).  A larger one,
 or one whose proofs are too long to write out, yields nothing, and the
-arm waits for a later relator to change the table.
+arm waits for a later relator to change the table; with the source
+exhausted it waits for ever, and is ``spent``.
 """
 
 from __future__ import annotations
@@ -80,7 +81,13 @@ class CosetEnumeration:
         self._free: list[int] = []
         self._queue = deque([0])  # cosets to process, in order of definition
         self._look = (0, -1)  # the lookahead's last (coset, relator)
+        self._closed = False  # waiting, closed, for a relator to join
         self._events = self._run()
+
+    @property
+    def spent(self) -> bool:
+        """Whether no later step can yield: closed, with no relator left to join."""
+        return self._closed and self._join_at == math.inf
 
     def step(self):
         self.steps += 1
@@ -135,8 +142,10 @@ class CosetEnumeration:
                 fields = certificate_fields(self._table, self._proof, self._rels, self.k2)
                 if fields is not None:
                     yield fields
+            self._closed = True
             while not queue:  # closed: wait for a relator to join
                 yield None
+            self._closed = False
 
     def _process(self, c):
         parent, scanned, rels = self._parent, self._scanned, self._rels

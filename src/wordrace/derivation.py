@@ -149,6 +149,16 @@ class EqualityTask:
         self.steps_taken = 0
         self.certificate: EqualityCertificate | None = None
 
+    @property
+    def spent(self) -> bool:
+        """Whether no later step can return a certificate; reads state, pulls nothing.
+
+        True once a stage >= 1 has found the source exhausted with no nonempty
+        relator: stage 0 is behind it, and every later stage is empty.
+        """
+        stream = self.stream
+        return stream._exhausted and not stream._nonempty
+
     def step(self) -> EqualityCertificate | None:
         """Advance one quantum; return a certificate once the target is found."""
         if self.certificate is not None:

@@ -203,6 +203,15 @@ class FinitenessTask:
         return len(self._parked)  # parked candidates are never discarded
 
     @property
+    def spent(self) -> bool:
+        """Whether no later step can return a certificate; reads state, pulls nothing.
+
+        In words mode, once the coset table has closed without a certificate
+        and no relator is left to join; in letters mode, never.
+        """
+        return self.cosets is not None and self.cosets.spent
+
+    @property
     def coset_peak(self) -> int:
         return self.cosets.coset_peak if self.cosets is not None else 0
 

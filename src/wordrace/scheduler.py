@@ -11,6 +11,15 @@ bounded run may exhaust its budget, and on a finite group both arms can
 terminate: there a not-equal verdict proves only that <S | X u R> is
 finite, which it is whatever X is.
 
+An arm can be ``spent``: no later step of it can return a certificate, as
+the equality arm once the source is exhausted with no nonempty relator, or
+a coset table closed above the order cap on an exhausted source.  The arms are checked after
+1, 3, 7, 15, ... turns.  From the first check that finds one arm spent,
+the other arm runs alone over the turns the alternation gives it, and the
+spent arm's turns are counted, not taken: its step count follows from the
+turn cycle.  With both arms spent a bounded run ends at once, exhausted.
+Outcomes are those of taking every turn.
+
 A step is one EqualityTask quantum (one Dyck candidate assembled and
 compared, or one stage advance) or one FinitenessTask quantum.  The word
 is freely reduced first and the trivial case X = 1 is answered with the
@@ -74,15 +83,47 @@ def solve(
 
     arm1 = EqualityTask(p, target)
     arm2 = FinitenessTask(extend(p, target), mode=tau_mode, max_table_order=max_table_order)
+    arms = (arm1, arm2)
+    q, limit = budget.quantum, budget.max_total_steps
     # Turns are the arms' bound step methods: one ``arm.step()`` call site
     # seeing both arm classes would defeat CPython's per-site specialization.
-    steps = itertools.cycle((arm1.step, arm2.step))
-    turns = itertools.chain.from_iterable(map(itertools.repeat, steps, itertools.repeat(budget.quantum)))
-    if budget.max_total_steps is not None:
-        turns = itertools.islice(turns, budget.max_total_steps)
-    for step in turns:
-        cert = step()
-        if cert is not None:
-            verdict = EQUAL if isinstance(cert, EqualityCertificate) else NOT_EQUAL
-            return Outcome(verdict, cert, arm1.steps_taken, arm2.steps_taken)
-    return Outcome(EXHAUSTED, None, arm1.steps_taken, arm2.steps_taken)
+    steps = (arm1.step, arm2.step)
+    turns = itertools.chain.from_iterable(map(itertools.repeat, itertools.cycle(steps), itertools.repeat(q)))
+    live = (0, 1)  # the arms still taking turns
+    left = limit  # turns still to run; None runs until a verdict
+    chunk = 1  # turns until the next check for a spent arm
+    while left != 0:
+        if left is not None:
+            chunk = min(chunk, left)
+            left -= chunk
+        for step in itertools.islice(turns, chunk):
+            cert = step()
+            if cert is not None:
+                return _resolved(cert, arm1, arm2, q)
+        chunk *= 2
+        unspent = tuple(i for i in live if not arms[i].spent)
+        if not unspent and limit is not None:
+            break
+        if len(unspent) == 1 < len(live):  # one arm is newly spent: the other runs alone
+            (i,) = unspent
+            turns = itertools.repeat(steps[i])
+            if limit is not None:
+                left = _split(limit, q)[i] - arms[i].steps_taken
+            live = unspent
+    return Outcome(EXHAUSTED, None, *_split(limit, q))
+
+
+def _split(turns: int, quantum: int) -> tuple[int, int]:
+    """The steps of each arm in the first ``turns`` turns of the alternation."""
+    rounds, rest = divmod(turns, 2 * quantum)
+    equal = rounds * quantum + min(quantum, rest)
+    return equal, turns - equal
+
+
+def _resolved(cert, arm1: EqualityTask, arm2: FinitenessTask, quantum: int) -> Outcome:
+    """The outcome of the winner's certificate; the other arm's steps follow from the turn cycle."""
+    if isinstance(cert, EqualityCertificate):
+        s = arm1.steps_taken
+        return Outcome(EQUAL, cert, s, (s - 1) // quantum * quantum)
+    s = arm2.steps_taken
+    return Outcome(NOT_EQUAL, cert, -(-s // quantum) * quantum, s)

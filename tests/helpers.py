@@ -1,14 +1,19 @@
 """Test-side conveniences and reference enumerations built on the library.
 
-None of these runs on the solver's path: they drive a task to a budget,
-re-assemble a product the slow way, index the Dyck enumeration by cursor,
-or print a presentation or certificate back, so that tests can state what
-the solver must match.
+None of these runs on the solver's path: they drive a task or the race to
+a budget, re-assemble a product the slow way, index the Dyck enumeration
+by cursor, print a presentation or certificate back, or write a stream
+source, so that tests can state what the solver must match.
 """
+
+import sys
+import textwrap
 
 from wordrace.certcheck import serialize_equality, serialize_finiteness
 from wordrace.derivation import EqualityCertificate, EqualityTask, ProductStream
+from wordrace.presentation import extend, parse_presentation
 from wordrace.quotient import WORDS_MODE, FinitenessCertificate, FinitenessTask
+from wordrace.scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Outcome
 from wordrace.tables import DEFAULT_MAX_TABLE_ORDER
 from wordrace.words import (
     MalformedWordError,
@@ -16,6 +21,7 @@ from wordrace.words import (
     conjugate,
     format_word,
     invert,
+    reduce_word,
 )
 
 
@@ -61,6 +67,26 @@ def prove_finite(extended, budget, mode=WORDS_MODE, max_table_order=DEFAULT_MAX_
     return None
 
 
+def race_reference(p, x, budget, tau_mode=WORDS_MODE, max_table_order=DEFAULT_MAX_TABLE_ORDER):
+    """The race as a plain loop of strict alternation, every turn taken: the ``Outcome`` solve must return."""
+    target = reduce_word(x)
+    if target == b"":
+        return Outcome(EQUAL, EqualityCertificate(factors=(), target=b""), 0, 0)
+    arms = (
+        EqualityTask(p, target),
+        FinitenessTask(extend(p, target), mode=tau_mode, max_table_order=max_table_order),
+    )
+    turn = 0
+    while budget.max_total_steps is None or turn < budget.max_total_steps:
+        arm = arms[turn // budget.quantum % 2]
+        cert = arm.step()
+        if cert is not None:
+            verdict = EQUAL if arm is arms[0] else NOT_EQUAL
+            return Outcome(verdict, cert, arms[0].steps_taken, arms[1].steps_taken)
+        turn += 1
+    return Outcome(EXHAUSTED, None, arms[0].steps_taken, arms[1].steps_taken)
+
+
 def assemble(factors, p):
     """Free reduction of the product of conjugated relators; may pull relators."""
     parts = []
@@ -102,3 +128,24 @@ def serialize_certificate(cert, p):
     if isinstance(cert, FinitenessCertificate):
         return serialize_finiteness(cert, p)
     raise TypeError(f"not a certificate: {cert!r}")
+
+
+def stream_presentation(tmp_path, body, *args):
+    """A presentation over a and b whose stream runs ``body`` as a Python script."""
+    script = tmp_path / "emit.py"
+    script.write_text(textwrap.dedent(body))
+    command = " ".join(map(str, (sys.executable, script, *args)))
+    return parse_presentation(f"generators: a b\nstream: {command}\n")
+
+
+# Writes its pid to argv[1], then prints aa and bb forever, or once if argv[2] is "once".
+PID_SCRIPT = """
+    import os, sys
+    with open(sys.argv[1], "w") as fh:
+        fh.write(str(os.getpid()))
+    while True:
+        print("aa", flush=True)
+        print("bb", flush=True)
+        if sys.argv[2] == "once":
+            break
+"""

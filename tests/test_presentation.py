@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from helpers import serialize_presentation
+from helpers import PID_SCRIPT, serialize_presentation, stream_presentation
 from wordrace.presentation import (
     PresentationSyntaxError,
     SourceExhausted,
@@ -219,14 +219,6 @@ def test_prefix_document_is_canonical():
     assert prefix_document(p, 0) == "generators: a b\n"
 
 
-def stream_presentation(tmp_path, body, *args):
-    """A presentation over a and b whose stream runs ``body`` as a Python script."""
-    script = tmp_path / "emit.py"
-    script.write_text(textwrap.dedent(body))
-    command = " ".join(map(str, (sys.executable, script, *args)))
-    return parse_presentation(f"generators: a b\nstream: {command}\n")
-
-
 def test_failed_stream_stays_failed(tmp_path):
     p = stream_presentation(tmp_path, 'print("aa")\nprint("zz")\nprint("bb")\n')
     try:
@@ -260,18 +252,6 @@ def test_stream_non_ascii_line_is_stream_error(tmp_path):
         assert p.pulled_count == 1
     finally:
         p.close()
-
-
-PID_SCRIPT = """
-    import os, sys
-    with open(sys.argv[1], "w") as fh:
-        fh.write(str(os.getpid()))
-    while True:
-        print("aa", flush=True)
-        print("bb", flush=True)
-        if sys.argv[2] == "once":
-            break
-"""
 
 
 def assert_gone(pid):

@@ -1,10 +1,13 @@
-"""The two-arm race: verdicts, fairness, determinism."""
+"""The two-arm race: verdicts, fairness, determinism, spent arms."""
 
 import pytest
 
+from helpers import PID_SCRIPT, race_reference, stream_presentation
 from wordrace.certcheck import verify_equality, verify_finiteness
+from wordrace.derivation import EqualityTask
 from wordrace.oracle import is_identity_dinf, is_identity_z
 from wordrace.presentation import extend, parse_presentation
+from wordrace.quotient import LETTERS_MODE, WORDS_MODE, FinitenessTask
 from wordrace.scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Budget, solve
 from wordrace.words import parse_word
 
@@ -132,3 +135,147 @@ def test_huge_quantum_costs_nothing_up_front():
     out = solve(p, parse_word("a", p.alphabet), Budget(10, quantum=10**12))
     assert out.verdict == EXHAUSTED
     assert (out.steps_equal_arm, out.steps_finite_arm) == (10, 0)
+
+
+# -- spent arms: retired from the race with the outcome unchanged ----------
+
+F2 = "generators: a b\n"
+TRIVIAL_RELATORS = "generators: a b\nrelator: aA\nrelator: bB\n"
+POWERS = "generators: a b\nfamily: powers aa bb\n"
+Z10 = "generators: a\nrelator: aaaaaaaaaa\n"
+
+# (presentation, word, tau mode, order cap, whether a verdict exists)
+RACES = {
+    "f2-a": (F2, "a", WORDS_MODE, 8, False),  # the equality arm is spent
+    "trivial-relators-a": (TRIVIAL_RELATORS, "a", WORDS_MODE, 8, False),  # spent at stage 2
+    "z-a9-cap8": (Z, "a" * 9, WORDS_MODE, 8, False),  # both arms are spent
+    "dinf-ab5": (DINF, "ab" * 5, WORDS_MODE, 8, False),  # the finiteness arm is spent
+    "dinf-abab": (DINF, "abab", WORDS_MODE, 8, True),
+    "dinf-aa": (DINF, "aa", WORDS_MODE, 8, True),
+    "powers-abab": (POWERS, "abab", WORDS_MODE, 8, True),  # never spent
+    "z-aaa-letters": (Z, "aaa", LETTERS_MODE, 8, False),  # the equality arm is spent
+    "z-a8": (Z, "a" * 8, WORDS_MODE, 8, True),  # the finiteness arm wins alone at its step 17
+    "z10-a40": (Z10, "a" * 40, WORDS_MODE, 8, True),  # the equality arm wins alone at its step 6181
+}
+
+# The arms are checked after 2^k - 1 turns: budgets either side of those
+# up to 2^11, the smallest ones, one of about 10^4 that ends inside a
+# quantum for every quantum but 1, and one inside the second quantum.
+CHECK_SIDES = sorted({b for k in range(1, 12) for b in (2**k - 2, 2**k)})
+
+
+@pytest.mark.parametrize("quantum", [1, 2, 3, 7, 1500, 10**12])
+@pytest.mark.parametrize("race", list(RACES), ids=list(RACES))
+def test_solve_equals_the_strict_alternation(race, quantum):
+    text, word, mode, cap, decided = RACES[race]
+    p = parse_presentation(text)
+    x = parse_word(word, p.alphabet)
+
+    def check(budget):
+        expected = race_reference(p, x, budget, tau_mode=mode, max_table_order=cap)
+        assert solve(p, x, budget, tau_mode=mode, max_table_order=cap) == expected, budget
+        return expected
+
+    totals = [0, 1, *CHECK_SIDES, 10_007]
+    if quantum < 10**12:
+        totals.append(5 * quantum // 2)
+        if decided:  # with a huge quantum the equality arm would first run 10^12 steps
+            verdict = check(Budget(None, quantum))
+            turns = verdict.steps_equal_arm + verdict.steps_finite_arm
+            totals += [turns - 1, turns]  # the last budget without the verdict, the first with it
+    for total in totals:
+        check(Budget(total, quantum))
+
+
+def equality_arm(text, word):
+    p = parse_presentation(text)
+    return EqualityTask(p, parse_word(word, p.alphabet))
+
+
+def finiteness_arm(text, word, max_table_order=8):
+    p = parse_presentation(text)
+    return FinitenessTask(extend(p, parse_word(word, p.alphabet)), max_table_order=max_table_order)
+
+
+def test_equality_arm_is_spent_once_stage_1_finds_no_relator():
+    arm = equality_arm(F2, "a")
+    for _ in range(2):  # stage 0 and its empty product
+        assert not arm.spent
+        arm.step()
+    assert not arm.spent
+    arm.step()  # stage 1 finds the source exhausted
+    assert arm.spent
+
+
+def test_equality_arm_with_trivial_relators_is_spent_at_stage_2():
+    arm = equality_arm(TRIVIAL_RELATORS, "a")
+    while arm.stream.stage < 2:
+        assert not arm.spent
+        arm.step()
+    assert arm.stream.stage == 2 and arm.spent
+
+
+@pytest.mark.parametrize("text", [DINF, POWERS], ids=["dinf", "powers"])
+def test_equality_arm_with_relators_is_never_spent(text):
+    arm = equality_arm(text, "ab" * 5)
+    for _ in range(5000):
+        assert arm.step() is None
+        assert not arm.spent
+
+
+def test_coset_arm_is_spent_at_the_first_join_check():
+    # <a | a^9> closes with 9 cosets, above the cap, and no relator can join.
+    arm = finiteness_arm(Z, "a" * 9)
+    for _ in range(999):
+        assert arm.step() is None
+        assert not arm.spent
+    assert arm.step() is None
+    assert arm.spent
+
+
+def test_coset_arm_is_not_spent_while_it_can_close():
+    arm = finiteness_arm(DINF, "ab" * 5, max_table_order=10)
+    while (cert := arm.step()) is None:
+        assert not arm.spent
+    assert cert.table.order == 10
+
+
+def test_coset_arm_over_a_family_is_never_spent():
+    arm = finiteness_arm(POWERS, "ab" * 5, max_table_order=1)  # closes at order 10 on the prefix
+    for _ in range(5000):
+        assert arm.step() is None
+        assert not arm.spent
+
+
+def test_letters_mode_arm_is_never_spent():
+    p = parse_presentation(Z)
+    arm = FinitenessTask(extend(p, parse_word("a" * 9, p.alphabet)), mode=LETTERS_MODE)
+    for _ in range(2000):
+        assert arm.step() is None
+        assert not arm.spent
+
+
+def test_reading_spent_pulls_nothing(tmp_path):
+    pid_file = tmp_path / "pid"
+    p = stream_presentation(tmp_path, PID_SCRIPT, pid_file, "forever")
+    try:
+        x = parse_word("ab" * 5, p.alphabet)  # G1 has order 10, above the cap
+        arms = (EqualityTask(p, x), FinitenessTask(extend(p, x)))
+        assert not any(arm.spent for arm in arms)
+        assert not pid_file.exists() and p.pulled_count == 0
+        for _ in range(3000):
+            for arm in arms:
+                arm.step()
+        pulled = p.pulled_count
+        assert pulled > 0
+        assert not any(arm.spent for arm in arms)  # a never-ending stream
+        assert p.pulled_count == pulled
+    finally:
+        p.close()
+
+
+def test_both_arms_spent_ends_a_bounded_run_at_once():
+    p = parse_presentation(Z)
+    out = solve(p, parse_word("a" * 9, p.alphabet), Budget(10**15 + 4, 3))
+    assert out.verdict == EXHAUSTED
+    assert (out.steps_equal_arm, out.steps_finite_arm) == (5 * 10**14 + 3, 5 * 10**14 + 1)
