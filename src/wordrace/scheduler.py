@@ -13,12 +13,12 @@ finite, which it is whatever X is.
 
 An arm can be ``spent``: no later step of it can return a certificate, as
 the equality arm once the source is exhausted with no nonempty relator, or
-a coset table closed above the order cap on an exhausted source.  The arms are checked after
-1, 3, 7, 15, ... turns.  From the first check that finds one arm spent,
-the other arm runs alone over the turns the alternation gives it, and the
-spent arm's turns are counted, not taken: its step count follows from the
-turn cycle.  With both arms spent a bounded run ends at once, exhausted.
-Outcomes are those of taking every turn.
+a coset table closed above the order cap on an exhausted source.  The arms
+are checked after 1, 3, 7, 15, ... turns.  From the first check that finds
+one arm spent, the other arm runs alone over the turns the alternation
+gives it, and the spent arm's turns are counted, not taken: its step count
+follows from the turn cycle.  With both arms spent a bounded run ends at
+once, exhausted.  Outcomes are those of taking every turn.
 
 A step is one EqualityTask quantum (one Dyck candidate assembled and
 compared, or one stage advance) or one FinitenessTask quantum.  The word

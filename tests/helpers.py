@@ -67,15 +67,12 @@ def prove_finite(extended, budget, mode=WORDS_MODE, max_table_order=DEFAULT_MAX_
     return None
 
 
-def race_reference(p, x, budget, tau_mode=WORDS_MODE, max_table_order=DEFAULT_MAX_TABLE_ORDER):
+def race_reference(p, x, budget, tau_mode=WORDS_MODE):
     """The race as a plain loop of strict alternation, every turn taken: the ``Outcome`` solve must return."""
     target = reduce_word(x)
     if target == b"":
         return Outcome(EQUAL, EqualityCertificate(factors=(), target=b""), 0, 0)
-    arms = (
-        EqualityTask(p, target),
-        FinitenessTask(extend(p, target), mode=tau_mode, max_table_order=max_table_order),
-    )
+    arms = (EqualityTask(p, target), FinitenessTask(extend(p, target), mode=tau_mode))
     turn = 0
     while budget.max_total_steps is None or turn < budget.max_total_steps:
         arm = arms[turn // budget.quantum % 2]
