@@ -46,8 +46,7 @@ def _build_parser() -> _Parser:
     )
     ps.add_argument("--quantum", type=int, default=1, help="steps per arm turn")
     ps.add_argument("--max-table-order", type=int, default=DEFAULT_MAX_TABLE_ORDER,
-                    help="largest table order a finiteness certificate may have; in words mode the order "
-                         "of the emitted table, in letters mode that of every table searched")
+                    help="largest order of the table a finiteness certificate emits, in either tau mode")
     ps.add_argument("--strict-tau", action="store_true",
                     help="literal letter-valued surjections instead of word-valued assignments")
     ps.add_argument("--json", action="store_true", dest="as_json")

@@ -62,18 +62,13 @@ class RelatorSource:
     The producer iterates over the relators beyond the prefix; its end is the
     source's exhaustion, and the first error it raises is raised again by
     every later pull that needs a new relator.  ``inline_count`` is the
-    length of the prefix.  ``lattice`` is a finite list
-    of relators whose exponent sums span those of every relator, or None when
-    none is known, as for a stream.  Pulls are serialized by a lock.
+    length of the prefix.  Pulls are serialized by a lock.
     """
 
-    def __init__(
-        self, prefix: Iterable[Word], producer: Iterable[Word] = (), lattice: tuple[Word, ...] | None = None
-    ):
+    def __init__(self, prefix: Iterable[Word], producer: Iterable[Word] = ()):
         self._cache: list[Word] = list(prefix)
         self.inline_count = len(self._cache)
         self._producer = iter(producer)
-        self._lattice = lattice
         self._error: BaseException | None = None
         self._lock = threading.Lock()
 
@@ -105,10 +100,6 @@ class RelatorSource:
         """Pull and report how many relators with index < upto exist."""
         self._pull_until(upto)
         return min(upto, len(self._cache))
-
-    def lattice_relators(self) -> tuple[Word, ...] | None:
-        """Finitely many relators whose exponent sums span those of every relator; or None."""
-        return self._lattice
 
     def close(self) -> None:
         """Close the producer; a stream stops its command."""
@@ -187,13 +178,6 @@ class Presentation:
         if self.extended_by is not None:
             return 1 + self.source.available(upto - 1)
         return self.source.available(upto)
-
-    def lattice_relators(self) -> tuple[Word, ...] | None:
-        """X, then the source's relators spanning its exponent-sum lattice; or None."""
-        relators = self.source.lattice_relators()
-        if relators is None or self.extended_by is None:
-            return relators
-        return (self.extended_by,) + relators
 
     @property
     def pulled_count(self) -> int:
@@ -275,7 +259,7 @@ def parse_presentation(text: str) -> Presentation:
         raise PresentationSyntaxError("missing generators line")
 
     if tail is None:
-        source = RelatorSource(inline, lattice=tuple(inline))
+        source = RelatorSource(inline)
     elif tail[0] == "stream":
         source = RelatorSource(inline, _stream(tail[1], alphabet))
     else:
@@ -289,8 +273,7 @@ def parse_presentation(text: str) -> Presentation:
             raise PresentationSyntaxError(str(exc), tail_line) from exc
         if not base:
             raise PresentationSyntaxError("family powers needs at least one base word")
-        # t.w.t^-1 has the exponent sums of w, and w itself is relator t_0.w.t_0^-1.
-        source = RelatorSource(inline, _powers(base, alphabet), lattice=tuple(inline) + base)
+        source = RelatorSource(inline, _powers(base, alphabet))
 
     return Presentation(alphabet, source)
 

@@ -13,7 +13,8 @@ finite, which it is whatever X is.
 
 An arm can be ``spent``: no later step of it can return a certificate, as
 the equality arm once the source is exhausted with no nonempty relator, or
-a coset table closed above the order cap on an exhausted source.  The arms
+a coset table closed on an exhausted source without a certificate (above
+the order cap, or, in letters mode, with no letter-valued one).  The arms
 are checked after 1, 3, 7, 15, ... turns.  From the first check that finds
 one arm spent, the other arm runs alone over the turns the alternation
 gives it, and the spent arm's turns are counted, not taken: its step count
@@ -30,6 +31,7 @@ relator stream cannot block a trivially true query.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 
 from .derivation import EqualityCertificate, EqualityTask
@@ -51,8 +53,8 @@ class Budget:
     quantum: int = 1
 
     def __post_init__(self):
-        if self.quantum < 1:
-            raise ValueError("quantum must be >= 1")
+        if not 1 <= self.quantum <= sys.maxsize:  # the turn pipeline repeats each step quantum times
+            raise ValueError(f"quantum must be between 1 and {sys.maxsize}")
         if self.max_total_steps is not None and self.max_total_steps < 0:
             raise ValueError("budget must be >= 0 or unlimited")
 

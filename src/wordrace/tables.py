@@ -1,5 +1,11 @@
 """Multiplication tables of finite groups, one representative per isomorphism class.
 
+The solver searches none of these tables: in both tau modes the
+finiteness arm reads its table off a coset enumeration (``cosets``,
+``quotient``).  ``is_group_table`` is the verifier's table check, and the
+enumeration serves ``wordrace enum-tables`` and the public
+``enumerate_tables`` and ``table_at_cursor``.
+
 A table of order r is an r x r array ``cells[i][j] = k`` meaning u_i.u_j = u_k,
 with element 0 pinned as the identity.  Valid tables satisfy the identity
 row/column, the Latin-square property, and associativity; a finite associative
@@ -36,10 +42,10 @@ from functools import cached_property
 
 from .words import Word
 
-# The largest order of a finiteness certificate's table.  In letters mode it
-# bounds the candidate space, not enumeration cost: a table of order r opens
-# a block of k^r letter maps.  In words mode it caps the order of the closed
-# coset table that is emitted.  8 covers the full corpus.  Configurable per run.
+# The largest order of a finiteness certificate's table, in either tau mode:
+# the closed coset table's order in words mode, and in letters mode that
+# order times the most generators sharing one class.  8 covers the full
+# corpus.  Configurable per run.
 DEFAULT_MAX_TABLE_ORDER = 8
 
 
@@ -62,11 +68,6 @@ class MultiplicationTable:
         for e, row in enumerate(self.cells):
             inv[e] = row.index(0)
         return tuple(inv)
-
-    @cached_property
-    def generators(self) -> tuple[int, ...]:
-        """The table's greedy generating set, ``generating_set(cells)``."""
-        return generating_set(self.cells)
 
 
 def generating_set(cells) -> tuple[int, ...]:

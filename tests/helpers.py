@@ -1,11 +1,13 @@
 """Test-side conveniences and reference enumerations built on the library.
 
 None of these runs on the solver's path: they drive a task or the race to
-a budget, re-assemble a product the slow way, index the Dyck enumeration
-by cursor, print a presentation or certificate back, or write a stream
-source, so that tests can state what the solver must match.
+a budget, search for a letters-mode quotient by brute force, re-assemble a
+product the slow way, index the Dyck enumeration by cursor, print a
+presentation or certificate back, or write a stream source, so that tests
+can state what the solver must match.
 """
 
+import itertools
 import sys
 import textwrap
 
@@ -14,7 +16,7 @@ from wordrace.derivation import EqualityCertificate, EqualityTask, ProductStream
 from wordrace.presentation import extend, parse_presentation
 from wordrace.quotient import WORDS_MODE, FinitenessCertificate, FinitenessTask
 from wordrace.scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Outcome
-from wordrace.tables import DEFAULT_MAX_TABLE_ORDER
+from wordrace.tables import DEFAULT_MAX_TABLE_ORDER, enumerate_tables
 from wordrace.words import (
     MalformedWordError,
     concat_all,
@@ -67,6 +69,35 @@ def prove_finite(extended, budget, mode=WORDS_MODE, max_table_order=DEFAULT_MAX_
     return None
 
 
+def letter_quotient_exists(words_cert, k, cap):
+    """Whether a letters-mode certificate of order <= cap exists, by brute force.
+
+    ``words_cert`` is the words-mode certificate of G1, whose table H is G1
+    itself and whose ``coverage`` gives each of the k generators' class in
+    H; None stands for G1 infinite or of order above the cap.  Every table
+    of order <= cap, one per isomorphism class, and every letter map onto
+    the generators is tried: the map is a certificate iff the classes of
+    its images multiply as the table does, that is iff every goal word is
+    trivial in G1.
+    """
+    if words_cert is None:
+        return False
+    h, coverage = words_cert.table.cells, words_cert.coverage
+    for r in range(1, cap + 1):
+        for table in enumerate_tables(r):
+            for gens in itertools.product(range(k), repeat=r):
+                if len(set(gens)) < k:
+                    continue
+                classes = [coverage[g] for g in gens]
+                if all(
+                    h[classes[i]][classes[j]] == classes[c]
+                    for i, row in enumerate(table.cells)
+                    for j, c in enumerate(row)
+                ):
+                    return True
+    return False
+
+
 def race_reference(p, x, budget, tau_mode=WORDS_MODE):
     """The race as a plain loop of strict alternation, every turn taken: the ``Outcome`` solve must return."""
     target = reduce_word(x)
@@ -109,12 +140,12 @@ def dyck_at_cursor(c, p):
 
 
 def serialize_presentation(p):
-    """Inverse of parse for inline presentations: finite sources whose lattice list is every relator."""
-    relators = p.source.lattice_relators()
-    if relators is None or p.source.available(len(relators) + 1) > len(relators):
+    """Inverse of parse for inline presentations: sources with no relator past the inline prefix."""
+    n = p.source.inline_count
+    if p.source.available(n + 1) > n:
         raise ValueError("only inline presentations serialize")
     lines = ["generators: " + " ".join(p.alphabet.generators)]
-    lines += ["relator: " + format_word(w, p.alphabet) for w in relators]
+    lines += ["relator: " + format_word(p.source.relator(i), p.alphabet) for i in range(n)]
     return "\n".join(lines) + "\n"
 
 

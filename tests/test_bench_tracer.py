@@ -45,8 +45,9 @@ def layers():
 
 def test_tracer_installs_and_counts(layers):
     originals = (derivation.ProductStream.next_event, quotient.FinitenessTask.step, quotient.equation_words)
-    # Letters mode: the arm whose admissions, goal words and derivation
-    # stream the tracer counts (words mode runs a coset enumeration).
+    # Letters mode, whose translation builds its goal words with
+    # equation_words; both modes run the coset enumeration, which the
+    # tracer does not count.
     p = parse_presentation("generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n")
     tracer = layers.LayerTracer()
     tracer.install()
@@ -61,16 +62,10 @@ def test_tracer_installs_and_counts(layers):
 
     metrics = tracer.metrics()
     assert set(metrics) == METRICS
-    # Admission builds each parked candidate's goal words with equation_words,
-    # so the counter sees admission work, not only the winners' certificates.
-    assert metrics["quotient.goal_words"] >= metrics["quotient.parked_peak"]
     for name in (
         "derivation.products.equal_arm",
-        "derivation.products.finite_arm",
         "derivation.distinct_words",
-        "quotient.admissions",
         "quotient.goal_words",
-        "quotient.parked_peak",
         "presentation.calls",
         "words.calls",
     ):

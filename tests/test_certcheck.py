@@ -29,6 +29,7 @@ from wordrace.words import parse_word
 DINF = "generators: a b\nrelator: aa\nrelator: bb\n"
 D4 = "generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n"
 Z = "generators: a\n"
+M2 = "generators: a b c\nrelator: bb\nrelator: bC\n"
 
 
 def dinf():
@@ -284,6 +285,7 @@ FUZZ_CASES = {
     "abba": (DINF, "abba", WORDS_MODE, EQUAL),
     "abab": (DINF, "abab", WORDS_MODE, NOT_EQUAL),  # by the Klein group
     "d4-a": (D4, "a", LETTERS_MODE, NOT_EQUAL),  # by Z/2, letters mode
+    "m2-a": (M2, "a", LETTERS_MODE, NOT_EQUAL),  # by Z/2 x Z/2: the class of b and c has two generators
     # Coset-enumeration certificates with shortened edge proofs.
     "abAB": (DINF, "abAB", WORDS_MODE, NOT_EQUAL),  # order 4
     "ababab": (DINF, "ababab", WORDS_MODE, NOT_EQUAL),  # order 6
@@ -350,7 +352,7 @@ MUTATIONS = st.one_of(
 
 
 class TestDocumentFuzzing:
-    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @settings(max_examples=2400, deadline=None, derandomize=True)
     @given(case=st.sampled_from(sorted(FUZZ_CASES)), ops=MUTATIONS)
     def test_mutated_documents_fail_only_as_rejections(self, case, ops):
         # A damaged document is rejected, or parsed and then verified or

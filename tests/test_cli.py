@@ -161,6 +161,17 @@ def test_stream_spawn_failure_is_error_exit(tmp_path, capsys):
     assert "error" in err
 
 
+def test_quantum_above_maxsize_is_error_exit(tmp_path, capsys):
+    # Not a traceback with exit 1, which would read as the not-equal verdict.
+    path = tmp_path / "f2.pres"
+    path.write_text("generators: a b\n")
+    code = main(["solve", str(path), "--word", "a", "--budget", "10", "--quantum", str(sys.maxsize + 1)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("wordrace: error: quantum must be")
+    assert captured.out == ""
+
+
 def test_bad_usage_exits_above_two():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])

@@ -1,5 +1,7 @@
 """The two-arm race: verdicts, fairness, determinism, spent arms."""
 
+import sys
+
 import pytest
 
 from helpers import PID_SCRIPT, race_reference, stream_presentation
@@ -111,6 +113,9 @@ def test_budget_validation():
         Budget(quantum=0)
     with pytest.raises(ValueError):
         Budget(-1)
+    with pytest.raises(ValueError):
+        Budget(10, sys.maxsize + 1)  # itertools.repeat takes at most sys.maxsize
+    assert Budget(10, sys.maxsize).quantum == sys.maxsize
 
 
 def test_exhausted_split_follows_the_turn_cycle():
@@ -247,12 +252,23 @@ def test_coset_arm_over_a_family_is_never_spent():
         assert not arm.spent
 
 
-def test_letters_mode_arm_is_never_spent():
+def test_letters_mode_arm_is_spent_without_a_letter_map():
+    # <a | a^3> closes at order 3, but no generator is trivial, so no letter
+    # map covers the identity: spent at the first join check.  D4 with X = a
+    # is Z/2 over {a, b} and wins at once.
     p = parse_presentation(Z)
-    arm = FinitenessTask(extend(p, parse_word("a" * 9, p.alphabet)), mode=LETTERS_MODE)
-    for _ in range(2000):
+    arm = FinitenessTask(extend(p, parse_word("aaa", p.alphabet)), mode=LETTERS_MODE)
+    for _ in range(999):
         assert arm.step() is None
         assert not arm.spent
+    assert arm.step() is None
+    assert arm.spent
+    p = parse_presentation("generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n")
+    arm = FinitenessTask(extend(p, parse_word("a", p.alphabet)), mode=LETTERS_MODE)
+    for _ in range(6):
+        assert arm.step() is None
+        assert not arm.spent
+    assert arm.step().table.order == 2
 
 
 def test_reading_spent_pulls_nothing(tmp_path):

@@ -201,9 +201,9 @@ class TestIsGroupTable:
         # so on 2-groups the greedy set reaches log2 r even when the group
         # is cyclic.
         assert generating_set(((0,),)) == ()
-        assert [t.generators for t in enumerate_tables(3)] == [(1,)]
-        assert [t.generators for t in enumerate_tables(4)] == [(1, 2), (1, 2)]
-        assert [t.generators for t in enumerate_tables(8)] == [(1, 2, 4)] * 5
+        assert [generating_set(t.cells) for t in enumerate_tables(3)] == [(1,)]
+        assert [generating_set(t.cells) for t in enumerate_tables(4)] == [(1, 2), (1, 2)]
+        assert [generating_set(t.cells) for t in enumerate_tables(8)] == [(1, 2, 4)] * 5
 
 
 class TestEnumeration:
