@@ -28,8 +28,14 @@ the table is full a step is one deduction-only lookahead scan of one
 A closed table of at most ``max_table_order`` cosets yields the fields of
 a finiteness certificate (``proofs.certificate_fields``).  A larger one,
 or one whose proofs are too long to write out, yields nothing, and the
-arm waits for a later relator to change the table; with the source
-exhausted it waits for ever, and is ``spent``.
+arm waits for a later relator to change the table, idle; with the source
+exhausted it waits for ever.
+
+Relator n traces closed at a live coset d once n < scanned[d], and stays
+closed: scanned[d] rises only when the trace closes, and a processed
+coincidence has moved entries onto the surviving coset, opening no cycle.  A
+lookahead scan of such a pair is idle too.  Idle steps are still steps,
+counted, not taken.
 """
 
 from __future__ import annotations
@@ -52,7 +58,9 @@ class CosetEnumeration:
 
     ``step()`` returns None, or, once the table closes with at most
     ``max_table_order`` cosets, the fields of the finiteness certificate.
-    ``coset_peak`` counts the coset slots ever held.
+    ``idle`` counts the next steps certain to return None (math.inf if all
+    are): ``step()`` returns them without resuming the enumeration, and
+    ``skip(k)`` counts k at once.  ``coset_peak`` counts the slots ever held.
     """
 
     def __init__(self, extended: Presentation, max_table_order: int):
@@ -81,19 +89,24 @@ class CosetEnumeration:
         self._free: list[int] = []
         self._queue = deque([0])  # cosets to process, in order of definition
         self._look = (0, -1)  # the lookahead's last (coset, relator)
-        self._closed = False  # waiting, closed, for a relator to join
+        self.idle = 0
         self._events = self._run()
-
-    @property
-    def spent(self) -> bool:
-        """Whether no later step can yield: closed, with no relator left to join."""
-        return self._closed and self._join_at == math.inf
 
     def step(self):
         self.steps += 1
+        if self.idle:
+            self.idle -= 1
+            return None
         if self.steps >= self._next_check:
             self._schedule()
         return next(self._events)
+
+    def skip(self, k):
+        """Count k idle steps without taking them."""
+        if k > self.idle:
+            raise ValueError("only idle steps can be skipped")
+        self.steps += k
+        self.idle -= k
 
     def _schedule(self):
         s = self.steps
@@ -142,10 +155,9 @@ class CosetEnumeration:
                 fields = certificate_fields(self._table, self._proof, self._rels, self.k2)
                 if fields is not None:
                     yield fields
-            self._closed = True
             while not queue:  # closed: wait for a relator to join
+                self.idle = self._join_at - self.steps - 1
                 yield None
-            self._closed = False
 
     def _process(self, c):
         parent, scanned, rels = self._parent, self._scanned, self._rels
@@ -199,9 +211,11 @@ class CosetEnumeration:
         """Steps while the table is full and c.x is still to be defined.
 
         Each scans the next (live coset, relator) pair without defining, and
-        may deduce an entry or find a coincidence.
+        may deduce an entry or find a coincidence.  A closed pair finds nothing
+        and is not traced; the closed pairs after it are idle, and the cursor
+        jumps past them.
         """
-        parent, table, rels = self._parent, self._table, self._rels
+        parent, table, rels, scanned = self._parent, self._table, self._rels, self._scanned
         d, n = self._look
         while self.live >= self._limit and parent[c] == c and table[c][x] < 0:
             n += 1
@@ -209,12 +223,36 @@ class CosetEnumeration:
                 d, n = d + 1, 0
             while d >= len(parent) or parent[d] != d:
                 d, n = (d + 1 if d < len(parent) else 0), 0
+            if n < scanned[d]:  # a closed pair, the first of a run
+                self.idle, (d, n) = self._closed_run(d, n)
+                yield None
+                continue
             f, i, b, j = self._trace(rels[n][1], d, 0, d, len(rels[n][1]))
             if j == i + 1 or (j == i and f != b):
                 yield from self._event(d, rels[n], f, i, b, j) or _ONE_STEP
             else:
                 yield None
         self._look = (d, n)
+
+    def _closed_run(self, d, n):
+        """(k, the k-th pair) for the k closed pairs after (d, n), up to the next open one, check or wrap.
+
+        The table is full, so every slot is live: slots are added only when
+        none is free, and never past the limit.  Up to the wrap back to slot
+        0, pair (e, m) is number e * rels + m in cursor order.
+        """
+        scanned, rels = self._scanned, len(self._rels)
+        if n + 1 < rels and scanned[d] < rels:  # an open pair at d
+            end = d * rels + scanned[d]
+        elif d + 1 == len(scanned) or not scanned[d + 1]:  # the wrap, or an open pair (d + 1, 0)
+            end = (d + 1) * rels
+        else:
+            tail = scanned[d + 1 :]
+            e = d + 1 + min((tail.index(m) for m in range(rels) if m in tail), default=len(tail))
+            end = e * rels + (scanned[e] if e < len(scanned) else 0)
+        here = d * rels + n
+        k = max(0, min(self._next_check - self.steps - 1, end - here - 1))
+        return k, divmod(here + k, rels)
 
     def _define(self, c, x):
         table, parent = self._table, self._parent

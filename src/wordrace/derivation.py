@@ -27,6 +27,7 @@ neither is stored.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -147,17 +148,19 @@ class EqualityTask:
         self.target = reduce_word(target)
         self.stream = ProductStream(presentation)
         self.steps_taken = 0
+        self.idle = 0  # steps certain to return None: math.inf once the stages left are all empty
         self.certificate: EqualityCertificate | None = None
 
     @property
     def spent(self) -> bool:
-        """Whether no later step can return a certificate; reads state, pulls nothing.
+        """Whether no later step can return a certificate."""
+        return self.idle == math.inf
 
-        True once a stage >= 1 has found the source exhausted with no nonempty
-        relator: stage 0 is behind it, and every later stage is empty.
-        """
-        stream = self.stream
-        return stream._exhausted and not stream._nonempty
+    def skip(self, k: int) -> None:
+        """Count k idle steps without taking them."""
+        if k > self.idle:
+            raise ValueError("only idle steps can be skipped")
+        self.steps_taken += k
 
     def step(self) -> EqualityCertificate | None:
         """Advance one quantum; return a certificate once the target is found."""
@@ -165,7 +168,10 @@ class EqualityTask:
             raise ValueError("task already resolved")
         self.steps_taken += 1
         ev = self.stream.next_event()
-        if ev[0] == "product" and ev[2] == self.target:
-            self.certificate = EqualityCertificate(factors=ev[1], target=self.target)
-            return self.certificate
+        if ev[0] == "product":
+            if ev[2] == self.target:
+                self.certificate = EqualityCertificate(factors=ev[1], target=self.target)
+                return self.certificate
+        elif self.stream._exhausted and not self.stream._nonempty:  # a stage >= 1 found no relator
+            self.idle = math.inf
         return None

@@ -44,6 +44,7 @@ the coverage map (words mode) and one derivation per nonempty goal word.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .cosets import CosetEnumeration
@@ -122,8 +123,9 @@ class FinitenessTask:
     """The finiteness arm: one ``step()`` per quantum, a step of the coset enumeration.
 
     In letters mode a closed table's certificate is translated by
-    ``_letters_certificate``.  ``coset_peak`` counts the coset slots held.
-    ``admitted`` reads 0: ``bench/layers.py`` reads it on every step.
+    ``_letters_certificate``.  ``idle`` and ``skip`` are the enumeration's.
+    ``coset_peak`` counts the coset slots held.  ``admitted`` reads 0:
+    ``bench/layers.py`` reads it on every step.
     """
 
     admitted = 0
@@ -146,13 +148,19 @@ class FinitenessTask:
         self.cosets = CosetEnumeration(extended, max_table_order)
 
     @property
-    def spent(self) -> bool:
-        """Whether no later step can return a certificate; reads state, pulls nothing.
+    def idle(self):
+        """Steps certain to return None; math.inf once the table has closed with no certificate or relator to come."""
+        return self.cosets.idle
 
-        Once the coset table has closed without a certificate and no
-        relator is left to join.
-        """
-        return self.cosets.spent
+    @property
+    def spent(self) -> bool:
+        """Whether no later step can return a certificate."""
+        return self.idle == math.inf
+
+    def skip(self, k: int) -> None:
+        """Count k idle steps without taking them."""
+        self.cosets.skip(k)
+        self.steps_taken += k
 
     @property
     def coset_peak(self) -> int:

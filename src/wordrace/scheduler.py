@@ -16,10 +16,11 @@ the equality arm once the source is exhausted with no nonempty relator, or
 a coset table closed on an exhausted source without a certificate (above
 the order cap, or, in letters mode, with no letter-valued one).  The arms
 are checked after 1, 3, 7, 15, ... turns.  From the first check that finds
-one arm spent, the other arm runs alone over the turns the alternation
-gives it, and the spent arm's turns are counted, not taken: its step count
-follows from the turn cycle.  With both arms spent a bounded run ends at
-once, exhausted.  Outcomes are those of taking every turn.
+one arm spent, the other runs alone over the turns the alternation gives
+it; the spent arm's turns are counted, not taken, and so are the live
+arm's ``idle`` steps, those certain to return None (math.inf when spent),
+one ``skip`` per window.  With both arms spent a bounded run ends at once,
+exhausted.  Outcomes are those of taking every turn.
 
 A step is one EqualityTask quantum (one Dyck candidate assembled and
 compared, or one stage advance) or one FinitenessTask quantum.  The word
@@ -31,6 +32,7 @@ relator stream cannot block a trivially true query.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 
@@ -91,7 +93,6 @@ def solve(
     # seeing both arm classes would defeat CPython's per-site specialization.
     steps = (arm1.step, arm2.step)
     turns = itertools.chain.from_iterable(map(itertools.repeat, itertools.cycle(steps), itertools.repeat(q)))
-    live = (0, 1)  # the arms still taking turns
     left = limit  # turns still to run; None runs until a verdict
     chunk = 1  # turns until the next check for a spent arm
     while left != 0:
@@ -103,15 +104,21 @@ def solve(
             if cert is not None:
                 return _resolved(cert, arm1, arm2, q)
         chunk *= 2
-        unspent = tuple(i for i in live if not arms[i].spent)
+        unspent = [arm for arm in arms if not arm.spent]
         if not unspent and limit is not None:
             break
-        if len(unspent) == 1 < len(live):  # one arm is newly spent: the other runs alone
-            (i,) = unspent
-            turns = itertools.repeat(steps[i])
-            if limit is not None:
-                left = _split(limit, q)[i] - arms[i].steps_taken
-            live = unspent
+        if len(unspent) == 1:  # the other arm runs alone, counting each idle window with one skip
+            (arm,) = unspent
+            end = None if limit is None else _split(limit, q)[arms.index(arm)]  # its steps when the budget runs out
+            while end is None or arm.steps_taken < end:
+                for step in itertools.islice(itertools.repeat(arm.step), None if end is None else end - arm.steps_taken):
+                    if (cert := step()) is not None:
+                        return _resolved(cert, arm1, arm2, q)
+                    if arm.idle:
+                        break
+                if (k := arm.idle if end is None else min(arm.idle, end - arm.steps_taken)) < math.inf:
+                    arm.skip(k)  # else unbounded with both arms spent: the race runs for ever
+            break
     return Outcome(EXHAUSTED, None, *_split(limit, q))
 
 

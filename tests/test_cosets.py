@@ -1,24 +1,26 @@
 """The words-mode finiteness arm: proof-carrying coset enumeration."""
 
+import hashlib
 import math
+import random
 import sys
 
 import pytest
 
 from helpers import prove_finite
-from wordrace import proofs
+from wordrace import cosets, proofs
 from wordrace.certcheck import (
     parse_certificate,
     serialize_finiteness,
     verify_finiteness,
     verify_finiteness_document,
 )
-from wordrace.cosets import COSET_BASE, COSET_RATE, JOIN_STEPS
+from wordrace.cosets import COSET_BASE, COSET_RATE, JOIN_STEPS, CosetEnumeration
 from wordrace.oracle import is_identity_dinf, is_identity_z
 from wordrace.presentation import extend, parse_presentation
-from wordrace.quotient import FinitenessTask
+from wordrace.quotient import LETTERS_MODE, WORDS_MODE, FinitenessTask
 from wordrace.scheduler import EXHAUSTED, NOT_EQUAL, Budget, solve
-from wordrace.words import parse_word
+from wordrace.words import parse_word, reduce_word
 
 Z = "generators: a\n"
 DINF = "generators: a b\nrelator: aa\nrelator: bb\n"
@@ -187,3 +189,157 @@ def test_identical_runs_give_identical_certificates():
         return serialize_finiteness(solve(p, x, Budget()).certificate, extend(p, x))
 
     assert run() == run()
+
+
+# -- idle steps: counted, not taken, with the enumeration unchanged -------
+
+
+def random_presentation(rng, families=False):
+    """Up to three inline relators of length 1-6 over two or three generators, and a word of length 1-4.
+
+    With ``families`` three in ten also get a ``family: powers`` of one
+    base word of length 1-4, whose relators join the enumeration.
+    """
+    gens = rng.choice(["a b", "a b c"]).split()
+    letters = gens + [g.upper() for g in gens]
+    rels = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 6))) for _ in range(rng.randint(0, 3))]
+    text = f"generators: {' '.join(gens)}\n" + "".join(f"relator: {r}\n" for r in rels)
+    if families and rng.random() < 0.3:
+        text += f"family: powers {''.join(rng.choice(letters) for _ in range(rng.randint(1, 4)))}\n"
+    return text, "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+
+
+def random_extended(rng, families=False):
+    """A random presentation extended by its word, drawn until the word is not trivial."""
+    while True:
+        text, word = random_presentation(rng, families)
+        p = parse_presentation(text)
+        x = parse_word(word, p.alphabet)
+        if reduce_word(x):
+            return text, word, extend(p, x)
+
+
+def enumeration_digest(text, word, steps, every, mode=WORDS_MODE, max_table_order=8, skip=False):
+    """SHA-256 of a finiteness arm's step results, and every ``every`` steps of its enumeration's state.
+
+    The state is the live rows' entries and ``scanned``, the lookahead
+    cursor, the live count and ``spent``.  With ``skip`` the idle steps are
+    counted by ``skip`` and hashed as the Nones they stand for.
+    """
+    p = parse_presentation(text)
+    task = FinitenessTask(extend(p, parse_word(word, p.alphabet)), mode=mode, max_table_order=max_table_order)
+    e = task.cosets
+    h = hashlib.sha256()
+    s = 0
+    while s < steps:
+        if skip and (k := min(task.idle, steps - s, every - s % every)):
+            task.skip(k)
+            h.update(b"-" * k)
+            s += k
+        else:
+            s += 1
+            out = task.step()
+            h.update(b"-" if out is None else repr((out.table, out.images, out.coverage)).encode())
+            if out is not None:
+                break
+        if s % every == 0:
+            live = [c for c in range(len(e._parent)) if e._parent[c] == c]
+            h.update(repr([(c, e._table[c][: e.k2], e._scanned[c]) for c in live]).encode())
+            h.update(repr((s, e._look, e.live, task.spent)).encode())
+    return h.hexdigest()
+
+
+# Captured before idle steps were counted instead of taken, by stepping every step.
+STATE_GOLDEN = [
+    pytest.param("generators: a b\n", "a", 200_000, 2000, WORDS_MODE, 8, COSET_BASE,
+                 "2384c91d2ea244a7b4a768c6ad5df922c510fea8facff0bfa62518eecfaab967", id="f2-a"),
+    pytest.param(DINF, "bbbb", 20_000, 500, WORDS_MODE, 8, COSET_BASE,
+                 "4e55c0dbdc4e81e9ecef15d990aa7517180c9f9c18dd8010ba0322ff59cbc37a", id="dinf-bbbb"),
+    # Ab joins at step 1,000, inside an idle window: the window's cursor move
+    # counts the relators from before the join.
+    pytest.param("generators: a b\nfamily: powers Ab\n", "A", 20_000, 250, WORDS_MODE, 8, COSET_BASE,
+                 "4e283f1d656f79d4a1d9a2e83f979a67b1a74139bbf41d85dbc63345c702473d", id="powers-Ab-A"),
+    pytest.param("generators: a b\nfamily: powers Ab\n", "A", 20_000, 250, WORDS_MODE, 0, COSET_BASE,
+                 "14b3ffc8afa72fc0a5e012c649e54d98261fdbb6eb188356d616d62f8234f24b", id="powers-Ab-A-cap0"),
+    pytest.param("generators: a b\nfamily: powers abAB\n", "a", 40_000, 500, WORDS_MODE, 8, COSET_BASE,
+                 "0b666cec517532f95b40852196db11dfbe22597afe39b5e10f4742df29e0fc21", id="powers-abAB-a"),
+    pytest.param(Z, "aaa", 3_000, 100, LETTERS_MODE, 8, COSET_BASE,
+                 "60cc3f65ee0a2d8a3bf60044d3774d1bf793087f009959c71b7637d4dcbc0b4e", id="z-aaa-letters"),
+    # Here idle runs reach the last slot, where the cursor wraps to slot 0.
+    pytest.param("generators: a b\nfamily: powers b\n", "BAb", 3_000, 10, WORDS_MODE, 8, 8,
+                 "840e99eb90b1afd104c447d42080e8026bc6bd678f6660fe358ba18f779331a5", id="powers-b-BAb-wrap"),
+]
+
+
+@pytest.mark.parametrize("skip", [False, True], ids=["stepped", "skipped"])
+@pytest.mark.parametrize("text, word, steps, every, mode, cap, base, digest", STATE_GOLDEN)
+def test_enumeration_state_unchanged(monkeypatch, text, word, steps, every, mode, cap, base, digest, skip):
+    monkeypatch.setattr(cosets, "COSET_BASE", base)
+    assert enumeration_digest(text, word, steps, every, mode, cap, skip) == digest
+
+
+@pytest.mark.parametrize("skip", [False, True], ids=["stepped", "skipped"])
+@pytest.mark.parametrize(
+    "base, seed, families, digest",
+    [
+        (12, 15, False, "3d6dc252c97025c7b4df9212a09117b09b7c809d5d79d9878f9737d3a4c22f7d"),
+        (8, 21, True, "2e0df5486547a82f1edd3f2a08b196b4d4b706eeb1d15c5261c86a9f362414c1"),
+    ],
+    ids=["inline", "families"],
+)
+def test_enumeration_state_unchanged_on_random_presentations(monkeypatch, base, seed, families, digest, skip):
+    # A small coset limit keeps these tables full, with coincidences, and
+    # family relators join full tables.
+    monkeypatch.setattr(cosets, "COSET_BASE", base)
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(40):
+        text, word, _ = random_extended(rng, families)
+        h.update(enumeration_digest(text, word, 3000, 50, skip=skip).encode())
+    assert h.hexdigest() == digest
+
+
+def traces_closed(table, word, d):
+    e = d
+    for y in word:
+        e = table[e][y]
+        if e < 0:
+            return False
+    return e == d
+
+
+def test_scanned_relators_trace_closed(monkeypatch):
+    # The fact idle steps rest on: once n < scanned[d], relator n traces
+    # closed at the live coset d, and it stays closed through every later
+    # deduction, join and coincidence once processed.  While a coincidence
+    # moves dead rows, one step each, entries are missing for a while.
+    monkeypatch.setattr(cosets, "COSET_BASE", 12)
+    rng = random.Random(1515)
+    checked = 0
+    for _ in range(60):
+        _, _, extended = random_extended(rng)
+        e = CosetEnumeration(extended, 8)
+        for target in sorted(rng.sample(range(1, 3000), 15)):
+            while e.steps < target or any(e._parent[g] not in (g, -1) for g in range(len(e._parent))):
+                if e.idle and rng.random() < 0.5:
+                    e.skip(min(e.idle, target - e.steps))
+                else:
+                    e.step()
+            for d in range(len(e._parent)):
+                if e._parent[d] == d:
+                    for n in range(e._scanned[d]):
+                        assert traces_closed(e._table, e._rels[n][1], d), (extended, e.steps, d, n)
+                        checked += 1
+    assert checked > 20_000
+
+
+def test_only_idle_steps_can_be_skipped():
+    p = parse_presentation("generators: a b\n")
+    task = FinitenessTask(extend(p, parse_word("a", p.alphabet)))
+    while not task.idle:
+        task.step()
+    k = task.idle
+    with pytest.raises(ValueError):
+        task.skip(k + 1)
+    task.skip(k)
+    assert task.steps_taken == task.cosets.steps and task.idle == 0

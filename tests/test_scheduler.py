@@ -1,5 +1,6 @@
 """The two-arm race: verdicts, fairness, determinism, spent arms."""
 
+import math
 import sys
 
 import pytest
@@ -163,6 +164,22 @@ RACES = {
     "z10-a40": (Z10, "a" * 40, WORDS_MODE, True),  # the equality arm wins alone at its step 6181
 }
 
+# Steps (r + 1)^2 at which the coset limit grows, with the F2 table full.
+GROWTH_STEPS = (31**2, 40**2)
+
+
+def growth_budget(steps, quantum):
+    """The least budget that leaves the finiteness arm ``steps`` steps.
+
+    With a quantum of 10^12 that is more turns than the reference can take,
+    so there the budget is ``steps`` turns, all the equality arm's.
+    """
+    if quantum == 10**12:
+        return steps
+    rounds, rest = divmod(steps, quantum)
+    return 2 * quantum * rounds + (quantum + rest if rest else 0)
+
+
 # The arms are checked after 2^k - 1 turns: budgets either side of those
 # up to 2^11, the smallest ones, one of about 10^4 that ends inside a
 # quantum for every quantum but 1, and one inside the second quantum.
@@ -182,6 +199,8 @@ def test_solve_equals_the_strict_alternation(race, quantum):
         return expected
 
     totals = [0, 1, *CHECK_SIDES, 10_007]
+    if race == "f2-a":
+        totals += [growth_budget(s, quantum) for g in GROWTH_STEPS for s in (g - 1, g, g + 1)]
     if quantum < 10**12:
         totals.append(5 * quantum // 2)
         if decided:  # with a huge quantum the equality arm would first run 10^12 steps
@@ -278,6 +297,7 @@ def test_reading_spent_pulls_nothing(tmp_path):
         x = parse_word("ab" * 5, p.alphabet)  # G1 has order 10, above the cap
         arms = (EqualityTask(p, x), FinitenessTask(extend(p, x)))
         assert not any(arm.spent for arm in arms)
+        assert [arm.idle for arm in arms] == [0, 0]
         assert not pid_file.exists() and p.pulled_count == 0
         for _ in range(3000):
             for arm in arms:
@@ -285,9 +305,40 @@ def test_reading_spent_pulls_nothing(tmp_path):
         pulled = p.pulled_count
         assert pulled > 0
         assert not any(arm.spent for arm in arms)  # a never-ending stream
+        assert all(arm.idle < math.inf for arm in arms)
         assert p.pulled_count == pulled
     finally:
         p.close()
+
+
+def test_idle_windows_are_counted_not_taken(monkeypatch):
+    # F2 with X = a: once the table is full nearly every finiteness step
+    # scans a relator cycle already closed.
+    calls = 0
+    step = FinitenessTask.step
+
+    def counted(task):
+        nonlocal calls
+        calls += 1
+        return step(task)
+
+    monkeypatch.setattr(FinitenessTask, "step", counted)
+    p = parse_presentation(F2)
+    out = solve(p, parse_word("a", p.alphabet), Budget())
+    assert (out.verdict, out.steps_equal_arm, out.steps_finite_arm) == (EXHAUSTED, 500_000, 500_000)
+    assert calls < 10**4
+
+
+def test_only_idle_steps_of_the_equality_arm_can_be_skipped():
+    arm = equality_arm(DINF, "ab")
+    with pytest.raises(ValueError):
+        arm.skip(1)
+    arm = equality_arm(F2, "a")
+    for _ in range(3):
+        arm.step()
+    assert arm.idle == math.inf
+    arm.skip(10**15)
+    assert arm.steps_taken == 10**15 + 3 and arm.spent
 
 
 def test_both_arms_spent_ends_a_bounded_run_at_once():
