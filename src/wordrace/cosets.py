@@ -103,7 +103,7 @@ class CosetEnumeration:
 
     def skip(self, k):
         """Count k idle steps without taking them."""
-        if k > self.idle:
+        if not 0 <= k <= self.idle:
             raise ValueError("only idle steps can be skipped")
         self.steps += k
         self.idle -= k

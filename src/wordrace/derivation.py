@@ -158,7 +158,7 @@ class EqualityTask:
 
     def skip(self, k: int) -> None:
         """Count k idle steps without taking them."""
-        if k > self.idle:
+        if not 0 <= k <= self.idle:
             raise ValueError("only idle steps can be skipped")
         self.steps_taken += k
 
