@@ -194,3 +194,128 @@ def test_module_entry_point(z_pres):
     assert proc.returncode == 1
     assert proc.stdout.startswith("verdict: not-equal")
     assert "wall-time-ms:" in proc.stderr
+
+
+EQUAL_CERT = """\
+certificate: equality
+presentation: f71096e423a3be943656fd58715a1fa94019ec7401e778922951e924705627a9
+target: abba
+relators-used: 2
+factors: 2
+factor:  0 +
+factor: A 1 +
+end: certificate
+"""
+
+Z3_CERT = """\
+certificate: finiteness
+presentation: 4057408fd0d93cd826e8e3031e4f23887fa053b77a61b0f49a46940b5bb7a9ba
+target: aaa
+tau-mode: words
+relators-used: 1
+order: 3
+row: 0 1 2
+row: 1 2 0
+row: 2 0 1
+image: 
+image: a
+image: A
+cover: a 1
+equation-certs: 2
+cell: 1 1
+certificate: equality
+presentation: 4057408fd0d93cd826e8e3031e4f23887fa053b77a61b0f49a46940b5bb7a9ba
+target: aaa
+relators-used: 1
+factors: 1
+factor:  0 +
+end: certificate
+cell: 2 2
+certificate: equality
+presentation: 4057408fd0d93cd826e8e3031e4f23887fa053b77a61b0f49a46940b5bb7a9ba
+target: AAA
+relators-used: 1
+factors: 1
+factor:  0 -
+end: certificate
+cover-certs: 0
+end: certificate
+"""
+
+# (presentation, arguments, exit code, stdout): each outcome kind as text and as JSON.
+SOLVE_DOCUMENTS = {
+    "equal": (DINF_TEXT, ["--word", "abAaba"], 0, f"""\
+verdict: equal
+word: abAaba
+reduced: abba
+budget: 1000000
+quantum: 1
+steps-equal-arm: 109
+steps-finite-arm: 108
+
+{EQUAL_CERT}"""),
+    "equal-json": (DINF_TEXT, ["--word", "abAaba", "--json"], 0, f"""\
+{{
+  "budget": 1000000,
+  "certificate": {json.dumps(EQUAL_CERT)},
+  "quantum": 1,
+  "reduced": "abba",
+  "steps_equal_arm": 109,
+  "steps_finite_arm": 108,
+  "verdict": "equal",
+  "word": "abAaba"
+}}
+"""),
+    "exhausted": ("generators: a b\n", ["--word", "a", "--budget", "20", "--quantum", "3"], 2, """\
+verdict: exhausted
+word: a
+reduced: a
+budget: 20
+quantum: 3
+steps-equal-arm: 11
+steps-finite-arm: 9
+"""),
+    "exhausted-json": ("generators: a b\n", ["--word", "a", "--budget", "20", "--quantum", "3", "--json"], 2, """\
+{
+  "budget": 20,
+  "certificate": null,
+  "quantum": 3,
+  "reduced": "a",
+  "steps_equal_arm": 11,
+  "steps_finite_arm": 9,
+  "verdict": "exhausted",
+  "word": "a"
+}
+"""),
+    "not-equal-unlimited": (Z_TEXT, ["--word", "aaa", "--unlimited"], 1, f"""\
+verdict: not-equal
+word: aaa
+reduced: aaa
+budget: unlimited
+quantum: 1
+steps-equal-arm: 7
+steps-finite-arm: 7
+
+{Z3_CERT}"""),
+    "not-equal-unlimited-json": (Z_TEXT, ["--word", "aaa", "--unlimited", "--json"], 1, f"""\
+{{
+  "budget": null,
+  "certificate": {json.dumps(Z3_CERT)},
+  "quantum": 1,
+  "reduced": "aaa",
+  "steps_equal_arm": 7,
+  "steps_finite_arm": 7,
+  "verdict": "not-equal",
+  "word": "aaa"
+}}
+"""),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVE_DOCUMENTS), ids=list(SOLVE_DOCUMENTS))
+def test_solve_document_bytes(case, tmp_path, capsys):
+    text, args, code, expected = SOLVE_DOCUMENTS[case]
+    path = tmp_path / "g.pres"
+    path.write_text(text)
+    assert main(["solve", str(path), *args]) == code
+    assert capsys.readouterr().out == expected
