@@ -1,4 +1,4 @@
-"""Proof-carrying coset enumeration: the words-mode finiteness arm.
+"""Proof-carrying coset enumeration: the engine of the finiteness arm.
 
 G1 = <S | X, R_0, R_1, ...> is finite exactly when Todd-Coxeter enumeration
 of the cosets of its trivial subgroup closes on some prefix of the
@@ -36,6 +36,9 @@ closed: scanned[d] rises only when the trace closes, and a processed
 coincidence has moved entries onto the surviving coset, opening no cycle.  A
 lookahead scan of such a pair is idle too.  Idle steps are still steps,
 counted, not taken.
+
+``quotient.FinitenessTask`` is this class with the arm's certificate on
+top: the race steps, skips and counts the enumeration itself.
 """
 
 from __future__ import annotations
@@ -59,15 +62,17 @@ class CosetEnumeration:
     ``step()`` returns None, or, once the table closes with at most
     ``max_table_order`` cosets, the fields of the finiteness certificate.
     ``idle`` counts the next steps certain to return None (math.inf if all
-    are): ``step()`` returns them without resuming the enumeration, and
-    ``skip(k)`` counts k at once.  ``coset_peak`` counts the slots ever held.
+    are, and the enumeration is ``spent``): ``step()`` returns them without
+    resuming the enumeration, and ``skip(k)`` counts k at once.
+    ``steps_taken`` counts both kinds; ``coset_peak`` counts the slots ever
+    held.
     """
 
     def __init__(self, extended: Presentation, max_table_order: int):
         self.extended = extended
         self.max_table_order = max_table_order
         self.k2 = 2 * extended.alphabet.k
-        self.steps = 0
+        self.steps_taken = 0
         self.live = 1
         self.coset_peak = 1
         self._limit = COSET_BASE
@@ -93,23 +98,28 @@ class CosetEnumeration:
         self._events = self._run()
 
     def step(self):
-        self.steps += 1
+        self.steps_taken += 1
         if self.idle:
             self.idle -= 1
             return None
-        if self.steps >= self._next_check:
+        if self.steps_taken >= self._next_check:
             self._schedule()
         return next(self._events)
+
+    @property
+    def spent(self) -> bool:
+        """Whether no later step can return a certificate."""
+        return self.idle == math.inf
 
     def skip(self, k):
         """Count k idle steps without taking them."""
         if not 0 <= k <= self.idle:
             raise ValueError("only idle steps can be skipped")
-        self.steps += k
+        self.steps_taken += k
         self.idle -= k
 
     def _schedule(self):
-        s = self.steps
+        s = self.steps_taken
         if s >= self._grow_at:
             root = math.isqrt(s)
             self._limit = COSET_BASE + COSET_RATE * root
@@ -156,7 +166,7 @@ class CosetEnumeration:
                 if fields is not None:
                     yield fields
             while not queue:  # closed: wait for a relator to join
-                self.idle = self._join_at - self.steps - 1
+                self.idle = self._join_at - self.steps_taken - 1
                 yield None
 
     def _process(self, c):
@@ -251,7 +261,7 @@ class CosetEnumeration:
             e = d + 1 + min((tail.index(m) for m in range(rels) if m in tail), default=len(tail))
             end = e * rels + (scanned[e] if e < len(scanned) else 0)
         here = d * rels + n
-        k = max(0, min(self._next_check - self.steps - 1, end - here - 1))
+        k = max(0, min(self._next_check - self.steps_taken - 1, end - here - 1))
         return k, divmod(here + k, rels)
 
     def _define(self, c, x):

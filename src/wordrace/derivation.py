@@ -136,17 +136,16 @@ def _prefixes(entries, depth):
             yield factors + (factor,), concat(word, e_word), old and e_old
 
 
-class EqualityTask:
-    """Single-target stepper: one candidate assembled and compared per step.
+class EqualityTask(ProductStream):
+    """The equality arm: the product stream, one event per step, compared with the target.
 
     Steps that cross a stage boundary do bookkeeping only; the following
     steps assemble candidates.  Deterministic given (presentation, target).
     """
 
     def __init__(self, presentation: Presentation, target: Word):
-        self.presentation = presentation
+        super().__init__(presentation)
         self.target = reduce_word(target)
-        self.stream = ProductStream(presentation)
         self.steps_taken = 0
         self.idle = 0  # steps certain to return None: math.inf once the stages left are all empty
         self.certificate: EqualityCertificate | None = None
@@ -167,11 +166,11 @@ class EqualityTask:
         if self.certificate is not None:
             raise ValueError("task already resolved")
         self.steps_taken += 1
-        ev = self.stream.next_event()
+        ev = self.next_event()
         if ev[0] == "product":
             if ev[2] == self.target:
                 self.certificate = EqualityCertificate(factors=ev[1], target=self.target)
                 return self.certificate
-        elif self.stream._exhausted and not self.stream._nonempty:  # a stage >= 1 found no relator
+        elif self._exhausted and not self._nonempty:  # a stage >= 1 found no relator
             self.idle = math.inf
         return None

@@ -44,7 +44,6 @@ the coverage map (words mode) and one derivation per nonempty goal word.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .cosets import CosetEnumeration
@@ -119,13 +118,12 @@ def _letters_certificate(words: FinitenessCertificate, max_table_order: int) -> 
     return FinitenessCertificate(table, images, LETTERS_MODE, None, equation_certs, {})
 
 
-class FinitenessTask:
-    """The finiteness arm: one ``step()`` per quantum, a step of the coset enumeration.
+class FinitenessTask(CosetEnumeration):
+    """The finiteness arm: the coset enumeration, whose closed table's fields it wraps as a certificate.
 
     In letters mode a closed table's certificate is translated by
-    ``_letters_certificate``.  ``idle`` and ``skip`` are the enumeration's.
-    ``coset_peak`` counts the coset slots held.  ``admitted`` reads 0:
-    ``bench/layers.py`` reads it on every step.
+    ``_letters_certificate``.  ``admitted`` reads 0: ``bench/layers.py``
+    reads it on every step.
     """
 
     admitted = 0
@@ -140,38 +138,15 @@ class FinitenessTask:
             raise ValueError("presentation must be extended by the target word")
         if mode not in (WORDS_MODE, LETTERS_MODE):
             raise ValueError(f"unknown tau mode {mode!r}")
-        self.extended = extended
+        super().__init__(extended, max_table_order)
         self.mode = mode
-        self.max_table_order = max_table_order
-        self.steps_taken = 0
         self.certificate: FinitenessCertificate | None = None
-        self.cosets = CosetEnumeration(extended, max_table_order)
-
-    @property
-    def idle(self):
-        """Steps certain to return None; math.inf once the table has closed with no certificate or relator to come."""
-        return self.cosets.idle
-
-    @property
-    def spent(self) -> bool:
-        """Whether no later step can return a certificate."""
-        return self.idle == math.inf
-
-    def skip(self, k: int) -> None:
-        """Count k idle steps without taking them."""
-        self.cosets.skip(k)
-        self.steps_taken += k
-
-    @property
-    def coset_peak(self) -> int:
-        return self.cosets.coset_peak
 
     def step(self) -> FinitenessCertificate | None:
-        """One quantum of the arm; the certificate once it is found."""
+        """One quantum of the arm, a step of the enumeration; the certificate once it is found."""
         if self.certificate is not None:
             raise ValueError("task already resolved")
-        self.steps_taken += 1
-        fields = self.cosets.step()
+        fields = super().step()
         if fields is not None:
             cert = FinitenessCertificate(mode=WORDS_MODE, **fields)
             self.certificate = cert if self.mode == WORDS_MODE else _letters_certificate(cert, self.max_table_order)

@@ -124,14 +124,14 @@ def test_long_enumeration_proofs_are_not_written_out(monkeypatch):
     task = FinitenessTask(extended)
     for _ in range(2_000):
         assert task.step() is None
-    assert task.cosets.live == 2
+    assert task.live == 2
     # Here the relators never settle the loops of the trivial group it
     # closes on, and their enumeration proofs run to millions of factors.
     p = parse_presentation("generators: a b c\nrelator: babcc\nfamily: powers CbcBCbac\n")
     task = FinitenessTask(extend(p, parse_word("C", p.alphabet)))
     for _ in range(20_000):
         assert task.step() is None
-    assert task.cosets.live == 1
+    assert task.live == 1
 
 
 def test_family_relators_join_on_schedule():
@@ -159,7 +159,7 @@ def test_closed_table_above_the_cap_waits_for_a_relator():
     task = FinitenessTask(extended, max_table_order=4)
     for _ in range(JOIN_STEPS - 1):
         assert task.step() is None
-    assert task.cosets.live == 8
+    assert task.live == 8
     cert = None
     while cert is None:
         cert = task.step()
@@ -228,7 +228,7 @@ def enumeration_digest(text, word, steps, every, mode=WORDS_MODE, max_table_orde
     """
     p = parse_presentation(text)
     task = FinitenessTask(extend(p, parse_word(word, p.alphabet)), mode=mode, max_table_order=max_table_order)
-    e = task.cosets
+    e = task
     h = hashlib.sha256()
     s = 0
     while s < steps:
@@ -320,15 +320,15 @@ def test_scanned_relators_trace_closed(monkeypatch):
         _, _, extended = random_extended(rng)
         e = CosetEnumeration(extended, 8)
         for target in sorted(rng.sample(range(1, 3000), 15)):
-            while e.steps < target or any(e._parent[g] not in (g, -1) for g in range(len(e._parent))):
-                if e.idle and e.steps < target and rng.random() < 0.5:
-                    e.skip(min(e.idle, target - e.steps))
+            while e.steps_taken < target or any(e._parent[g] not in (g, -1) for g in range(len(e._parent))):
+                if e.idle and e.steps_taken < target and rng.random() < 0.5:
+                    e.skip(min(e.idle, target - e.steps_taken))
                 else:
                     e.step()
             for d in range(len(e._parent)):
                 if e._parent[d] == d:
                     for n in range(e._scanned[d]):
-                        assert traces_closed(e._table, e._rels[n][1], d), (extended, e.steps, d, n)
+                        assert traces_closed(e._table, e._rels[n][1], d), (extended, e.steps_taken, d, n)
                         checked += 1
     assert checked > 20_000
 
@@ -338,9 +338,9 @@ def test_only_idle_steps_can_be_skipped():
     task = FinitenessTask(extend(p, parse_word("a", p.alphabet)))
     while not task.idle:
         task.step()
-    k = task.idle
+    k, steps = task.idle, task.steps_taken
     for wrong in (k + 1, -1):
         with pytest.raises(ValueError):
             task.skip(wrong)
     task.skip(k)
-    assert task.steps_taken == task.cosets.steps and task.idle == 0
+    assert task.steps_taken == steps + k and task.idle == 0

@@ -233,10 +233,10 @@ def test_equality_arm_is_spent_once_stage_1_finds_no_relator():
 
 def test_equality_arm_with_trivial_relators_is_spent_at_stage_2():
     arm = equality_arm(TRIVIAL_RELATORS, "a")
-    while arm.stream.stage < 2:
+    while arm.stage < 2:
         assert not arm.spent
         arm.step()
-    assert arm.stream.stage == 2 and arm.spent
+    assert arm.stage == 2 and arm.spent
 
 
 @pytest.mark.parametrize("text", [DINF, POWERS], ids=["dinf", "powers"])
