@@ -10,7 +10,9 @@ A closed table of a finite group H that maps onto G1 yields a finiteness
 certificate: the images are the shortlex transversal, found breadth
 first; each generator is covered by the element its edge out of coset 0
 reaches; the cell (i, j) is proved by tracing images[j] from coset i and
-concatenating the edge proofs.  Those are first rebuilt over the shortlex
+concatenating the edge proofs.  The cells' goal words are those of
+``equation_words``, which the letters-mode translation also uses.  The
+edge proofs are first rebuilt over the shortlex
 transversal and shortened by Knuth's generalization of Dijkstra's
 algorithm ("A generalization of Dijkstra's algorithm", 1977): tree edges
 cost nothing, and a relator cycle whose other edges are all settled
@@ -27,7 +29,7 @@ import itertools
 
 from .derivation import DyckFactor, EqualityCertificate
 from .tables import MultiplicationTable
-from .words import Word, concat, concat_all, invert, reduce_word
+from .words import Word, concat, invert, reduce_word
 
 MAX_RAW_FACTORS = 10**6  # the largest enumeration proof a certificate may expand, before cancellation
 
@@ -111,6 +113,19 @@ def _expand(node, memo) -> tuple:
     """The factors of a proof, cancelled."""
     return _fold(node, memo, lambda n: (DyckFactor(_rep_word(n[1]), n[2], 1),), _invert_factors,
                  lambda parts: _cancel(itertools.chain.from_iterable(parts)))
+
+
+def equation_words(table: MultiplicationTable, images: tuple[Word, ...]):
+    """The r*r reduced goal words tau(u_i) tau(u_j) tau(u_k)^-1, row-major.
+
+    Empty results are trivially proved (the empty Dyck product derives them).
+    """
+    inverses = [invert(w) for w in images]
+    return [
+        (i, j, concat(concat(images[i], images[j]), inverses[k]))
+        for i, row in enumerate(table.cells)
+        for j, k in enumerate(row)
+    ]
 
 
 def certificate_fields(table, entry_proof, rels, k2) -> dict | None:
@@ -206,19 +221,19 @@ def certificate_fields(table, entry_proof, rels, k2) -> dict | None:
         head, middle, tail = (_expand(p, expanded) for p in raw(v))
         settle(v, _cancel(itertools.chain(head, middle, _invert_factors(tail))))
 
-    cells, equation_certs = [], {}
-    for i in range(r):
-        row = []
-        for j in range(r):
-            c, parts = i, []
-            for x in images[j]:
-                parts.append(edge(c * k2 + x))
-                c = nt[c][x]
-            row.append(c)
-            goal = concat_all((images[i], images[j], invert(images[c])))
-            if goal:
-                equation_certs[(i, j)] = EqualityCertificate(_cancel(itertools.chain.from_iterable(parts)), goal)
-        cells.append(tuple(row))
+    def trace(i, word):  # the coset word leads to from i, and the edges it passes
+        edges = []
+        for x in word:
+            edges.append(i * k2 + x)
+            i = nt[i][x]
+        return i, edges
+
+    table = MultiplicationTable(tuple(tuple(trace(i, w)[0] for w in images) for i in range(r)))
+    equation_certs = {
+        (i, j): EqualityCertificate(_cancel(itertools.chain.from_iterable(map(edge, trace(i, images[j])[1]))), goal)
+        for i, j, goal in equation_words(table, images)
+        if goal
+    }
     coverage, coverage_certs = {}, {}
     for g in range(k2 // 2):
         e = coverage[g] = nt[0][2 * g]
@@ -226,7 +241,7 @@ def certificate_fields(table, entry_proof, rels, k2) -> dict | None:
         if goal:
             coverage_certs[g] = EqualityCertificate(edge(2 * g), goal)
     return {
-        "table": MultiplicationTable(tuple(cells)),
+        "table": table,
         "images": tuple(images),
         "coverage": coverage,
         "equation_certs": equation_certs,

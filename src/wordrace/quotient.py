@@ -49,8 +49,9 @@ from dataclasses import dataclass
 from .cosets import CosetEnumeration
 from .derivation import DyckFactor, EqualityCertificate
 from .presentation import Presentation
+from .proofs import equation_words
 from .tables import DEFAULT_MAX_TABLE_ORDER, MultiplicationTable
-from .words import Word, concat, invert
+from .words import Word, concat
 
 WORDS_MODE = "words"
 LETTERS_MODE = "letters"
@@ -69,19 +70,6 @@ class FinitenessCertificate:
     coverage: dict[int, int] | None  # generator index -> witness element (words mode)
     equation_certs: dict[tuple[int, int], EqualityCertificate]
     coverage_certs: dict[int, EqualityCertificate]
-
-
-def equation_words(table: MultiplicationTable, images: tuple[Word, ...]):
-    """The r*r reduced goal words tau(u_i) tau(u_j) tau(u_k)^-1, row-major.
-
-    Empty results are trivially proved (the empty Dyck product derives them).
-    """
-    inverses = [invert(w) for w in images]
-    return [
-        (i, j, concat(concat(images[i], images[j]), inverses[k]))
-        for i, row in enumerate(table.cells)
-        for j, k in enumerate(row)
-    ]
 
 
 def _letters_certificate(words: FinitenessCertificate, max_table_order: int) -> FinitenessCertificate | None:
