@@ -69,23 +69,6 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _outcome_document(args, word_text, reduced_text, outcome, certificate_text):
-    budget_text = "unlimited" if args.unlimited else str(args.budget)
-    lines = [
-        f"verdict: {outcome.verdict}",
-        f"word: {word_text}",
-        f"reduced: {reduced_text}",
-        f"budget: {budget_text}",
-        f"quantum: {args.quantum}",
-        f"steps-equal-arm: {outcome.steps_equal_arm}",
-        f"steps-finite-arm: {outcome.steps_finite_arm}",
-    ]
-    doc = "\n".join(lines) + "\n"
-    if certificate_text is not None:
-        doc += "\n" + certificate_text
-    return doc
-
-
 def _cmd_solve(args) -> int:
     p = parse_presentation(_read(args.presentation))
     try:
@@ -105,24 +88,23 @@ def _cmd_solve(args) -> int:
                 outcome.certificate, extend(p, word)
             )
 
-        reduced_text = format_word(word, p.alphabet)
+        record = {  # the outcome document's fields, in text order
+            "verdict": outcome.verdict,
+            "word": args.word,
+            "reduced": format_word(word, p.alphabet),
+            "budget": budget.max_total_steps,
+            "quantum": args.quantum,
+            "steps_equal_arm": outcome.steps_equal_arm,
+            "steps_finite_arm": outcome.steps_finite_arm,
+        }
         if args.as_json:
-            doc = json.dumps(
-                {
-                    "verdict": outcome.verdict,
-                    "word": args.word,
-                    "reduced": reduced_text,
-                    "budget": None if args.unlimited else args.budget,
-                    "quantum": args.quantum,
-                    "steps_equal_arm": outcome.steps_equal_arm,
-                    "steps_finite_arm": outcome.steps_finite_arm,
-                    "certificate": certificate_text,
-                },
-                sort_keys=True,
-                indent=2,
-            ) + "\n"
+            doc = json.dumps({**record, "certificate": certificate_text}, sort_keys=True, indent=2) + "\n"
         else:
-            doc = _outcome_document(args, args.word, reduced_text, outcome, certificate_text)
+            doc = "".join(
+                f"{key.replace('_', '-')}: {'unlimited' if value is None else value}\n" for key, value in record.items()
+            )
+            if certificate_text is not None:
+                doc += "\n" + certificate_text
 
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
