@@ -68,5 +68,7 @@ def test_tracer_installs_and_counts(layers):
         "quotient.goal_words",
         "presentation.calls",
         "words.calls",
+        "scheduler.equal_arm_s",  # the spans on each arm's step
+        "scheduler.finite_arm_s",
     ):
         assert metrics[name] > 0, name

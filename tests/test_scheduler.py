@@ -149,6 +149,7 @@ F2 = "generators: a b\n"
 TRIVIAL_RELATORS = "generators: a b\nrelator: aA\nrelator: bB\n"
 POWERS = "generators: a b\nfamily: powers aa bb\n"
 Z10 = "generators: a\nrelator: aaaaaaaaaa\n"
+Z3 = "generators: a\nrelator: aaa\n"
 
 # (presentation, word, tau mode, whether a verdict exists), at the default order cap 8
 RACES = {
@@ -162,6 +163,8 @@ RACES = {
     "z-aaa-letters": (Z, "aaa", LETTERS_MODE, False),  # the equality arm is spent
     "z-a8": (Z, "a" * 8, WORDS_MODE, True),  # the finiteness arm wins alone at its step 17
     "z10-a40": (Z10, "a" * 40, WORDS_MODE, True),  # the equality arm wins alone at its step 6181
+    # Both arms win at their step 7; the equality arm, first, wins by one turn.
+    "z3-AAA": (Z3, "AAA", WORDS_MODE, True),
 }
 
 # Steps (r + 1)^2 at which the coset limit grows, with the F2 table full.
