@@ -22,6 +22,9 @@ A product is its tuple of factors (conjugator, relator index, sign), and
 an equality certificate is that tuple plus the target word.  The stage
 of a product and the relators it cites follow from the factors, so
 neither is stored.
+
+The equality arm, ``EqualityTask``, is a ``ProductStream`` that takes one
+event per step and compares each product with its target.
 """
 
 from __future__ import annotations

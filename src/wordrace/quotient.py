@@ -11,9 +11,11 @@ a quotient of T and therefore finite.
 Both tau modes run one engine, ``cosets.CosetEnumeration``: a coset
 enumeration of G1 over its trivial subgroup that closes exactly when some
 prefix of the relators presents a finite group, and whose table entries
-carry proofs.  On closure it yields the words-mode certificate: T is the
-table of that group H, tau its shortlex transversal and every goal
-derivation is read off the enumeration.
+carry proofs.  The arm, ``FinitenessTask``, is that enumeration with its
+certificate on top.  On closure it yields the words-mode certificate: T is
+the table of that group H, tau its shortlex transversal and every goal
+derivation is read off the enumeration (``proofs.certificate_fields``; the
+goal words are ``proofs.equation_words``).
 
 The strict-fidelity mode ("letters") keeps the literal letter-valued
 surjections: every element maps to a generator letter, the map is onto

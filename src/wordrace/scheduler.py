@@ -22,8 +22,9 @@ arm's ``idle`` steps, those certain to return None (math.inf when spent),
 one ``skip`` per window.  With both arms spent a bounded run ends at once,
 exhausted.  Outcomes are those of taking every turn.
 
-A step is one EqualityTask quantum (one Dyck candidate assembled and
-compared, or one stage advance) or one FinitenessTask quantum.  The word
+Each arm is its engine.  A step is one event of the equality arm, a
+``ProductStream`` (one Dyck candidate assembled and compared, or one stage
+advance), or one step of the finiteness arm, a ``CosetEnumeration``.  The word
 is freely reduced first and the trivial case X = 1 is answered with the
 empty-product certificate before either arm touches a relator, so a hung
 relator stream cannot block a trivially true query.
