@@ -136,7 +136,7 @@ class FinitenessTask(CosetEnumeration):
         """One quantum of the arm, a step of the enumeration; the certificate once it is found."""
         if self.certificate is not None:
             raise ValueError("task already resolved")
-        fields = super().step()
+        fields = CosetEnumeration.step(self)  # not super(), which would build a proxy object on every step
         if fields is not None:
             cert = FinitenessCertificate(mode=WORDS_MODE, **fields)
             self.certificate = cert if self.mode == WORDS_MODE else _letters_certificate(cert, self.max_table_order)
