@@ -7,19 +7,18 @@ with ``leaf``, ``cat`` and ``inv`` and never expands them; only
 ``certificate_fields`` spells them out as Dyck factors.
 
 A closed table of a finite group H that maps onto G1 yields a finiteness
-certificate: the images are the shortlex transversal, found breadth
-first; each generator is covered by the element its edge out of coset 0
-reaches; the cell (i, j) is proved by tracing images[j] from coset i and
+certificate: the images are the shortlex transversal, found breadth first;
+each generator is covered by the element its edge out of coset 0 reaches;
+the cell (i, j) is proved by tracing images[j] from coset i and
 concatenating the edge proofs.  The cells' goal words are those of
-``equation_words``, which the letters-mode translation also uses.  The
-edge proofs are first rebuilt over the shortlex
-transversal and shortened by Knuth's generalization of Dijkstra's
-algorithm ("A generalization of Dijkstra's algorithm", 1977): tree edges
-cost nothing, and a relator cycle whose other edges are all settled
-settles its last one at one factor plus their sizes.  An edge no cycle
-settles keeps its enumeration proof, which can be exponentially long:
-when the shortest such proof has over MAX_RAW_FACTORS factors nothing is
-emitted.
+``equation_words``, which the letters-mode translation also uses.  The edge
+proofs are first rebuilt over the shortlex transversal and shortened by
+Knuth's generalization of Dijkstra's algorithm ("A generalization of
+Dijkstra's algorithm", 1977): tree edges cost nothing, and a relator cycle
+whose other edges are all settled settles its last one at one factor plus
+their sizes.  An edge no cycle settles keeps its enumeration proof, which
+can be exponentially long: when the shortest such proof has over
+MAX_RAW_FACTORS factors nothing is emitted.
 """
 
 from __future__ import annotations
