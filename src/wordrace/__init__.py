@@ -1,9 +1,10 @@
 """Decision engine for the word problem in finitely generated just infinite groups.
 
-Two semi-decision procedures race under fair interleaving: one enumerates
-products of conjugated relators to prove X = 1, the other enumerates the
-cosets of the trivial subgroup of the extended group, with a proof on
-every table entry, to prove X != 1 by exhibiting that group as finite.
+Two semi-decision procedures race under fair interleaving, each a coset
+enumeration of the trivial subgroup with a proof on every table entry: one
+enumerates the cosets of G and proves X = 1 once X leads from coset 0 back
+to it, the other enumerates those of the extended group to prove X != 1 by
+exhibiting that group as finite.
 Either outcome comes with an independently checkable certificate.
 """
 

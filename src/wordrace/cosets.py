@@ -1,11 +1,11 @@
-"""Proof-carrying coset enumeration: the engine of the finiteness arm.
+"""Proof-carrying coset enumeration: the engine of both race arms.
 
 G1 = <S | X, R_0, R_1, ...> is finite exactly when Todd-Coxeter enumeration
 of the cosets of its trivial subgroup closes on some prefix of the
-relators.  This arm runs that enumeration with the HLT strategy: each
-coset in order of definition scans every relator, defining cosets to fill
-the gaps, then fills its own row (Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, ch. 5).
+relators.  The enumeration runs with the HLT strategy: each coset in order
+of definition scans every relator, defining cosets to fill the gaps, then
+fills its own row (Holt, Eick and O'Brien, *Handbook of Computational
+Group Theory*, ch. 5).
 
 Every table entry c.x = d carries a proof (a node of ``proofs``) of
 rep(c) x rep(d)^-1, rep(c) being the word that defined coset c: the empty
@@ -37,8 +37,16 @@ coincidence has moved entries onto the surviving coset, opening no cycle.  A
 lookahead scan of such a pair is idle too.  Idle steps are still steps,
 counted, not taken.
 
-``quotient.FinitenessTask`` is this class with the arm's certificate on
-top: the race steps, skips and counts the enumeration itself.
+The enumeration of G = <S | R_0, R_1, ...> is complete for X = 1: it is
+fair (every relator joins, every coset is processed in order and scans
+every relator, and the coset cap grows without bound), so its limit is
+the regular G-set, and a word equal to 1 eventually leads from coset 0
+back to it (Sims, *Computation with Finitely Presented Groups*, ch. 5).
+
+``quotient.FinitenessTask`` is this class over G1 with the arm's
+certificate on top, and ``derivation.EqualityTask`` this class over G,
+emitting no table, with X traced from coset 0 after each step: the race
+steps, skips and counts the enumerations themselves.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from collections import deque
 
 from .presentation import Presentation
 from .proofs import cat, certificate_fields, inv, leaf
+from .words import invert
 
 JOIN_STEPS = 1000  # the m-th relator past the inline prefix joins after JOIN_STEPS * 2^m steps
 COSET_BASE = 256  # live cosets allowed after s steps: COSET_BASE + COSET_RATE * isqrt(s)
@@ -292,6 +301,14 @@ class CosetEnumeration:
         p = self._table[c][self.k2 + x]
         return inv(p) if x & 1 else p
 
+    def _walk(self, c, word):
+        """The proofs of the entries that word passes from c, in order."""
+        table, proofs = self._table, []
+        for x in word:
+            proofs.append(self._proof(c, x))
+            c = table[c][x]
+        return proofs
+
     def _set(self, c, x, d, proof):
         """Enter c.x = d and its mirror d.x^-1 = c, proof proving rep(c) x rep(d)^-1."""
         k2, row_c, row_d = self.k2, self._table[c], self._table[d]
@@ -305,18 +322,9 @@ class CosetEnumeration:
         gap with f != b is a coincidence, whose steps are returned.
         """
         index, word = rel
-        table = self._table
-        forward = []
-        e = c
-        for y in word[:i]:
-            forward.append(self._proof(e, y))
-            e = table[e][y]
-        parts = [inv(p) for p in reversed(forward)]
+        parts = [inv(p) for p in reversed(self._walk(c, word[:i]))]
         parts.append(leaf(self._rep[c], index))
-        e = c
-        for y in reversed(word[j:]):
-            parts.append(self._proof(e, y ^ 1))
-            e = table[e][y ^ 1]
+        parts += self._walk(c, invert(word[j:]))
         proof = cat(*parts)  # proves rep(f) word[i:j] rep(b)^-1
         if j == i:
             return self._coincide(f, b, proof)

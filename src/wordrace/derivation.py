@@ -1,55 +1,33 @@
-"""Semi-decider for W = 1: fair enumeration of products of conjugated relators.
+"""Semi-decider for W = 1: the equality arm, and the Dyck products of a presentation.
 
-A word equals 1 in <S | R> iff its free reduction coincides letter for
-letter with the reduction of some product  t_1 R_{i_1}^{e_1} t_1^-1 ...
-t_s R_{i_s}^{e_s} t_s^-1.  The enumeration is graded by stages: stage n
-covers all products with factor count <= n, relator index <= n and
-conjugator length <= n that were not covered by stage n-1, ordered within
-a stage by factor count and then lexicographically by the per-factor key
-(relator index, sign with + before -, conjugator index).  Stage 0 holds
-exactly the empty product.  Relators are pulled from the source exactly
-when a stage first needs them; an exhausted source just stops growing the
-relator-index bound, and is not asked again.  Relators already pulled never
-change, so each stage extends the previous stage's list of nonempty
-relators by the newly available ones instead of re-reading them all.
+A word equals 1 in <S | R> iff its free reduction is that of some product
+t_1 R_{i_1}^{e_1} t_1^-1 ... t_s R_{i_s}^{e_s} t_s^-1; an equality
+certificate is the tuple of factors (conjugator, relator index, sign) plus
+the target word.
 
-Zero exponents are not enumerated: an identity factor reduces away, so
-products over e in {+1,-1} with varying factor count assemble the same
-set of words without redundant candidates.  Relators that are empty words
-are skipped for the same reason.
+The equality arm, ``EqualityTask``, is a ``cosets.CosetEnumeration`` of G
+that traces X from coset 0 after every step that is not idle.  Once X
+leads from coset 0 back to it, the entry proofs along the way prove X, and
+cancelled they are the certificate (Havas and Ramsay, "Proving a group
+trivial made easy", 2000).
 
-A product is its tuple of factors (conjugator, relator index, sign), and
-an equality certificate is that tuple plus the target word.  The stage
-of a product and the relators it cites follow from the factors, so
-neither is stored.
-
-The equality arm, ``EqualityTask``, is a ``ProductStream`` that takes one
-event per step and compares each product with its target.
+``ProductStream`` enumerates the Dyck products themselves by stages: stage
+n holds the products with factor count, relator index and conjugator
+length <= n not in stage n-1, by factor count and then lexicographically
+by (relator index, sign with + first, conjugator index).  Stage 0 is the
+empty product; the relators a stage needs are pulled when it begins.
+Zero exponents and empty relators are not enumerated.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
+from .cosets import CosetEnumeration
 from .presentation import Presentation
+from .proofs import MAX_RAW_FACTORS, DyckFactor, EqualityCertificate, _expand, _size, cat
 from .words import Word, concat, conjugate, count_words_up_to, invert, reduce_word, word_at_index
-
-
-class DyckFactor(NamedTuple):
-    conjugator: Word
-    relator_index: int
-    sign: int
-
-
-@dataclass(frozen=True)
-class EqualityCertificate:
-    """Factors whose product's free reduction is letter-for-letter the target."""
-
-    factors: tuple[DyckFactor, ...]
-    target: Word
 
 
 class ProductStream:
@@ -139,41 +117,42 @@ def _prefixes(entries, depth):
             yield factors + (factor,), concat(word, e_word), old and e_old
 
 
-class EqualityTask(ProductStream):
-    """The equality arm: the product stream, one event per step, compared with the target.
+class EqualityTask(CosetEnumeration):
+    """The equality arm: a coset enumeration of G, with X traced from coset 0 after each step.
 
-    Steps that cross a stage boundary do bookkeeping only; the following
-    steps assemble candidates.  Deterministic given (presentation, target).
+    ``idle``, ``spent`` and ``skip`` are the enumeration's.  Until a
+    nonempty relator joins there is no table to scan, and the arm is idle;
+    with the source exhausted and no nonempty relator it is spent at its
+    first step.  Deterministic given (presentation, target).
     """
 
     def __init__(self, presentation: Presentation, target: Word):
-        super().__init__(presentation)
+        super().__init__(presentation, max_table_order=0)
         self.target = reduce_word(target)
-        self.steps_taken = 0
-        self.idle = 0  # steps certain to return None: math.inf once the stages left are all empty
         self.certificate: EqualityCertificate | None = None
-
-    @property
-    def spent(self) -> bool:
-        """Whether no later step can return a certificate."""
-        return self.idle == math.inf
-
-    def skip(self, k: int) -> None:
-        """Count k idle steps without taking them."""
-        if not 0 <= k <= self.idle:
-            raise ValueError("only idle steps can be skipped")
-        self.steps_taken += k
+        self._sizes = {}  # proof sizes already counted, by node
 
     def step(self) -> EqualityCertificate | None:
-        """Advance one quantum; return a certificate once the target is found."""
+        """Advance one quantum; return a certificate once X leads from coset 0 back to it."""
         if self.certificate is not None:
             raise ValueError("task already resolved")
-        self.steps_taken += 1
-        ev = self.next_event()
-        if ev[0] == "product":
-            if ev[2] == self.target:
-                self.certificate = EqualityCertificate(factors=ev[1], target=self.target)
-                return self.certificate
-        elif self._exhausted and not self._nonempty:  # a stage >= 1 found no relator
-            self.idle = math.inf
-        return None
+        if self.idle:
+            return CosetEnumeration.step(self)
+        CosetEnumeration.step(self)
+        word = self.target
+        f, i, _, _ = self._trace(word, 0, 0, 0, len(word))
+        if i < len(word) or f != 0:  # X does not lead from coset 0 back to it yet
+            return None
+        parts = self._walk(0, word)
+        if sum(_size(p, self._sizes) for p in parts) > MAX_RAW_FACTORS:
+            return None  # too large to write out
+        self.certificate = EqualityCertificate(_expand(cat(*parts), {}), word)
+        return self.certificate
+
+    def _run(self):
+        if not self._rels and self.extended.available(self._prefix + 1) <= self._prefix:
+            self._join_at = math.inf  # no nonempty relator, and none to come
+        while not self._rels:  # nothing to scan until a relator joins
+            self.idle = self._join_at - self.steps_taken - 1
+            yield None
+        yield from CosetEnumeration._run(self)

@@ -3,8 +3,9 @@
 A proof is a node of a DAG: None (the empty product), a leaf (rep, i)
 standing for rep R_i rep^-1 with rep a representative chain (see
 ``cosets``), a concatenation, or an inverse.  The enumeration builds nodes
-with ``leaf``, ``cat`` and ``inv`` and never expands them; only
-``certificate_fields`` spells them out as Dyck factors.
+with ``leaf``, ``cat`` and ``inv`` and never expands them; only a
+certificate spells them out as Dyck factors: ``certificate_fields`` for a
+closed table, ``derivation.EqualityTask`` for the trace of X.
 
 A closed table of a finite group H that maps onto G1 yields a finiteness
 certificate: the images are the shortlex transversal, found breadth first;
@@ -25,14 +26,29 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from .derivation import DyckFactor, EqualityCertificate
 from .tables import MultiplicationTable
 from .words import Word, concat, invert, reduce_word
 
 MAX_RAW_FACTORS = 10**6  # the largest enumeration proof a certificate may expand, before cancellation
 
 _LEAF, _CAT, _INV = 0, 1, 2
+
+
+class DyckFactor(NamedTuple):
+    conjugator: Word
+    relator_index: int
+    sign: int
+
+
+@dataclass(frozen=True)
+class EqualityCertificate:
+    """Factors whose product's free reduction is letter-for-letter the target."""
+
+    factors: tuple[DyckFactor, ...]
+    target: Word
 
 
 def leaf(rep, index):

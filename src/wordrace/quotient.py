@@ -49,9 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cosets import CosetEnumeration
-from .derivation import DyckFactor, EqualityCertificate
 from .presentation import Presentation
-from .proofs import equation_words
+from .proofs import DyckFactor, EqualityCertificate, equation_words
 from .tables import DEFAULT_MAX_TABLE_ORDER, MultiplicationTable
 from .words import Word, concat
 

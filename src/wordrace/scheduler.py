@@ -13,8 +13,9 @@ finite, which it is whatever X is.
 
 An arm can be ``spent``: no later step of it can return a certificate, as
 the equality arm once the source is exhausted with no nonempty relator, or
-a coset table closed on an exhausted source without a certificate (above
-the order cap, or, in letters mode, with no letter-valued one).  The arms
+a coset table closed on an exhausted source without a certificate (where X
+does not lead from coset 0 back to it, above the order cap, or, in letters
+mode, with no letter-valued one).  The arms
 are checked after 1, 3, 7, 15, ... turns.  From the first check that finds
 one arm spent, the other runs alone over the turns the alternation gives
 it; the spent arm's turns are counted, not taken, and so are the live
@@ -22,9 +23,9 @@ arm's ``idle`` steps, those certain to return None (math.inf when spent),
 one ``skip`` per window.  With both arms spent a bounded run ends at once,
 exhausted.  Outcomes are those of taking every turn.
 
-Each arm is its engine.  A step is one event of the equality arm, a
-``ProductStream`` (one Dyck candidate assembled and compared, or one stage
-advance), or one step of the finiteness arm, a ``CosetEnumeration``.  The word
+Each arm is its engine, a ``CosetEnumeration``: of G for the equality
+arm, which traces X from coset 0 after each step, and of the extended
+group for the finiteness arm.  A step is one step of either.  The word
 is freely reduced first and the trivial case X = 1 is answered with the
 empty-product certificate before either arm touches a relator, so a hung
 relator stream cannot block a trivially true query.

@@ -46,8 +46,9 @@ def layers():
 def test_tracer_installs_and_counts(layers):
     originals = (derivation.ProductStream.next_event, quotient.FinitenessTask.step, quotient.equation_words)
     # Letters mode, whose translation builds its goal words with
-    # equation_words; both modes run the coset enumeration, which the
-    # tracer does not count.
+    # equation_words.  Both arms are coset enumerations, which the tracer
+    # does not count: no Dyck product is assembled, so the product and
+    # distinct-word counters read 0, and only the arms' spans show.
     p = parse_presentation("generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n")
     tracer = layers.LayerTracer()
     tracer.install()
@@ -63,8 +64,6 @@ def test_tracer_installs_and_counts(layers):
     metrics = tracer.metrics()
     assert set(metrics) == METRICS
     for name in (
-        "derivation.products.equal_arm",
-        "derivation.distinct_words",
         "quotient.goal_words",
         "presentation.calls",
         "words.calls",

@@ -125,6 +125,34 @@ class TestEqualityVerification:
         assert "relators-used" in why
         assert p.source.pulled_count <= 1
 
+    def test_relator_claim_above_the_cap_pulls_nothing(self):
+        # A claim the factors bear out, but above the cap: rejected before
+        # any relator past the inline prefix is pulled.
+        text = (
+            "certificate: equality\n"
+            f"presentation: {'0' * 64}\n"
+            "target: aa\n"
+            "relators-used: 2000001\n"
+            "factors: 1\n"
+            "factor: 2000000 +\n"
+            "end: certificate\n"
+        )
+        p = parse_presentation("generators: a b\nfamily: powers aa bb\n")
+        doc = parse_certificate(text, p.alphabet)
+        ok, why = verify_equality_document(doc, p, parse_word("aa", p.alphabet))
+        assert (ok, why) == (False, "relators-used 2000001 is above the cap of 100000")
+        assert p.pulled_count == p.source.inline_count == 0
+
+    def test_finiteness_claim_above_the_cap_is_rejected(self):
+        p = parse_presentation(DINF)
+        x = parse_word("abab", p.alphabet)
+        extended = extend(p, x)
+        doc = parse_certificate(serialize_finiteness(prove_finite(extended, 1000), extended), p.alphabet)
+        assert doc.relators_used == 3
+        assert verify_finiteness_document(doc, extended, max_relators=3) == (True, "ok")
+        ok, why = verify_finiteness_document(doc, extended, max_relators=2)
+        assert (ok, why) == (False, "relators-used 3 is above the cap of 2")
+
     def test_digest_binds_presentation(self, equality_cert):
         p = dinf()
         text = serialize_equality(equality_cert, p)

@@ -109,6 +109,17 @@ def test_verify_equality_certificate(dinf_pres, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_caps_the_relators_a_certificate_cites(dinf_pres, tmp_path, capsys):
+    out_path = tmp_path / "outcome.json"
+    assert main(["solve", dinf_pres, "--word", "abba", "--json", "--output", str(out_path)]) == 0
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text(json.loads(out_path.read_text())["certificate"])
+    capsys.readouterr()
+    assert main(["verify", str(cert_path), dinf_pres, "--max-relators", "1"]) == 1
+    assert capsys.readouterr().out == "invalid: relators-used 2 is above the cap of 1\n"
+    assert main(["verify", str(cert_path), dinf_pres, "--max-relators", "2"]) == 0
+
+
 def test_verify_rejects_tampered_certificate(z_pres, tmp_path, capsys):
     out_path = tmp_path / "outcome.json"
     main(["solve", z_pres, "--word", "aaa", "--json", "--output", str(out_path)])
@@ -202,8 +213,8 @@ presentation: f71096e423a3be943656fd58715a1fa94019ec7401e778922951e924705627a9
 target: abba
 relators-used: 2
 factors: 2
+factor: a 1 +
 factor:  0 +
-factor: A 1 +
 end: certificate
 """
 
@@ -250,8 +261,8 @@ word: abAaba
 reduced: abba
 budget: 1000000
 quantum: 1
-steps-equal-arm: 109
-steps-finite-arm: 108
+steps-equal-arm: 7
+steps-finite-arm: 6
 
 {EQUAL_CERT}"""),
     "equal-json": (DINF_TEXT, ["--word", "abAaba", "--json"], 0, f"""\
@@ -260,8 +271,8 @@ steps-finite-arm: 108
   "certificate": {json.dumps(EQUAL_CERT)},
   "quantum": 1,
   "reduced": "abba",
-  "steps_equal_arm": 109,
-  "steps_finite_arm": 108,
+  "steps_equal_arm": 7,
+  "steps_finite_arm": 6,
   "verdict": "equal",
   "word": "abAaba"
 }}

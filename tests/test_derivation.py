@@ -1,15 +1,20 @@
-"""Dyck-product enumeration: soundness, fairness, completeness at desk scale."""
+"""Dyck-product enumeration and the equality arm: soundness, fairness, completeness at desk scale."""
 
 import itertools
+import random
 
 import pytest
 
 from helpers import assemble, dyck_at_cursor, prove_equal
-from wordrace.certcheck import relators_used_by
+from wordrace.certcheck import relators_used_by, verify_equality
+from wordrace import derivation
 from wordrace.derivation import DyckFactor, EqualityTask, ProductStream
 from wordrace.oracle import TableGroup, exponent_sum, is_identity_dinf, zn_table
 from wordrace.presentation import extend, parse_presentation
-from wordrace.words import concat_all, conjugate, count_words_up_to, invert, parse_word, word_at_index
+from wordrace.scheduler import EQUAL, solve
+from wordrace.words import (
+    Alphabet, concat_all, conjugate, count_words_up_to, format_word, invert, parse_word, reduce_word, word_at_index,
+)
 
 Z = "generators: a\n"
 Z3 = "generators: a\nrelator: aaa\n"
@@ -277,3 +282,45 @@ class TestCompletenessDeskScale:
         cert = prove_equal(p, goal, 10_000)
         assert cert is not None
         assert relators_used_by(cert) == max(f.relator_index for f in cert.factors) + 1
+
+
+def random_word(rng, k, shortest, longest):
+    """A reduced word over k generators, of length between shortest and longest."""
+    while True:
+        w = reduce_word(bytes(rng.randrange(2 * k) for _ in range(rng.randint(shortest, longest))))
+        if len(w) >= shortest:
+            return w
+
+
+def test_random_consequences_are_decided_equal():
+    """Completeness at desk scale: products of conjugated relators are proved equal, certificates and all.
+
+    Each of 200 seeds draws a presentation over 2 or 3 generators with
+    fewer relators than generators, of length 2 to 6, so that G is
+    infinite and only the equality arm can win, and four products of 1 to
+    4 of its relators, each inverted or not and conjugated by a word of
+    length at most 2.
+    """
+    for seed in range(200):
+        rng = random.Random(seed)
+        k = rng.choice((2, 3))
+        rels = [random_word(rng, k, 2, 6) for _ in range(rng.randint(1, k - 1))]
+        a = Alphabet(tuple("abc"[:k]))
+        p = parse_presentation(f"generators: {' '.join(a.generators)}\n"
+                               + "".join(f"relator: {format_word(r, a)}\n" for r in rels))
+        for _ in range(4):
+            parts = []
+            for _ in range(rng.randint(1, 4)):
+                r = rng.choice(rels)
+                parts.append(conjugate(random_word(rng, k, 0, 2), r if rng.random() < 0.5 else invert(r)))
+            x = concat_all(parts)
+            out = solve(p, x)
+            assert out.verdict == EQUAL, (seed, format_word(x, a))
+            assert verify_equality(out.certificate, p, x) == (True, "ok"), (seed, format_word(x, a))
+
+
+def test_a_trace_proof_above_the_cap_is_not_written_out(monkeypatch):
+    p = parse_presentation(DINF)
+    monkeypatch.setattr(derivation, "MAX_RAW_FACTORS", 1)
+    assert prove_equal(p, parse_word("aa", p.alphabet), 1000).factors == (DyckFactor(b"", 0, 1),)
+    assert prove_equal(p, parse_word("abba", p.alphabet), 1000) is None  # two factors at least

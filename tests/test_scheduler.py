@@ -154,7 +154,7 @@ Z3 = "generators: a\nrelator: aaa\n"
 # (presentation, word, tau mode, whether a verdict exists), at the default order cap 8
 RACES = {
     "f2-a": (F2, "a", WORDS_MODE, False),  # the equality arm is spent
-    "trivial-relators-a": (TRIVIAL_RELATORS, "a", WORDS_MODE, False),  # spent at stage 2
+    "trivial-relators-a": (TRIVIAL_RELATORS, "a", WORDS_MODE, False),  # the equality arm is spent
     "z-a9-cap8": (Z, "a" * 9, WORDS_MODE, False),  # both arms are spent
     "dinf-ab5": (DINF, "ab" * 5, WORDS_MODE, False),  # the finiteness arm is spent
     "dinf-abab": (DINF, "abab", WORDS_MODE, True),
@@ -162,8 +162,8 @@ RACES = {
     "powers-abab": (POWERS, "abab", WORDS_MODE, True),  # never spent
     "z-aaa-letters": (Z, "aaa", LETTERS_MODE, False),  # the equality arm is spent
     "z-a8": (Z, "a" * 8, WORDS_MODE, True),  # the finiteness arm wins alone at its step 17
-    "z10-a40": (Z10, "a" * 40, WORDS_MODE, True),  # the equality arm wins alone at its step 6181
-    # Both arms win at their step 7; the equality arm, first, wins by one turn.
+    "z10-a40": (Z10, "a" * 40, WORDS_MODE, True),  # the equality arm wins at its step 10
+    # The equality arm wins at its step 3, the finiteness arm would at its step 7.
     "z3-AAA": (Z3, "AAA", WORDS_MODE, True),
 }
 
@@ -224,22 +224,18 @@ def finiteness_arm(text, word, max_table_order=8):
     return FinitenessTask(extend(p, parse_word(word, p.alphabet)), max_table_order=max_table_order)
 
 
-def test_equality_arm_is_spent_once_stage_1_finds_no_relator():
+def test_equality_arm_is_spent_once_its_first_step_finds_no_relator():
     arm = equality_arm(F2, "a")
-    for _ in range(2):  # stage 0 and its empty product
-        assert not arm.spent
-        arm.step()
     assert not arm.spent
-    arm.step()  # stage 1 finds the source exhausted
+    assert arm.step() is None  # the source is exhausted, with no relator to scan
     assert arm.spent
 
 
-def test_equality_arm_with_trivial_relators_is_spent_at_stage_2():
-    arm = equality_arm(TRIVIAL_RELATORS, "a")
-    while arm.stage < 2:
-        assert not arm.spent
-        arm.step()
-    assert arm.stage == 2 and arm.spent
+def test_equality_arm_with_trivial_relators_is_spent_at_its_first_step():
+    arm = equality_arm(TRIVIAL_RELATORS, "a")  # aA and bB reduce to the empty word
+    assert not arm.spent
+    assert arm.step() is None
+    assert arm.spent
 
 
 @pytest.mark.parametrize("text", [DINF, POWERS], ids=["dinf", "powers"])
