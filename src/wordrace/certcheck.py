@@ -10,7 +10,7 @@ There is one path per certificate kind.  ``verify_equality`` and
 certificate must carry exactly the nested certificates its nonempty goals
 need.  ``verify_equality_document`` and ``verify_finiteness_document``
 check a parsed document in three passes: first every claim (the target,
-each ``relators-used`` count against ``max_relators`` and its own factors,
+each ``relators-used`` count against MAX_RELATORS and its own factors,
 each nested count against the enclosing one), before any relator is
 pulled; then the certificate, by the certificate check; and last the digests.
 
@@ -38,7 +38,7 @@ from .words import (
     Alphabet, Word, concat_all, conjugate, format_word, invert, is_word_over, parse_word, reduce_word,
 )
 
-MAX_RELATORS = 100_000  # the default cap on the relators a document may cite
+MAX_RELATORS = 100_000  # the most relators a document may cite
 
 
 class CertificateSyntaxError(ValueError):
@@ -268,12 +268,10 @@ def verify_equality(cert: EqualityCertificate, p: Presentation, x: Word) -> tupl
     return True, "ok"
 
 
-def verify_equality_document(
-    doc: EqualityDocument, p: Presentation, x: Word, max_relators: int = MAX_RELATORS
-) -> tuple[bool, str]:
+def verify_equality_document(doc: EqualityDocument, p: Presentation, x: Word) -> tuple[bool, str]:
     """Check the relator claim, then the certificate, then the digest."""
-    if doc.relators_used > max_relators:
-        return False, f"relators-used {doc.relators_used} is above the cap of {max_relators}"
+    if doc.relators_used > MAX_RELATORS:
+        return False, f"relators-used {doc.relators_used} is above the cap of {MAX_RELATORS}"
     if doc.relators_used != relators_used_by(doc.certificate):
         return False, "relators-used differs from the cited factors"
     ok, why = verify_equality(doc.certificate, p, x)
@@ -350,19 +348,17 @@ def verify_finiteness(cert: FinitenessCertificate, extended: Presentation) -> tu
     return True, "ok"
 
 
-def verify_finiteness_document(
-    doc: FinitenessDocument, extended: Presentation, max_relators: int = MAX_RELATORS
-) -> tuple[bool, str]:
+def verify_finiteness_document(doc: FinitenessDocument, extended: Presentation) -> tuple[bool, str]:
     """Check every claim, then the certificate, then every digest.
 
     The target, the enclosing relator claim and each nested claim are
     checked before any relator is pulled, so a document cannot make the
-    verifier pull more relators than its nested factors cite, or than ``max_relators``.
+    verifier pull more relators than its nested factors cite, or than MAX_RELATORS.
     """
     if extended.extended_by != doc.target:
         return False, "document target differs from the extension word"
-    if doc.relators_used > max_relators:
-        return False, f"relators-used {doc.relators_used} is above the cap of {max_relators}"
+    if doc.relators_used > MAX_RELATORS:
+        return False, f"relators-used {doc.relators_used} is above the cap of {MAX_RELATORS}"
     if doc.relators_used != relators_used_by_finiteness(doc.certificate):
         return False, "relators-used differs from the nested certificates"
     nested = {

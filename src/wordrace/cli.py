@@ -56,8 +56,6 @@ def _build_parser() -> _Parser:
     pv.add_argument("certificate", help="certificate file path")
     pv.add_argument("presentation", help="presentation file path")
     pv.add_argument("--word", help="cross-check the certified word")
-    pv.add_argument("--max-relators", type=int, default=certcheck.MAX_RELATORS,
-                    help="reject a certificate citing more relators than this, before pulling any")
 
     pe = sub.add_parser("enum-tables", help="print group tables of one order")
     pe.add_argument("--order", type=int, required=True)
@@ -128,9 +126,9 @@ def _cmd_verify(args) -> int:
             print("invalid: certificate is for a different word")
             return 1
         if equality:
-            ok, why = certcheck.verify_equality_document(doc, p, target, args.max_relators)
+            ok, why = certcheck.verify_equality_document(doc, p, target)
         else:
-            ok, why = certcheck.verify_finiteness_document(doc, extend(p, target), args.max_relators)
+            ok, why = certcheck.verify_finiteness_document(doc, extend(p, target))
         if ok:
             print(f"valid: {'equality' if equality else 'finiteness'} certificate")
             return 0

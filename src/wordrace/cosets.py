@@ -39,14 +39,16 @@ counted, not taken.
 
 The enumeration of G = <S | R_0, R_1, ...> is complete for X = 1: it is
 fair (every relator joins, every coset is processed in order and scans
-every relator, and the coset cap grows without bound), so its limit is
-the regular G-set, and a word equal to 1 eventually leads from coset 0
-back to it (Sims, *Computation with Finitely Presented Groups*, ch. 5).
+every relator, and the coset cap grows without bound; the definitions
+made first along X are finitely many), so its limit is the regular
+G-set, and a word equal to 1 eventually leads from coset 0 back to it
+(Sims, *Computation with Finitely Presented Groups*, ch. 5).
 
 ``quotient.FinitenessTask`` is this class over G1 with the arm's
 certificate on top, and ``derivation.EqualityTask`` this class over G,
-emitting no table, with X traced from coset 0 after each step: the race
-steps, skips and counts the enumerations themselves.
+emitting no table, with the path of X from coset 0 defined first and X
+traced along it after each step: the race steps, skips and counts the
+enumerations themselves.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ certificate is the tuple of factors (conjugator, relator index, sign) plus
 the target word.
 
 The equality arm, ``EqualityTask``, is a ``cosets.CosetEnumeration`` of G
-that traces X from coset 0 after every step that is not idle.  Once X
-leads from coset 0 back to it, the entry proofs along the way prove X, and
-cancelled they are the certificate (Havas and Ramsay, "Proving a group
-trivial made easy", 2000).
+that first defines the path of X from coset 0 and then traces X along it
+after every step that is not idle.  Once X leads from coset 0 back to it,
+the entry proofs along the way prove X, and cancelled they are the
+certificate (Havas and Ramsay, "Proving a group trivial made easy", 2000).
 
 ``ProductStream`` enumerates the Dyck products themselves by stages: stage
 n holds the products with factor count, relator index and conjugator
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .cosets import CosetEnumeration
 from .presentation import Presentation
@@ -118,19 +119,21 @@ def _prefixes(entries, depth):
 
 
 class EqualityTask(CosetEnumeration):
-    """The equality arm: a coset enumeration of G, with X traced from coset 0 after each step.
+    """The equality arm: a coset enumeration of G that defines the path of X from coset 0 first.
 
     ``idle``, ``spent`` and ``skip`` are the enumeration's.  Until a
-    nonempty relator joins there is no table to scan, and the arm is idle;
-    with the source exhausted and no nonempty relator it is spent at its
-    first step.  Deterministic given (presentation, target).
+    nonempty relator joins the arm is idle, and with none to come it is
+    spent at its first step.  The cosets X passes are the first to scan the
+    relators, so a consequence with long conjugators is proved where X
+    runs.  Each step resumes the trace of X where the last one stopped.
     """
 
     def __init__(self, presentation: Presentation, target: Word):
         super().__init__(presentation, max_table_order=0)
         self.target = reduce_word(target)
         self.certificate: EqualityCertificate | None = None
-        self._sizes = {}  # proof sizes already counted, by node
+        self._at = (0, 0)  # (f, i): X[:i] leads from coset 0 to f
+        self._large = None  # the table proofs along X when they were last too large to write out
 
     def step(self) -> EqualityCertificate | None:
         """Advance one quantum; return a certificate once X leads from coset 0 back to it."""
@@ -139,14 +142,30 @@ class EqualityTask(CosetEnumeration):
         if self.idle:
             return CosetEnumeration.step(self)
         CosetEnumeration.step(self)
-        word = self.target
-        f, i, _, _ = self._trace(word, 0, 0, 0, len(word))
-        if i < len(word) or f != 0:  # X does not lead from coset 0 back to it yet
+        table, word = self._table, self.target
+        f, i = self._at
+        if self._parent[f] != f:  # a coincidence killed f: trace again
+            f, i = 0, 0
+        n = len(word)
+        while i < n and (d := table[f][word[i]]) >= 0:
+            f, i = d, i + 1
+        self._at = f, i
+        if i < n or f:  # X does not lead from coset 0 back to it yet
             return None
-        parts = self._walk(0, word)
-        if sum(_size(p, self._sizes) for p in parts) > MAX_RAW_FACTORS:
+        f, i, _, _ = self._trace(word, 0, 0, 0, n)
+        if i < n or f:  # a coincidence is still moving the entries along the way
+            return None
+        stored, k2 = [], self.k2
+        for x in word:
+            stored.append(table[f][k2 + x])
+            f = table[f][x]
+        if self._large is not None and all(map(operator.is_, stored, self._large)):
+            return None  # the same proofs, still too large
+        memo = {}
+        if sum(_size(p, memo) for p in stored) > MAX_RAW_FACTORS:  # inv(p) is as large as p
+            self._large = stored
             return None  # too large to write out
-        self.certificate = EqualityCertificate(_expand(cat(*parts), {}), word)
+        self.certificate = EqualityCertificate(_expand(cat(*self._walk(0, word)), {}), word)
         return self.certificate
 
     def _run(self):
@@ -155,4 +174,12 @@ class EqualityTask(CosetEnumeration):
         while not self._rels:  # nothing to scan until a relator joins
             self.idle = self._join_at - self.steps_taken - 1
             yield None
+        c, table = 0, self._table
+        for x in self.target:
+            if table[c][x] < 0:
+                if self.live >= self._limit:
+                    break
+                self._define(c, x)
+                yield None
+            c = table[c][x]
         yield from CosetEnumeration._run(self)

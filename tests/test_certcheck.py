@@ -20,6 +20,7 @@ from wordrace.certcheck import (
     verify_finiteness_document,
 )
 from helpers import prove_equal, prove_finite, serialize_certificate
+from wordrace import certcheck
 from wordrace.derivation import DyckFactor, EqualityCertificate
 from wordrace.presentation import extend, parse_presentation
 from wordrace.quotient import LETTERS_MODE, WORDS_MODE, FinitenessCertificate
@@ -143,14 +144,16 @@ class TestEqualityVerification:
         assert (ok, why) == (False, "relators-used 2000001 is above the cap of 100000")
         assert p.pulled_count == p.source.inline_count == 0
 
-    def test_finiteness_claim_above_the_cap_is_rejected(self):
+    def test_finiteness_claim_above_the_cap_is_rejected(self, monkeypatch):
         p = parse_presentation(DINF)
         x = parse_word("abab", p.alphabet)
         extended = extend(p, x)
         doc = parse_certificate(serialize_finiteness(prove_finite(extended, 1000), extended), p.alphabet)
         assert doc.relators_used == 3
-        assert verify_finiteness_document(doc, extended, max_relators=3) == (True, "ok")
-        ok, why = verify_finiteness_document(doc, extended, max_relators=2)
+        monkeypatch.setattr(certcheck, "MAX_RELATORS", 3)
+        assert verify_finiteness_document(doc, extended) == (True, "ok")
+        monkeypatch.setattr(certcheck, "MAX_RELATORS", 2)
+        ok, why = verify_finiteness_document(doc, extended)
         assert (ok, why) == (False, "relators-used 3 is above the cap of 2")
 
     def test_digest_binds_presentation(self, equality_cert):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from wordrace import certcheck
 from wordrace.cli import main
 
 Z_TEXT = "generators: a\n"
@@ -109,15 +110,17 @@ def test_verify_equality_certificate(dinf_pres, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_caps_the_relators_a_certificate_cites(dinf_pres, tmp_path, capsys):
+def test_verify_caps_the_relators_a_certificate_cites(dinf_pres, tmp_path, capsys, monkeypatch):
     out_path = tmp_path / "outcome.json"
     assert main(["solve", dinf_pres, "--word", "abba", "--json", "--output", str(out_path)]) == 0
     cert_path = tmp_path / "cert.txt"
     cert_path.write_text(json.loads(out_path.read_text())["certificate"])
     capsys.readouterr()
-    assert main(["verify", str(cert_path), dinf_pres, "--max-relators", "1"]) == 1
+    monkeypatch.setattr(certcheck, "MAX_RELATORS", 1)
+    assert main(["verify", str(cert_path), dinf_pres]) == 1
     assert capsys.readouterr().out == "invalid: relators-used 2 is above the cap of 1\n"
-    assert main(["verify", str(cert_path), dinf_pres, "--max-relators", "2"]) == 0
+    monkeypatch.setattr(certcheck, "MAX_RELATORS", 2)
+    assert main(["verify", str(cert_path), dinf_pres]) == 0
 
 
 def test_verify_rejects_tampered_certificate(z_pres, tmp_path, capsys):
@@ -261,8 +264,8 @@ word: abAaba
 reduced: abba
 budget: 1000000
 quantum: 1
-steps-equal-arm: 7
-steps-finite-arm: 6
+steps-equal-arm: 9
+steps-finite-arm: 8
 
 {EQUAL_CERT}"""),
     "equal-json": (DINF_TEXT, ["--word", "abAaba", "--json"], 0, f"""\
@@ -271,8 +274,8 @@ steps-finite-arm: 6
   "certificate": {json.dumps(EQUAL_CERT)},
   "quantum": 1,
   "reduced": "abba",
-  "steps_equal_arm": 7,
-  "steps_finite_arm": 6,
+  "steps_equal_arm": 9,
+  "steps_finite_arm": 8,
   "verdict": "equal",
   "word": "abAaba"
 }}

@@ -299,7 +299,7 @@ def test_random_consequences_are_decided_equal():
     fewer relators than generators, of length 2 to 6, so that G is
     infinite and only the equality arm can win, and four products of 1 to
     4 of its relators, each inverted or not and conjugated by a word of
-    length at most 2.
+    length at most 3.
     """
     for seed in range(200):
         rng = random.Random(seed)
@@ -312,11 +312,31 @@ def test_random_consequences_are_decided_equal():
             parts = []
             for _ in range(rng.randint(1, 4)):
                 r = rng.choice(rels)
-                parts.append(conjugate(random_word(rng, k, 0, 2), r if rng.random() < 0.5 else invert(r)))
+                parts.append(conjugate(random_word(rng, k, 0, 3), r if rng.random() < 0.5 else invert(r)))
             x = concat_all(parts)
             out = solve(p, x)
             assert out.verdict == EQUAL, (seed, format_word(x, a))
             assert verify_equality(out.certificate, p, x) == (True, "ok"), (seed, format_word(x, a))
+
+
+@pytest.mark.parametrize("text, x, parent_steps", [
+    ("generators: a b c\nrelator: BABCA\n", "ABBBABCAbbacbaba", 30_983),
+    ("generators: a b c\nrelator: aCbCC\n", "aCbCCAbCbCCaBaccBcA", 165_875),
+    ("generators: a b c\nrelator: AcaccA\nrelator: CCBAc\n", "baCabccABabbaCCACaBBA", 436_215),
+])
+def test_consequences_with_long_conjugators_are_decided_equal(text, x, parent_steps):
+    """Products with conjugators of length 3, which a search from coset 0 alone ran out of budget on.
+
+    The Dyck-product search decided them at equality step parent_steps;
+    with the path of X defined first, the cosets it passes scan the
+    relators early, and a few hundred steps suffice.
+    """
+    p = parse_presentation(text)
+    w = parse_word(x, p.alphabet)
+    out = solve(p, w)
+    assert out.verdict == EQUAL
+    assert out.steps_equal_arm <= 1000 < parent_steps
+    assert verify_equality(out.certificate, p, w) == (True, "ok")
 
 
 def test_a_trace_proof_above_the_cap_is_not_written_out(monkeypatch):
@@ -324,3 +344,19 @@ def test_a_trace_proof_above_the_cap_is_not_written_out(monkeypatch):
     monkeypatch.setattr(derivation, "MAX_RAW_FACTORS", 1)
     assert prove_equal(p, parse_word("aa", p.alphabet), 1000).factors == (DyckFactor(b"", 0, 1),)
     assert prove_equal(p, parse_word("abba", p.alphabet), 1000) is None  # two factors at least
+
+
+def test_a_proof_too_large_to_write_out_is_sized_once(monkeypatch):
+    """Once X leads back to coset 0, the proofs along it are sized again only when they change."""
+    p = parse_presentation(DINF)
+    x = parse_word("abba", p.alphabet)
+    monkeypatch.setattr(derivation, "MAX_RAW_FACTORS", 1)
+    sized = []
+    size = derivation._size
+    monkeypatch.setattr(derivation, "_size", lambda node, memo: sized.append(node) or size(node, memo))
+    task = EqualityTask(p, x)
+    while not sized:
+        assert task.step() is None
+    for _ in range(20_000):
+        assert task.step() is None
+    assert len(sized) == len(x)

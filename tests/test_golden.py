@@ -5,12 +5,13 @@ certificate text.  A speed-up of the solver must reproduce every byte:
 the same winning product, the same finiteness certificate, the same step
 counts.  The equality-verdict entries (Dinf ``abba``, ``aaaaaaaa`` and
 ``abbaabba``, and ``powers-abba``) were captured when the equality arm
-became a coset enumeration of G traced with X from coset 0: Dinf ``abba``
-and ``abbaabba`` are decided in (7, 6) steps and ``aaaaaaaa`` in (2, 1),
-where the Dyck product search took (109, 108) for ``abba`` and exhausted
-the default budget on the other two; ``powers-abba`` takes (2,075, 2,074)
-instead of (143, 142), its relators joining the enumeration after 1,000
-and 2,000 steps.  The words-mode not-equal entries
+became a coset enumeration of G that defines the path of X from coset 0
+first and traces X along it: Dinf ``abba`` is decided in (9, 8) steps,
+``aaaaaaaa`` in (14, 13) and ``abbaabba`` in (17, 16), where the Dyck
+product search took (109, 108) for ``abba`` and exhausted the default
+budget on the other two; ``powers-abba`` takes (2,056, 2,055) instead of
+(143, 142), its relators joining the enumeration after 1,000 and 2,000
+steps.  The words-mode not-equal entries
 (the Dinf and Z ones and ``powers-abab``) were re-captured when a
 proof-carrying coset enumeration replaced the blind search over (table,
 tau) candidates: the winning table is now the quotient's own regular
@@ -45,9 +46,9 @@ GOLDEN = [
     (DINF, "abab", Budget(), "50204a25b07c49d0f743dfef4779888f53b11d58793fec6fecc24c027a368167"),
     (DINF, "abAB", Budget(), "759a1160a18b948c8a51a26965cac8a2a9773f28d50888548c185379bb633b43"),
     (DINF, "aba", Budget(), "a6a80fb6ac57ccc58473de04cb5e4c46c7c90615315f1f1bbac5aec3c07af4a0"),
-    (DINF, "abba", Budget(), "280fe4cc26f1322ee6af91bf68918b1ddb66bccfde884418c3293c6a52e861b8"),
-    (DINF, "aaaaaaaa", Budget(), "7d25ee2d67fb2ad88743d78a4bd684cb2ba548f81b878b9cd4c28c8b1e4b71bd"),
-    (DINF, "abbaabba", Budget(), "800bc80b2e9323447dfedb9327e232684425c0375c61903beeda64cb408a07a1"),
+    (DINF, "abba", Budget(), "36d53bcd4f8c1cdc21ea2a81c59b941ad315034239d4579a8c46efbb0b0e26a1"),
+    (DINF, "aaaaaaaa", Budget(), "93c13c81e88ffd5886f2b4d04ab3a382936ebec4883a27bc3bcac9ad0cd3c201"),
+    (DINF, "abbaabba", Budget(), "8a4a20c077afaaf075a084b4bdf08de50b5222302a07c606cd982cacf8e5bd4a"),
     (Z, "aaaa", Budget(), "2433aa1c053353ede75973426388feec0ba4e45e094b2ef628c158e8b65da0ed"),
     (Z, "AAAAA", Budget(), "8712360317d10abdb918fe19a6e7764cb8497e76cd4b1723265709ec1e78cbf3"),
     (F2, "a", Budget(20_000), "8cf26a7cf1a00b8de4e7dd46942e51ae039c7fb2259c9114216a316005b9041c"),
@@ -61,7 +62,7 @@ GOLDEN_MODES = [
     pytest.param(POWERS, "abab", Budget(), WORDS_MODE,
                  "9ca4c88512fa2bcb7a3d38e475a00d7d4ce2dbae06d328dbf288d28ed769d1ca", id="powers-abab"),
     pytest.param(POWERS, "abba", Budget(), WORDS_MODE,
-                 "5f4e1b8f1f6b56f052b8f8babec9acaab8b36a34f728a4b89fca6b8932146f59", id="powers-abba"),
+                 "0689d55981336014781c14f07ddc66f0e802f4e8f127be2dcae7e5b381fd5cc9", id="powers-abba"),
 ]
 
 

@@ -162,8 +162,8 @@ RACES = {
     "powers-abab": (POWERS, "abab", WORDS_MODE, True),  # never spent
     "z-aaa-letters": (Z, "aaa", LETTERS_MODE, False),  # the equality arm is spent
     "z-a8": (Z, "a" * 8, WORDS_MODE, True),  # the finiteness arm wins alone at its step 17
-    "z10-a40": (Z10, "a" * 40, WORDS_MODE, True),  # the equality arm wins at its step 10
-    # The equality arm wins at its step 3, the finiteness arm would at its step 7.
+    "z10-a40": (Z10, "a" * 40, WORDS_MODE, True),  # the equality arm wins at its step 70
+    # The equality arm wins at its step 4, the finiteness arm would at its step 7.
     "z3-AAA": (Z3, "AAA", WORDS_MODE, True),
 }
 
