@@ -142,23 +142,29 @@ class EqualityTask(CosetEnumeration):
         if self.idle:
             return CosetEnumeration.step(self)
         CosetEnumeration.step(self)
-        table, word = self._table, self.target
         f, i = self._at
-        if self._parent[f] != f:  # a coincidence killed f: trace again
-            f, i = 0, 0
-        n = len(word)
-        while i < n and (d := table[f][word[i]]) >= 0:
-            f, i = d, i + 1
-        self._at = f, i
-        if i < n or f:  # X does not lead from coset 0 back to it yet
+        word = self.target
+        if i < len(word) or self._parent[f] != f:
+            if self._parent[f] != f:  # a coincidence killed f: trace again
+                f, i = 0, 0
+            while i < len(word) and (d := self._table[f][word[i]]) >= 0:
+                f, i = d, i + 1
+            self._at = f, i
+        if i < len(word) or f:  # X does not lead from coset 0 back to it yet
             return None
-        f, i, _, _ = self._trace(word, 0, 0, 0, n)
-        if i < n or f:  # a coincidence is still moving the entries along the way
-            return None
-        stored, k2 = [], self.k2
+        return self._certify()
+
+    def _certify(self):
+        """The certificate from the proofs along X, unless they are too large to write out."""
+        table, word, k2 = self._table, self.target, self.k2
+        stored, f = [], 0
         for x in word:
+            if f < 0:  # a coincidence is still moving the entries along the way
+                return None
             stored.append(table[f][k2 + x])
             f = table[f][x]
+        if f:
+            return None
         if self._large is not None and all(map(operator.is_, stored, self._large)):
             return None  # the same proofs, still too large
         memo = {}
