@@ -35,7 +35,9 @@ Relator n traces closed at a live coset d once n < scanned[d], and stays
 closed: scanned[d] rises only when the trace closes, and a processed
 coincidence has moved entries onto the surviving coset, opening no cycle.  A
 lookahead scan of such a pair is idle too.  Idle steps are still steps,
-counted, not taken.
+counted, not taken.  The open cosets, those live with relators left to
+scan, are kept in a sorted list, so the end of a run of closed pairs is
+one bisection away, not a scan of every slot.
 
 The enumeration of G = <S | R_0, R_1, ...> is complete for X = 1: it is
 fair (every relator joins, every coset is processed in order and scans
@@ -54,6 +56,7 @@ enumerations themselves.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
 
 from .presentation import Presentation
@@ -102,6 +105,7 @@ class CosetEnumeration:
         self._uproof = [None]  # proof of rep(c) rep(parent[c])^-1
         self._rep = [()]  # () is the empty word, (rep, x) is rep.x
         self._scanned = [0]  # relators scanned and filled at the coset
+        self._open = [0] if self._rels else []  # the live cosets with relators left to scan, in slot order
         self._free: list[int] = []
         self._queue = deque([0])  # cosets to process, in order of definition
         self._look = (0, -1)  # the lookahead's last (coset, relator)
@@ -150,7 +154,8 @@ class CosetEnumeration:
         if word:
             self._rels.append((n, word))
             parent = self._parent
-            self._queue.extend(c for c in range(len(parent)) if parent[c] == c)
+            self._open = [c for c in range(len(parent)) if parent[c] == c]
+            self._queue.extend(self._open)
 
     # -- the enumeration: a generator yielding once per step ---------------
 
@@ -196,6 +201,8 @@ class CosetEnumeration:
                         yield from self._event(c, rels[n], f, i, b, j) or _ONE_STEP
                     else:
                         scanned[c] = n + 1
+                        if n + 1 == len(rels):
+                            del self._open[bisect_left(self._open, c)]
                     continue
                 d, x = f, word[i]
             else:
@@ -260,17 +267,13 @@ class CosetEnumeration:
 
         The table is full, so every slot is live: slots are added only when
         none is free, and never past the limit.  Up to the wrap back to slot
-        0, pair (e, m) is number e * rels + m in cursor order.
+        0, pair (e, m) is number e * rels + m in cursor order, and the next
+        open pair is (e, scanned[e]) for the first open coset e >= d, found
+        in the sorted open list; with none, the run ends at the wrap.
         """
-        scanned, rels = self._scanned, len(self._rels)
-        if n + 1 < rels and scanned[d] < rels:  # an open pair at d
-            end = d * rels + scanned[d]
-        elif d + 1 == len(scanned) or not scanned[d + 1]:  # the wrap, or an open pair (d + 1, 0)
-            end = (d + 1) * rels
-        else:
-            tail = scanned[d + 1 :]
-            e = d + 1 + min((tail.index(m) for m in range(rels) if m in tail), default=len(tail))
-            end = e * rels + (scanned[e] if e < len(scanned) else 0)
+        scanned, rels, open_ = self._scanned, len(self._rels), self._open
+        i = bisect_left(open_, d)
+        end = open_[i] * rels + scanned[open_[i]] if i < len(open_) else len(scanned) * rels
         here = d * rels + n
         k = max(0, min(self._next_check - self.steps_taken - 1, end - here - 1))
         return k, divmod(here + k, rels)
@@ -289,6 +292,8 @@ class CosetEnumeration:
         self._uproof[d] = None
         self._rep[d] = (self._rep[c], x)
         self._scanned[d] = 0
+        if self._rels:
+            insort(self._open, d)
         table[c][x] = d
         table[d][x ^ 1] = c
         self.live += 1
@@ -383,6 +388,8 @@ class CosetEnumeration:
         proof = cat(inv(p_a), proof, p_b)  # proves rep(phi) rep(psi)^-1
         if phi < psi:  # the smaller slot survives, so coset 0 always does
             phi, psi, proof = psi, phi, inv(proof)
+        if self._scanned[phi] < len(self._rels):
+            del self._open[bisect_left(self._open, phi)]
         self._parent[phi], self._uproof[phi] = psi, proof
         self.live -= 1
         dead.append(phi)

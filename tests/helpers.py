@@ -2,7 +2,8 @@
 
 None of these runs on the solver's path: they drive a task or the race to
 a budget, search for a letters-mode quotient by brute force, re-assemble a
-product the slow way, index the Dyck enumeration by cursor, print a
+product the slow way, index the Dyck enumeration by cursor, find where a
+coset enumeration's idle window ends by scanning every slot, print a
 presentation or certificate back, or write a stream source, so that tests
 can state what the solver must match.
 """
@@ -113,6 +114,33 @@ def race_reference(p, x, budget, tau_mode=WORDS_MODE):
             return Outcome(verdict, cert, arms[0].steps_taken, arms[1].steps_taken)
         turn += 1
     return Outcome(EXHAUSTED, None, arms[0].steps_taken, arms[1].steps_taken)
+
+
+def closed_run_reference(e, d, n):
+    """What ``CosetEnumeration._closed_run(d, n)`` must return, found by scanning ``scanned``.
+
+    (k, the k-th pair) for the k closed pairs after the closed pair (d, n)
+    of a full table, up to the next open pair, the step before the next
+    check, or the wrap back to slot 0; every slot is live, so pair (c, m)
+    is number c * rels + m.
+    """
+    scanned, rels = e._scanned, len(e._rels)
+    if n + 1 < rels and scanned[d] < rels:  # an open pair at d
+        end = d * rels + scanned[d]
+    elif d + 1 == len(scanned) or not scanned[d + 1]:  # the wrap, or an open pair (d + 1, 0)
+        end = (d + 1) * rels
+    else:
+        tail = scanned[d + 1 :]
+        c = d + 1 + min((tail.index(m) for m in range(rels) if m in tail), default=len(tail))
+        end = c * rels + (scanned[c] if c < len(scanned) else 0)
+    here = d * rels + n
+    k = max(0, min(e._next_check - e.steps_taken - 1, end - here - 1))
+    return k, divmod(here + k, rels)
+
+
+def open_cosets(e):
+    """The live cosets of enumeration e with relators left to scan, recounted."""
+    return [c for c in range(len(e._parent)) if e._parent[c] == c and e._scanned[c] < len(e._rels)]
 
 
 def assemble(factors, p):

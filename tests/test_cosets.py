@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from helpers import prove_finite
+from helpers import closed_run_reference, open_cosets, prove_finite
 from wordrace import cosets, proofs
 from wordrace.certcheck import (
     parse_certificate,
@@ -219,12 +219,13 @@ def random_extended(rng, families=False):
             return text, word, extend(p, x)
 
 
-def enumeration_digest(text, word, steps, every, mode=WORDS_MODE, max_table_order=8, skip=False):
+def enumeration_digest(text, word, steps, every, mode=WORDS_MODE, max_table_order=8, skip=False, check=None):
     """SHA-256 of a finiteness arm's step results, and every ``every`` steps of its enumeration's state.
 
     The state is the live rows' entries and ``scanned``, the lookahead
     cursor, the live count and ``spent``.  With ``skip`` the idle steps are
-    counted by ``skip`` and hashed as the Nones they stand for.
+    counted by ``skip`` and hashed as the Nones they stand for.  ``check``,
+    if given, is called with the task after every step or skip.
     """
     p = parse_presentation(text)
     task = FinitenessTask(extend(p, parse_word(word, p.alphabet)), mode=mode, max_table_order=max_table_order)
@@ -242,6 +243,8 @@ def enumeration_digest(text, word, steps, every, mode=WORDS_MODE, max_table_orde
             h.update(b"-" if out is None else repr((out.table, out.images, out.coverage)).encode())
             if out is not None:
                 break
+        if check:
+            check(task)
         if s % every == 0:
             live = [c for c in range(len(e._parent)) if e._parent[c] == c]
             h.update(repr([(c, e._table[c][: e.k2], e._scanned[c]) for c in live]).encode())
@@ -289,14 +292,31 @@ def test_enumeration_state_unchanged(monkeypatch, text, word, steps, every, mode
 )
 def test_enumeration_state_unchanged_on_random_presentations(monkeypatch, base, seed, families, digest, skip):
     # A small coset limit keeps these tables full, with coincidences, and
-    # family relators join full tables.
+    # family relators join full tables.  Every idle window ends where a scan
+    # of every slot says it does, and the open list, which that search
+    # reads, is a recount's after every step, coincidences included.
     monkeypatch.setattr(cosets, "COSET_BASE", base)
+    closed_run = CosetEnumeration._closed_run
+    runs = 0
+
+    def checked_run(e, d, n):
+        nonlocal runs
+        runs += 1
+        out = closed_run(e, d, n)
+        assert out == closed_run_reference(e, d, n), (e.extended, e.steps_taken, d, n)
+        return out
+
+    def check_open(e):
+        assert e._open == open_cosets(e), (e.extended, e.steps_taken)
+
+    monkeypatch.setattr(CosetEnumeration, "_closed_run", checked_run)
     rng = random.Random(seed)
     h = hashlib.sha256()
     for _ in range(40):
         text, word, _ = random_extended(rng, families)
-        h.update(enumeration_digest(text, word, 3000, 50, skip=skip).encode())
+        h.update(enumeration_digest(text, word, 3000, 50, skip=skip, check=check_open).encode())
     assert h.hexdigest() == digest
+    assert runs > 1000
 
 
 def traces_closed(table, word, d):

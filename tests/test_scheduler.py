@@ -6,13 +6,14 @@ import sys
 import pytest
 
 from helpers import PID_SCRIPT, race_reference, stream_presentation
+from wordrace import cosets, scheduler
 from wordrace.certcheck import verify_equality, verify_finiteness
 from wordrace.derivation import EqualityTask
 from wordrace.oracle import is_identity_dinf, is_identity_z
-from wordrace.presentation import extend, parse_presentation
+from wordrace.presentation import Presentation, RelatorSource, extend, parse_presentation
 from wordrace.quotient import LETTERS_MODE, WORDS_MODE, FinitenessTask
 from wordrace.scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Budget, solve
-from wordrace.words import parse_word
+from wordrace.words import alphabet, parse_word
 
 Z = "generators: a\n"
 DINF = "generators: a b\nrelator: aa\nrelator: bb\n"
@@ -326,6 +327,32 @@ def test_idle_windows_are_counted_not_taken(monkeypatch):
     out = solve(p, parse_word("a", p.alphabet), Budget())
     assert (out.verdict, out.steps_equal_arm, out.steps_finite_arm) == (EXHAUSTED, 500_000, 500_000)
     assert calls < 10**4
+
+
+def test_equality_arm_wins_alone(monkeypatch):
+    # G = <a | a^90, a^99> = Z/9 from a source whose relators join after 10
+    # and 20 steps, and X = a^9.  G1 = Z/9 closes above the cap with no
+    # relator to come, so the finiteness arm is spent at its step 40 and
+    # retired at the check after turn 127, its step 63; the equality arm
+    # then runs alone and proves X from both relators at its step 102.
+    monkeypatch.setattr(cosets, "JOIN_STEPS", 10)
+    resolved = scheduler._resolved
+    finite_arm = []
+
+    def capture(cert, arm1, arm2, quantum):
+        finite_arm.append(arm2)
+        return resolved(cert, arm1, arm2, quantum)
+
+    monkeypatch.setattr(scheduler, "_resolved", capture)
+    a = parse_word("a", alphabet("a"))
+    p = Presentation(alphabet("a"), RelatorSource([], [a * 90, a * 99]))
+    out = solve(p, a * 9, Budget())
+    assert (out.verdict, out.steps_equal_arm, out.steps_finite_arm) == (EQUAL, 102, 101)
+    (arm2,) = finite_arm
+    assert arm2.spent and arm2.steps_taken == 63
+    assert sorted(f.relator_index for f in out.certificate.factors) == [0, 1]
+    ok, why = verify_equality(out.certificate, p, a * 9)
+    assert ok, why
 
 
 def test_only_idle_steps_of_the_equality_arm_can_be_skipped():
