@@ -274,9 +274,25 @@ STATE_GOLDEN = [
 ]
 
 
+@pytest.fixture
+def closed_runs(monkeypatch):
+    """Checks every ``_closed_run`` call against a scan of every slot; the list of calls made."""
+    closed_run = CosetEnumeration._closed_run
+    calls = []
+
+    def checked(e, d, n):
+        out = closed_run(e, d, n)
+        assert out == closed_run_reference(e, d, n), (e.extended, e.steps_taken, d, n)
+        calls.append((d, n))
+        return out
+
+    monkeypatch.setattr(CosetEnumeration, "_closed_run", checked)
+    return calls
+
+
 @pytest.mark.parametrize("skip", [False, True], ids=["stepped", "skipped"])
 @pytest.mark.parametrize("text, word, steps, every, mode, cap, base, digest", STATE_GOLDEN)
-def test_enumeration_state_unchanged(monkeypatch, text, word, steps, every, mode, cap, base, digest, skip):
+def test_enumeration_state_unchanged(monkeypatch, closed_runs, text, word, steps, every, mode, cap, base, digest, skip):
     monkeypatch.setattr(cosets, "COSET_BASE", base)
     assert enumeration_digest(text, word, steps, every, mode, cap, skip) == digest
 
@@ -290,33 +306,23 @@ def test_enumeration_state_unchanged(monkeypatch, text, word, steps, every, mode
     ],
     ids=["inline", "families"],
 )
-def test_enumeration_state_unchanged_on_random_presentations(monkeypatch, base, seed, families, digest, skip):
+def test_enumeration_state_unchanged_on_random_presentations(monkeypatch, closed_runs, base, seed, families, digest, skip):
     # A small coset limit keeps these tables full, with coincidences, and
     # family relators join full tables.  Every idle window ends where a scan
     # of every slot says it does, and the open list, which that search
     # reads, is a recount's after every step, coincidences included.
     monkeypatch.setattr(cosets, "COSET_BASE", base)
-    closed_run = CosetEnumeration._closed_run
-    runs = 0
-
-    def checked_run(e, d, n):
-        nonlocal runs
-        runs += 1
-        out = closed_run(e, d, n)
-        assert out == closed_run_reference(e, d, n), (e.extended, e.steps_taken, d, n)
-        return out
 
     def check_open(e):
         assert e._open == open_cosets(e), (e.extended, e.steps_taken)
 
-    monkeypatch.setattr(CosetEnumeration, "_closed_run", checked_run)
     rng = random.Random(seed)
     h = hashlib.sha256()
     for _ in range(40):
         text, word, _ = random_extended(rng, families)
         h.update(enumeration_digest(text, word, 3000, 50, skip=skip, check=check_open).encode())
     assert h.hexdigest() == digest
-    assert runs > 1000
+    assert len(closed_runs) > 1000
 
 
 def traces_closed(table, word, d):
