@@ -33,10 +33,30 @@ of the least order m > 1 in its group.  By Lagrange and Cauchy that order is
 p, the least prime dividing r, so enumeration tries only the seed of p as
 row 1.  The tables it skips are never first of their class, so the
 representatives and their order are those of the full search.
+
+Two cuts drop a candidate row before it is placed; neither changes the
+order in which the remaining tables come.
+- Cycle type, in every search: left multiplication by i has all its
+  cycles of the order m of i, and m divides r.  So a row is cut as soon
+  as a cycle closes at another length than the first, or at a length not
+  dividing r, or an open chain grows past m nodes.  No group table has
+  such a row, so this search yields exactly the tables it yielded without
+  the cut.
+- The stabiliser of row p, in the seeded search: with the seed as row 1,
+  rows 0..p-1 are its powers, and the first row chosen is p.  A
+  relabeling pi that fixes 0..p and commutes with the seed keeps rows
+  0..p-1 and carries row p to pi o row_p o pi^-1.  If that is lex smaller,
+  so is the relabeled table, which has the seed as row 1 too; so no table
+  with this row p is first of its class, and the row is skipped.  The
+  relabelings (``_row_p_relabelings``) permute and rotate the seed's
+  blocks 2..r/p-1, (r/p - 2)! * p^(r/p - 2) of them.
+Every table still yielded goes through ``is_group_table`` and the
+isomorphism filter.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -190,15 +210,45 @@ def _row1_seeds(r):
     return []
 
 
+def _least_prime(r):
+    return next(q for q in range(2, r + 1) if r % q == 0)
+
+
+def _row_p_relabelings(r):
+    """Every relabeling that fixes 0..p and commutes with the seed of
+    ``_row1_seeds(r)``, p the least prime dividing r > 1; identity first.
+
+    The seed's cycles are the blocks kp..kp+p-1.  Such a relabeling keeps
+    blocks 0 and 1 and sends each later block onto a later one, rotated:
+    (r/p - 2)! * p^(r/p - 2) of them, or the identity alone when r/p <= 2.
+    """
+    p = _least_prime(r)
+    later = range(2, r // p)
+    out = []
+    for targets in itertools.permutations(later):
+        for shifts in itertools.product(range(p), repeat=len(later)):
+            pi = list(range(r))
+            for k, t, s in zip(later, targets, shifts):
+                for j in range(p):
+                    pi[k * p + j] = t * p + (j + s) % p
+            out.append(tuple(pi))
+    return out
+
+
 def _complete_tables(r, row1=None):
     """Group tables of order r with identity 0, in row-major lex order.
 
-    All of them, or, given row1 (a lex-ordered list of permutations), those
-    whose row 1 is one of row1.
+    All of them, or, given row1 = ``_row1_seeds(r)``, those whose row 1 is
+    the seed and whose row p no relabeling of ``_row_p_relabelings(r)``
+    makes lex smaller (see the module docstring).
     """
     if r == 1:
         yield ((0,),)
         return
+    p, relabelings = None, []
+    if row1 is not None:  # each relabeling with its inverse
+        p = _least_prime(r)
+        relabelings = [(pi, sorted(range(r), key=pi.__getitem__)) for pi in _row_p_relabelings(r)]
     identity = tuple(range(r))
     rows: list = [None] * r
     rows[0] = identity
@@ -244,24 +294,57 @@ def _complete_tables(r, row1=None):
         return True
 
     def row_candidates(i):
+        # The row is built as chains x -> row[x]: head[e] is the first node of
+        # the chain ending at e, tail[h] the last node of the chain starting
+        # at h, size[h] its node count.  m is the length of the first closed
+        # cycle, and 0 until one closes.
         row = [i] + [0] * (r - 1)
         used = 1 << i
+        head, tail, size = list(range(r)), list(range(r)), [1] * r
+        head[i], tail[0], size[0] = 0, i, 2
+        m = 0
 
         def rec(pos):
-            nonlocal used
+            nonlocal used, m
             if pos == r:
                 yield tuple(row)
                 return
+            h = head[pos]
             for v in range(r):
                 bit = 1 << v
                 if used & bit or col_used[pos] & bit:
                     continue
                 row[pos] = v
                 used |= bit
-                yield from rec(pos + 1)
+                if v == h:  # closes a cycle of size[h] nodes
+                    n = size[h]
+                    if not m and r % n == 0:
+                        m = n
+                        yield from rec(pos + 1)
+                        m = 0
+                    elif n == m:
+                        yield from rec(pos + 1)
+                else:  # joins the chain ending at pos to the one starting at v
+                    n = size[h] + size[v]
+                    if not m or n <= m:
+                        t = tail[v]
+                        head[t], tail[h], size[h] = h, t, n
+                        yield from rec(pos + 1)
+                        head[t], tail[h], size[h] = v, pos, n - size[v]
                 used &= ~bit
 
         yield from rec(1)
+
+    def relabeled_smaller(perm):
+        # Is some pi o perm o pi^-1 lex smaller than perm?
+        for pi, inv in relabelings:
+            for x, y in enumerate(perm):
+                z = pi[perm[inv[x]]]
+                if z != y:
+                    if z < y:
+                        return True
+                    break
+        return False
 
     def search():
         i = next((n for n in range(r) if rows[n] is None), None)
@@ -269,6 +352,8 @@ def _complete_tables(r, row1=None):
             yield tuple(rows)
             return
         for perm in row1 if i == 1 and row1 is not None else row_candidates(i):
+            if i == p and relabeled_smaller(perm):
+                continue
             mark = len(placed)
             place(i, perm)
             if propagate(mark):

@@ -5,7 +5,7 @@ independent oracles: exhaustive cell-by-cell generation for orders <= 4,
 and the orbit-stabilizer identity (raw table count = sum over classes of
 (r-1)!/|Aut|) for orders <= 7.  The representative hashes were captured
 while enumeration still filtered every complete table, before row 1 was
-restricted to seeds.
+restricted to seeds; that of order 11 before the search pruned rows.
 """
 
 import hashlib
@@ -20,6 +20,7 @@ from wordrace.tables import (
     MultiplicationTable,
     _complete_tables,
     _row1_seeds,
+    _row_p_relabelings,
     element_orders,
     enumerate_tables,
     eval_in_table,
@@ -33,7 +34,7 @@ from wordrace.words import alphabet, concat, parse_word
 
 # One class per order except 4 (cyclic, Klein), 6 (cyclic, S3), 8
 # (C8, C4xC2, C2^3, D4, Q8), 9 (C9, C3xC3) and 10 (cyclic, D5); OEIS A000001.
-CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2}
+CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2, 11: 1}
 
 # SHA-256 of repr([t.cells for t in enumerate_tables(r)]): the
 # representatives and their order, which fix every cursor and certificate.
@@ -48,6 +49,7 @@ REPRESENTATIVE_HASHES = {
     8: "1e98333681381643b5fbf7ce98e5f702b9d2780de3086fe08a110b5e700f2244",
     9: "f2c24c470e773036c33c7b8446f83cc90ea9d93771b47b337ac040ca921159e4",
     10: "5e4558587abfaaa4f42293de842ffb920fbf34c2351cd21eddfaa55861a1c094",
+    11: "931e722c9a3753160fafcc866c9e3940be25e426b2a7a21269d88931757f44c6",
 }
 
 
@@ -106,6 +108,18 @@ def first_of_class(tables):
         if all(find_isomorphism(cells, rep) is None for rep in reps):
             reps.append(cells)
     return reps
+
+
+def least_prime(r):
+    return next(q for q in range(2, r + 1) if r % q == 0)
+
+
+def relabel_row(pi, row):
+    """pi o row o pi^-1: the row a relabeling by pi carries row to."""
+    moved = [0] * len(row)
+    for x, y in enumerate(row):
+        moved[pi[x]] = pi[y]
+    return tuple(moved)
 
 
 def cycle_lengths(perm):
@@ -263,10 +277,41 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("r", range(2, 8))
     def test_seeded_search_is_a_subsequence(self, r):
+        # The seeded search keeps, of the full search, the tables whose row 1
+        # is the seed and whose rows 0..p no relabeling fixing 0..p and
+        # keeping row 1 makes lex smaller; found here by trying all
+        # (r - p - 1)! relabelings fixing 0..p.
         seeds = _row1_seeds(r)
+        (seed,) = seeds
+        p = least_prime(r)
+        keep_row1 = []
+        for perm in itertools.permutations(range(p + 1, r)):
+            pi = tuple(range(r - len(perm))) + perm
+            if relabel_row(pi, seed) == seed:
+                keep_row1.append(pi)
+        expected = [
+            t
+            for t in _complete_tables(r)
+            if t[1] == seed
+            and all([relabel_row(pi, row) for row in t[: p + 1]] >= list(t[: p + 1]) for pi in keep_row1)
+        ]
         seeded = list(_complete_tables(r, seeds))
-        assert seeded == [t for t in _complete_tables(r) if t[1] in seeds]
+        assert seeded == expected
         assert {t[1] for t in seeded} == set(seeds)
+
+    @pytest.mark.parametrize("r", (4, 6, 8, 9, 10, 12))
+    def test_row_p_relabelings(self, r):
+        (seed,) = _row1_seeds(r)
+        p = least_prime(r)
+        relabelings = _row_p_relabelings(r)
+        blocks = r // p
+        size = math.factorial(blocks - 2) * p ** (blocks - 2) if blocks > 2 else 1
+        assert len(set(relabelings)) == len(relabelings) == size
+        assert relabelings[0] == tuple(range(r))
+        for pi in relabelings:
+            assert sorted(pi) == list(range(r))
+            assert pi[: p + 1] == tuple(range(p + 1))
+            assert all(pi[seed[x]] == seed[pi[x]] for x in range(r))
 
     @pytest.mark.parametrize("r", range(2, 9))
     def test_seeds_are_least_per_cycle_length(self, r):
