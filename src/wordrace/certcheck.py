@@ -28,7 +28,7 @@ document is worked out from the factors, here and only here, by
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .derivation import DyckFactor, EqualityCertificate
 from .presentation import Presentation, prefix_document
@@ -112,15 +112,13 @@ def serialize_finiteness(cert: FinitenessCertificate, extended: Presentation) ->
 # parsing
 
 
-@dataclass(frozen=True)
-class EqualityDocument:
+class EqualityDocument(NamedTuple):
     digest: str
     relators_used: int
     certificate: EqualityCertificate
 
 
-@dataclass(frozen=True)
-class FinitenessDocument:
+class FinitenessDocument(NamedTuple):
     digest: str
     relators_used: int
     target: Word

@@ -9,10 +9,11 @@ disagreement localizes a bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from typing import NamedTuple
 
 from .tables import MissingImageError, MultiplicationTable, eval_in_table
-from .words import Word, letter_index, letter_sign
+from .words import FrozenRecord, Word, letter_index, letter_sign
 
 
 def exponent_sum(w: Word, generator_index: int = 0) -> int:
@@ -48,43 +49,43 @@ def is_identity_dinf(w: Word) -> bool:
     return dinf_normal_form(w) == b""
 
 
-@dataclass(frozen=True)
-class TableGroup:
+class TableGroup(FrozenRecord):
     """A finite group given by its table plus generator images."""
 
+    _fields = ("table", "images")
     table: MultiplicationTable
     images: tuple[int, ...]
 
-    def __post_init__(self):
-        r = self.table.order
-        for e in self.images:
+    def __init__(self, table: MultiplicationTable, images: tuple[int, ...]):
+        r = table.order
+        for e in images:
             if not 0 <= e < r:
                 raise MissingImageError(f"image {e} out of range for order {r}")
         # The images must generate the whole table (closure check).
-        cells = self.table.cells
-        reached = {0, *self.images}
+        cells = table.cells
+        reached = {0, *images}
         frontier = list(reached)
         while frontier:
             x = frontier.pop()
-            for g in self.images:
+            for g in images:
                 for y in (cells[x][g], cells[g][x]):
                     if y not in reached:
                         reached.add(y)
                         frontier.append(y)
         if len(reached) != r:
             raise ValueError("generator images do not generate the table's group")
+        self._set_fields(table, images)
 
     def is_identity(self, w: Word) -> bool:
         return eval_in_table(self.table, self.images, w) == 0
 
 
-@dataclass(frozen=True)
-class CorpusGroup:
+class CorpusGroup(NamedTuple):
     """A named corpus entry: a decision procedure plus its presentation text."""
 
     name: str
     presentation_text: str
-    decide: object = field(compare=False)  # callable Word -> bool
+    decide: Callable[[Word], bool]
 
     def is_identity(self, w: Word) -> bool:
         return self.decide(w)

@@ -31,11 +31,8 @@ in every prefix no matter how slowly the base source produces relators.
 
 from __future__ import annotations
 
-import shlex
-import subprocess
 import threading
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import count, islice
 
 from .words import Alphabet, Word, conjugate, format_word, is_word_over, parse_word, reduce_word, word_at_index
@@ -122,9 +119,13 @@ def _powers(base: tuple[Word, ...], alphabet: Alphabet) -> Iterator[Word]:
 def _stream(command: str, alphabet: Alphabet) -> Iterator[Word]:
     """Relators read one per ASCII line from ``command``'s stdout.
 
-    The command is spawned on the first pull; it is stopped and reaped at
-    end of stream, on an error, or when the generator is closed.
+    The command is spawned on the first pull, which is also when
+    ``subprocess`` is first imported; it is stopped and reaped at end of
+    stream, on an error, or when the generator is closed.
     """
+    import shlex
+    import subprocess
+
     try:
         proc = subprocess.Popen(shlex.split(command), stdout=subprocess.PIPE, stdin=subprocess.DEVNULL)
     except (OSError, ValueError) as exc:
@@ -146,13 +147,16 @@ def _stream(command: str, alphabet: Alphabet) -> Iterator[Word]:
         proc.stdout.close()
 
 
-@dataclass
 class Presentation:
     """<S | R>, optionally extended by a word X occupying relator index 0."""
 
-    alphabet: Alphabet
-    source: RelatorSource
-    extended_by: Word | None = None
+    def __init__(self, alphabet: Alphabet, source: RelatorSource, extended_by: Word | None = None):
+        self.alphabet = alphabet
+        self.source = source
+        self.extended_by = extended_by
+
+    def __repr__(self):
+        return f"Presentation(alphabet={self.alphabet!r}, source={self.source!r}, extended_by={self.extended_by!r})"
 
     @property
     def extended(self) -> bool:

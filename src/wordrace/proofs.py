@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .tables import MultiplicationTable
@@ -43,8 +42,7 @@ class DyckFactor(NamedTuple):
     sign: int
 
 
-@dataclass(frozen=True)
-class EqualityCertificate:
+class EqualityCertificate(NamedTuple):
     """Factors whose product's free reduction is letter-for-letter the target."""
 
     factors: tuple[DyckFactor, ...]

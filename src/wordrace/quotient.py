@@ -46,7 +46,7 @@ the coverage map (words mode) and one derivation per nonempty goal word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cosets import CosetEnumeration
 from .presentation import Presentation
@@ -58,8 +58,7 @@ WORDS_MODE = "words"
 LETTERS_MODE = "letters"
 
 
-@dataclass(frozen=True)
-class FinitenessCertificate:
+class FinitenessCertificate(NamedTuple):
     """An epimorphism witness: table, tau, coverage, and goal derivations.
 
     ``images[i]`` is the word tau(u_i); images[0] is empty in words mode.

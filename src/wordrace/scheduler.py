@@ -36,35 +36,35 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .derivation import EqualityCertificate, EqualityTask
 from .presentation import Presentation, extend
 from .quotient import WORDS_MODE, FinitenessCertificate, FinitenessTask
 from .tables import DEFAULT_MAX_TABLE_ORDER
-from .words import Word, is_word_over, reduce_word
+from .words import FrozenRecord, Word, is_word_over, reduce_word
 
 EQUAL = "equal"
 NOT_EQUAL = "not-equal"
 EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(FrozenRecord):
     """Total step allowance across both arms; None means run until resolved."""
 
-    max_total_steps: int | None = 1_000_000
-    quantum: int = 1
+    _fields = ("max_total_steps", "quantum")
+    max_total_steps: int | None
+    quantum: int
 
-    def __post_init__(self):
-        if not 1 <= self.quantum <= sys.maxsize:  # the turn pipeline repeats each step quantum times
+    def __init__(self, max_total_steps: int | None = 1_000_000, quantum: int = 1):
+        if not 1 <= quantum <= sys.maxsize:  # the turn pipeline repeats each step quantum times
             raise ValueError(f"quantum must be between 1 and {sys.maxsize}")
-        if self.max_total_steps is not None and self.max_total_steps < 0:
+        if max_total_steps is not None and max_total_steps < 0:
             raise ValueError("budget must be >= 0 or unlimited")
+        self._set_fields(max_total_steps, quantum)
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     verdict: str
     certificate: EqualityCertificate | FinitenessCertificate | None
     steps_equal_arm: int

@@ -57,10 +57,9 @@ isomorphism filter.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
-from .words import Word
+from .words import FrozenRecord, Word
 
 # The largest order of a finiteness certificate's table, in either tau mode:
 # the closed coset table's order in words mode, and in letters mode that
@@ -73,9 +72,12 @@ class MissingImageError(ValueError):
     """A word uses a generator with no assigned table element."""
 
 
-@dataclass(frozen=True)
-class MultiplicationTable:
+class MultiplicationTable(FrozenRecord):
+    _fields = ("cells",)
     cells: tuple[tuple[int, ...], ...]
+
+    def __init__(self, cells: tuple[tuple[int, ...], ...]):
+        self._set_fields(cells)
 
     @property
     def order(self) -> int:

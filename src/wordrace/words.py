@@ -17,8 +17,6 @@ inverse (``abA`` is a.b.a^-1), empty string = identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 Word = bytes
 
 MAX_GENERATORS = 26
@@ -28,24 +26,57 @@ class MalformedWordError(ValueError):
     """A letter sequence refers outside its alphabet or is unparseable."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class FrozenRecord:
+    """A value whose ``_fields`` are set once, by ``_set_fields``, and never reassigned.
+
+    It compares, hashes and prints by those fields, as a frozen dataclass
+    does; the records that validate or cache are built on it, so that no
+    import of wordrace loads ``dataclasses``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set_fields(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Alphabet(FrozenRecord):
     """Ordered generator names; single lowercase Latin letters, all distinct."""
 
+    _fields = ("generators",)
     generators: tuple[str, ...]
 
-    def __post_init__(self):
-        if not 1 <= len(self.generators) <= MAX_GENERATORS:
-            raise MalformedWordError(
-                f"alphabet must have 1..{MAX_GENERATORS} generators, got {len(self.generators)}"
-            )
+    def __init__(self, generators: tuple[str, ...]):
+        if not 1 <= len(generators) <= MAX_GENERATORS:
+            raise MalformedWordError(f"alphabet must have 1..{MAX_GENERATORS} generators, got {len(generators)}")
         seen = set()
-        for name in self.generators:
+        for name in generators:
             if len(name) != 1 or not ("a" <= name <= "z"):
                 raise MalformedWordError(f"generator name {name!r} is not a lowercase letter")
             if name in seen:
                 raise MalformedWordError(f"duplicate generator {name!r}")
             seen.add(name)
+        self._set_fields(generators)
 
     @property
     def k(self) -> int:

@@ -11,6 +11,8 @@ restricted to seeds; that of order 11 before the search pruned rows.
 import hashlib
 import itertools
 import math
+import sys
+import types
 
 import pytest
 
@@ -298,6 +300,41 @@ class TestEnumeration:
         seeded = list(_complete_tables(r, seeds))
         assert seeded == expected
         assert {t[1] for t in seeded} == set(seeds)
+
+    # (order, seeded): the most (propagate, rec) calls the search makes.
+    # Without the cycle-length comparison the first reads (173, 655),
+    # (309, 1000) and (281, 2997); without the open-chain or divisibility
+    # cut, rec is called more often.
+    SEARCH_WORK = {(6, False): (125, 549), (7, False): (120, 446), (8, True): (163, 2063)}
+
+    @pytest.mark.parametrize("r,seeded", sorted(SEARCH_WORK))
+    def test_search_work_is_bounded(self, r, seeded):
+        # The cycle-type cut only prunes, so it shows in the work done, not in
+        # the tables yielded: count the calls of the nested propagate (one per
+        # placed candidate row) and of row_candidates' rec (one per row
+        # position tried), each a distinct frame held until the count.
+        def nested(code, name):
+            return next(c for c in code.co_consts if isinstance(c, types.CodeType) and c.co_name == name)
+
+        outer = _complete_tables.__code__
+        counted = {nested(outer, "propagate"): 0, nested(nested(outer, "row_candidates"), "rec"): 1}
+        frames = set()
+
+        def profile(frame, event, arg):
+            if frame.f_code in counted:
+                frames.add(frame)
+
+        sys.setprofile(profile)
+        try:
+            sum(1 for _ in _complete_tables(r, _row1_seeds(r) if seeded else None))
+        finally:
+            sys.setprofile(None)
+        calls = [0, 0]
+        for frame in frames:
+            calls[counted[frame.f_code]] += 1
+        propagate_most, rec_most = self.SEARCH_WORK[r, seeded]
+        assert calls[0] <= propagate_most
+        assert calls[1] <= rec_most
 
     @pytest.mark.parametrize("r", (4, 6, 8, 9, 10, 12))
     def test_row_p_relabelings(self, r):
