@@ -25,11 +25,11 @@ isqrt(steps), so memory grows with the square root of the steps; while
 the table is full a step is one deduction-only lookahead scan of one
 (coset, relator) pair, and dead cosets' slots are reused.
 
-A closed table of at most ``max_table_order`` cosets yields the fields of
-a finiteness certificate (``proofs.certificate_fields``).  A larger one,
-or one whose proofs are too long to write out, yields nothing, and the
-arm waits for a later relator to change the table, idle; with the source
-exhausted it waits for ever.
+Until a nonempty relator joins the enumeration waits, idle (spent if none
+can come); it then first defines the path of the word ``_path`` (empty
+unless a subclass sets it) from coset 0.  The step that finds the table
+closed returns True, and the enumeration waits, idle, for a relator to
+change the table, for ever once the source is exhausted.
 
 Relator n traces closed at a live coset d once n < scanned[d], and stays
 closed: scanned[d] rises only when the trace closes, and a processed
@@ -46,11 +46,10 @@ made first along X are finitely many), so its limit is the regular
 G-set, and a word equal to 1 eventually leads from coset 0 back to it
 (Sims, *Computation with Finitely Presented Groups*, ch. 5).
 
-``quotient.FinitenessTask`` is this class over G1 with the arm's
-certificate on top, and ``derivation.EqualityTask`` this class over G,
-emitting no table, with the path of X from coset 0 defined first and X
-traced along it after each step: the race steps, skips and counts the
-enumerations themselves.
+``quotient.FinitenessTask`` is this class over G1, building the arm's
+certificate on a closed table, and ``derivation.EqualityTask`` this class
+over G, with X as its path and X traced along it after each step: the
+race steps, skips and counts the enumerations themselves.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from bisect import bisect_left, insort
 from collections import deque
 
 from .presentation import Presentation
-from .proofs import cat, certificate_fields, inv, leaf
+from .proofs import cat, inv, leaf
 from .words import invert
 
 JOIN_STEPS = 1000  # the m-th relator past the inline prefix joins after JOIN_STEPS * 2^m steps
@@ -73,18 +72,18 @@ _ONE_STEP = (None,)  # what a step without a coincidence yields
 class CosetEnumeration:
     """HLT enumeration of the cosets of 1 in an extended presentation, one step per call.
 
-    ``step()`` returns None, or, once the table closes with at most
-    ``max_table_order`` cosets, the fields of the finiteness certificate.
-    ``idle`` counts the next steps certain to return None (math.inf if all
-    are, and the enumeration is ``spent``): ``step()`` returns them without
-    resuming the enumeration, and ``skip(k)`` counts k at once.
+    ``step()`` returns True at the step that finds the table closed, else
+    None.  ``idle`` counts the next steps certain to return None (math.inf
+    if all are, and the enumeration is ``spent``): ``step()`` returns them
+    without resuming the enumeration, and ``skip(k)`` counts k at once.
     ``steps_taken`` counts both kinds; ``coset_peak`` counts the slots ever
     held.
     """
 
-    def __init__(self, extended: Presentation, max_table_order: int):
+    _path = b""  # the word whose path from coset 0 is defined first
+
+    def __init__(self, extended: Presentation):
         self.extended = extended
-        self.max_table_order = max_table_order
         self.k2 = 2 * extended.alphabet.k
         self.steps_taken = 0
         self.live = 1
@@ -123,7 +122,7 @@ class CosetEnumeration:
 
     @property
     def spent(self) -> bool:
-        """Whether no later step can return a certificate."""
+        """Whether every later step returns None."""
         return self.idle == math.inf
 
     def skip(self, k):
@@ -160,7 +159,20 @@ class CosetEnumeration:
     # -- the enumeration: a generator yielding once per step ---------------
 
     def _run(self):
-        queue, parent, scanned, table = self._queue, self._parent, self._scanned, self._table
+        if not self._rels and self.extended.available(self._prefix + 1) <= self._prefix:
+            self._join_at = math.inf  # no nonempty relator, and none to come
+        while not self._rels:  # nothing to scan until a relator joins
+            self.idle = self._join_at - self.steps_taken - 1
+            yield None
+        c, table = 0, self._table
+        for x in self._path:
+            if table[c][x] < 0:
+                if self.live >= self._limit:
+                    break
+                self._define(c, x)
+                yield None
+            c = table[c][x]
+        queue, parent, scanned = self._queue, self._parent, self._scanned
         while True:
             if queue:
                 c = queue.popleft()
@@ -169,7 +181,7 @@ class CosetEnumeration:
                 continue
             # Closed means that every live coset has scanned every relator and
             # has a full row; the queue emptying should imply it, and this
-            # checks it before a certificate is built on it.
+            # checks it before the step reports the table closed.
             rels = len(self._rels)
             unfinished = [
                 c for c in range(len(parent)) if parent[c] == c and (scanned[c] < rels or -1 in table[c])
@@ -177,10 +189,7 @@ class CosetEnumeration:
             if unfinished:
                 queue.extend(unfinished)
                 continue
-            if self.live <= self.max_table_order:
-                fields = certificate_fields(self._table, self._proof, self._rels, self.k2)
-                if fields is not None:
-                    yield fields
+            yield True
             while not queue:  # closed: wait for a relator to join
                 self.idle = self._join_at - self.steps_taken - 1
                 yield None

@@ -6,10 +6,11 @@ certificate is the tuple of factors (conjugator, relator index, sign) plus
 the target word.
 
 The equality arm, ``EqualityTask``, is a ``cosets.CosetEnumeration`` of G
-that first defines the path of X from coset 0 and then traces X along it
-after every step that is not idle.  Once X leads from coset 0 back to it,
-the entry proofs along the way prove X, and cancelled they are the
-certificate (Havas and Ramsay, "Proving a group trivial made easy", 2000).
+whose path, defined first from coset 0, is X; after every step that is
+not idle the arm traces X along it.  Once X leads from coset 0 back to it
+(on a closed table too), the entry proofs along the way prove X, and
+cancelled they are the certificate (Havas and Ramsay, "Proving a group
+trivial made easy", 2000).
 
 ``ProductStream`` enumerates the Dyck products themselves by stages: stage
 n holds the products with factor count, relator index and conjugator
@@ -22,7 +23,6 @@ Zero exponents and empty relators are not enumerated.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 
 from .cosets import CosetEnumeration
@@ -121,16 +121,15 @@ def _prefixes(entries, depth):
 class EqualityTask(CosetEnumeration):
     """The equality arm: a coset enumeration of G that defines the path of X from coset 0 first.
 
-    ``idle``, ``spent`` and ``skip`` are the enumeration's.  Until a
-    nonempty relator joins the arm is idle, and with none to come it is
-    spent at its first step.  The cosets X passes are the first to scan the
-    relators, so a consequence with long conjugators is proved where X
-    runs.  Each step resumes the trace of X where the last one stopped.
+    ``idle``, ``spent`` and ``skip`` are the enumeration's, and X is its
+    ``_path``: the cosets X passes are the first to scan the relators, so a
+    consequence with long conjugators is proved where X runs.  Each step
+    resumes the trace of X where the last one stopped.
     """
 
     def __init__(self, presentation: Presentation, target: Word):
-        super().__init__(presentation, max_table_order=0)
-        self.target = reduce_word(target)
+        super().__init__(presentation)
+        self.target = self._path = reduce_word(target)
         self.certificate: EqualityCertificate | None = None
         self._at = (0, 0)  # (f, i): X[:i] leads from coset 0 to f
         self._large = None  # the table proofs along X when they were last too large to write out
@@ -173,19 +172,3 @@ class EqualityTask(CosetEnumeration):
             return None  # too large to write out
         self.certificate = EqualityCertificate(_expand(cat(*self._walk(0, word)), {}), word)
         return self.certificate
-
-    def _run(self):
-        if not self._rels and self.extended.available(self._prefix + 1) <= self._prefix:
-            self._join_at = math.inf  # no nonempty relator, and none to come
-        while not self._rels:  # nothing to scan until a relator joins
-            self.idle = self._join_at - self.steps_taken - 1
-            yield None
-        c, table = 0, self._table
-        for x in self.target:
-            if table[c][x] < 0:
-                if self.live >= self._limit:
-                    break
-                self._define(c, x)
-                yield None
-            c = table[c][x]
-        yield from CosetEnumeration._run(self)

@@ -276,7 +276,7 @@ def parse_presentation(text: str) -> Presentation:
         except ValueError as exc:
             raise PresentationSyntaxError(str(exc), tail_line) from exc
         if not base:
-            raise PresentationSyntaxError("family powers needs at least one base word")
+            raise PresentationSyntaxError("family powers needs at least one base word", tail_line)
         source = RelatorSource(inline, _powers(base, alphabet))
 
     return Presentation(alphabet, source)

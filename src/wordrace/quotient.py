@@ -12,10 +12,12 @@ Both tau modes run one engine, ``cosets.CosetEnumeration``: a coset
 enumeration of G1 over its trivial subgroup that closes exactly when some
 prefix of the relators presents a finite group, and whose table entries
 carry proofs.  The arm, ``FinitenessTask``, is that enumeration with its
-certificate on top.  On closure it yields the words-mode certificate: T is
-the table of that group H, tau its shortlex transversal and every goal
-derivation is read off the enumeration (``proofs.certificate_fields``; the
-goal words are ``proofs.equation_words``).
+certificate on top.  A closed table of at most ``max_table_order`` cosets
+yields the words-mode certificate: T is the table of that group H, tau
+its shortlex transversal and every goal derivation is read off the
+enumeration (``proofs.certificate_fields``; the goal words are
+``proofs.equation_words``).  A larger one, or one whose proofs are too
+long to write out, yields nothing, and the arm waits, idle, for a relator.
 
 The strict-fidelity mode ("letters") keeps the literal letter-valued
 surjections: every element maps to a generator letter, the map is onto
@@ -50,7 +52,7 @@ from typing import NamedTuple
 
 from .cosets import CosetEnumeration
 from .presentation import Presentation
-from .proofs import DyckFactor, EqualityCertificate, equation_words
+from .proofs import DyckFactor, EqualityCertificate, certificate_fields, equation_words
 from .tables import DEFAULT_MAX_TABLE_ORDER, MultiplicationTable
 from .words import Word, concat
 
@@ -107,9 +109,9 @@ def _letters_certificate(words: FinitenessCertificate, max_table_order: int) -> 
 
 
 class FinitenessTask(CosetEnumeration):
-    """The finiteness arm: the coset enumeration, whose closed table's fields it wraps as a certificate.
+    """The finiteness arm: the coset enumeration, whose closed table it makes a certificate.
 
-    In letters mode a closed table's certificate is translated by
+    In letters mode the certificate is translated by
     ``_letters_certificate``.  ``admitted`` reads 0: ``bench/layers.py``
     reads it on every step.
     """
@@ -126,16 +128,19 @@ class FinitenessTask(CosetEnumeration):
             raise ValueError("presentation must be extended by the target word")
         if mode not in (WORDS_MODE, LETTERS_MODE):
             raise ValueError(f"unknown tau mode {mode!r}")
-        super().__init__(extended, max_table_order)
+        super().__init__(extended)
         self.mode = mode
+        self.max_table_order = max_table_order
         self.certificate: FinitenessCertificate | None = None
 
     def step(self) -> FinitenessCertificate | None:
         """One quantum of the arm, a step of the enumeration; the certificate once it is found."""
         if self.certificate is not None:
             raise ValueError("task already resolved")
-        fields = CosetEnumeration.step(self)  # not super(), which would build a proxy object on every step
-        if fields is not None:
-            cert = FinitenessCertificate(mode=WORDS_MODE, **fields)
-            self.certificate = cert if self.mode == WORDS_MODE else _letters_certificate(cert, self.max_table_order)
+        closed = CosetEnumeration.step(self)  # not super(), which would build a proxy object on every step
+        if closed and self.live <= self.max_table_order:
+            fields = certificate_fields(self._table, self._proof, self._rels, self.k2)
+            if fields is not None:
+                cert = FinitenessCertificate(mode=WORDS_MODE, **fields)
+                self.certificate = cert if self.mode == WORDS_MODE else _letters_certificate(cert, self.max_table_order)
         return self.certificate

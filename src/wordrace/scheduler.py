@@ -57,10 +57,10 @@ class Budget(FrozenRecord):
     quantum: int
 
     def __init__(self, max_total_steps: int | None = 1_000_000, quantum: int = 1):
-        if not 1 <= quantum <= sys.maxsize:  # the turn pipeline repeats each step quantum times
-            raise ValueError(f"quantum must be between 1 and {sys.maxsize}")
-        if max_total_steps is not None and max_total_steps < 0:
-            raise ValueError("budget must be >= 0 or unlimited")
+        if not (isinstance(quantum, int) and 1 <= quantum <= sys.maxsize):  # the turn pipeline repeats each step quantum times
+            raise ValueError(f"quantum must be between 1 and {sys.maxsize} (an int)")
+        if max_total_steps is not None and not (isinstance(max_total_steps, int) and max_total_steps >= 0):
+            raise ValueError("budget must be >= 0 (an int) or unlimited")
         self._set_fields(max_total_steps, quantum)
 
 

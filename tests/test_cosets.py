@@ -344,7 +344,7 @@ def test_scanned_relators_trace_closed(monkeypatch):
     checked = 0
     for _ in range(60):
         _, _, extended = random_extended(rng)
-        e = CosetEnumeration(extended, 8)
+        e = CosetEnumeration(extended)
         for target in sorted(rng.sample(range(1, 3000), 15)):
             while e.steps_taken < target or any(e._parent[g] not in (g, -1) for g in range(len(e._parent))):
                 if e.idle and e.steps_taken < target and rng.random() < 0.5:
@@ -370,3 +370,40 @@ def test_only_idle_steps_can_be_skipped():
             task.skip(wrong)
     task.skip(k)
     assert task.steps_taken == steps + k and task.idle == 0
+
+
+def test_bare_enumeration_without_relators_is_spent_at_once():
+    # F2 has no relator and none to come: nothing is ever scanned.
+    e = CosetEnumeration(parse_presentation("generators: a b\n"))
+    assert e.step() is None
+    assert e.spent and e.steps_taken == 1 and e.live == 1
+
+
+def test_bare_enumeration_waits_for_its_first_relator():
+    # aa, the family's first relator, joins at step JOIN_STEPS; until then
+    # every step is idle, and after it the enumeration defines cosets.
+    e = CosetEnumeration(parse_presentation("generators: a b\nfamily: powers aa\n"))
+    joined = None
+    for _ in range(5 * JOIN_STEPS):
+        assert e.step() is None
+        assert not e.spent
+        if joined is None and e._rels:
+            joined = e.steps_taken
+    assert joined == JOIN_STEPS
+    assert e.live > 1
+
+
+def test_closing_step_returns_true_once():
+    # <a | a, aaa> is trivial: the table closes at one coset, and the step
+    # that finds it closed returns True, not a certificate.  The next step
+    # starts the idle wait for a join; the source is inline, so the join
+    # finds it exhausted and the enumeration is spent from then on.
+    p = parse_presentation("generators: a\nrelator: aaa\n")
+    e = CosetEnumeration(extend(p, parse_word("a", p.alphabet)))
+    while (out := e.step()) is None and e.steps_taken < JOIN_STEPS:
+        pass
+    assert out is True and e.live == 1
+    assert e.step() is None and e.steps_taken + e.idle == JOIN_STEPS - 1 and not e.spent
+    while e.steps_taken < 2 * JOIN_STEPS:
+        assert e.step() is None
+    assert e.spent

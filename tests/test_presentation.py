@@ -60,6 +60,9 @@ def test_parse_errors_carry_line_numbers():
         parse_presentation("generators: a\nstream: x\nfamily: powers a\n")
     with pytest.raises(PresentationSyntaxError):
         parse_presentation("generators: a\nstream: x\nrelator: aa\n")
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse_presentation("generators: a\nfamily: powers\n")
+    assert err.value.line == 2
 
 
 def test_extend_places_x_at_index_zero():

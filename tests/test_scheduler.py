@@ -118,6 +118,10 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         Budget(10, sys.maxsize + 1)  # itertools.repeat takes at most sys.maxsize
     assert Budget(10, sys.maxsize).quantum == sys.maxsize
+    # Non-integers would fail only deep inside solve's itertools pipeline.
+    for bad in ((10.5,), (10.0,), (100, 2.0), ("10",)):
+        with pytest.raises(ValueError):
+            Budget(*bad)
 
 
 def test_exhausted_split_follows_the_turn_cycle():
