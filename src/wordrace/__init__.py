@@ -8,7 +8,8 @@ exhibiting that group as finite.
 Either outcome comes with an independently checkable certificate.
 """
 
-from .derivation import DyckFactor, EqualityCertificate, EqualityTask
+from .certificates import DyckFactor, EqualityCertificate, FinitenessCertificate, MultiplicationTable, is_group_table
+from .derivation import EqualityTask
 from .presentation import (
     Presentation,
     PresentationSyntaxError,
@@ -17,15 +18,9 @@ from .presentation import (
     extend,
     parse_presentation,
 )
-from .quotient import FinitenessCertificate, FinitenessTask, equation_words
+from .quotient import FinitenessTask, equation_words
 from .scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Budget, Outcome, solve
-from .tables import (
-    MultiplicationTable,
-    enumerate_tables,
-    eval_in_table,
-    is_group_table,
-    table_at_cursor,
-)
+from .tables import enumerate_tables, eval_in_table, table_at_cursor
 from .words import (
     Alphabet,
     MalformedWordError,

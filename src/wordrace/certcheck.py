@@ -1,15 +1,17 @@
 """Independent verifier and canonical text form for both certificate kinds.
 
 The verifier is straight-line by design: it re-pulls the cited relators,
-re-assembles products with fresh reductions, and compares letters, sharing
-only the word and table primitives with the provers.  No search code runs
-here, so a prover bug cannot certify itself.
+re-assembles products with fresh reductions, and compares letters.  Its
+imports are ``words``, ``presentation`` and ``certificates`` (the records and
+the table axioms), which reach no prover code, so a prover bug cannot
+certify itself.
 
 There is one path per certificate kind.  ``verify_equality`` and
-``verify_finiteness`` check an in-memory certificate; a finiteness
-certificate must carry exactly the nested certificates its nonempty goals
-need.  ``verify_equality_document`` and ``verify_finiteness_document``
-check a parsed document in three passes: first every claim (the target,
+``verify_finiteness`` check an in-memory certificate, and reject a relator
+index of MAX_RELATORS or more before pulling; a finiteness certificate
+must carry exactly the nested certificates its nonempty goals need.
+``verify_equality_document`` and ``verify_finiteness_document`` check a
+parsed document in three passes: first every claim (the target,
 each ``relators-used`` count against MAX_RELATORS and its own factors,
 each nested count against the enclosing one), before any relator is
 pulled; then the certificate, by the certificate check; and last the digests.
@@ -30,10 +32,11 @@ from __future__ import annotations
 import hashlib
 from typing import NamedTuple
 
-from .derivation import DyckFactor, EqualityCertificate
+from .certificates import (
+    LETTERS_MODE, WORDS_MODE, DyckFactor, EqualityCertificate, FinitenessCertificate, MultiplicationTable,
+    is_group_table,
+)
 from .presentation import Presentation, prefix_document
-from .quotient import LETTERS_MODE, WORDS_MODE, FinitenessCertificate
-from .tables import MultiplicationTable, is_group_table
 from .words import (
     Alphabet, Word, concat_all, conjugate, format_word, invert, is_word_over, parse_word, reduce_word,
 )
@@ -256,6 +259,8 @@ def verify_equality(cert: EqualityCertificate, p: Presentation, x: Word) -> tupl
             return False, f"factor {n} conjugator is not over the alphabet"
         if f.relator_index < 0:
             return False, f"factor {n} cites negative relator index"
+        if f.relator_index >= MAX_RELATORS:
+            return False, f"factor {n} cites relator {f.relator_index}, above the cap of {MAX_RELATORS}"
         rel = p.try_relator(f.relator_index)
         if rel is None:
             return False, f"factor {n} cites relator {f.relator_index} beyond the exhausted source"

@@ -14,8 +14,8 @@ import sys
 import time
 
 from . import certcheck, oracle
+from .certificates import LETTERS_MODE, WORDS_MODE
 from .presentation import StreamError, extend, parse_presentation
-from .quotient import LETTERS_MODE, WORDS_MODE
 from .scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Budget, solve
 from .tables import DEFAULT_MAX_TABLE_ORDER, enumerate_tables
 from .words import format_word, parse_word

@@ -25,9 +25,10 @@ from __future__ import annotations
 import itertools
 import operator
 
+from .certificates import DyckFactor, EqualityCertificate
 from .cosets import CosetEnumeration
 from .presentation import Presentation
-from .proofs import MAX_RAW_FACTORS, DyckFactor, EqualityCertificate, _expand, _size, cat
+from .proofs import MAX_RAW_FACTORS, _expand, _size, cat
 from .words import Word, concat, conjugate, count_words_up_to, invert, reduce_word, word_at_index
 
 

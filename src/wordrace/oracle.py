@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .tables import MissingImageError, MultiplicationTable, eval_in_table
+from .certificates import MultiplicationTable
+from .tables import MissingImageError, eval_in_table
 from .words import FrozenRecord, Word, letter_index, letter_sign
 
 

@@ -26,27 +26,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import NamedTuple
 
-from .tables import MultiplicationTable
+from .certificates import DyckFactor, EqualityCertificate, MultiplicationTable
 from .words import Word, concat, invert, reduce_word
 
 MAX_RAW_FACTORS = 10**6  # the largest enumeration proof a certificate may expand, before cancellation
 
 _LEAF, _CAT, _INV = 0, 1, 2
-
-
-class DyckFactor(NamedTuple):
-    conjugator: Word
-    relator_index: int
-    sign: int
-
-
-class EqualityCertificate(NamedTuple):
-    """Factors whose product's free reduction is letter-for-letter the target."""
-
-    factors: tuple[DyckFactor, ...]
-    target: Word
 
 
 def leaf(rep, index):

@@ -44,34 +44,18 @@ above the order cap, for a relator to join.
 
 A certificate holds only what cannot be derived: the table, the images,
 the coverage map (words mode) and one derivation per nonempty goal word.
+Its record and the mode names are those of ``certificates``, which the
+verifier shares; this module only builds certificates.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
+from .certificates import LETTERS_MODE, WORDS_MODE, DyckFactor, EqualityCertificate, FinitenessCertificate, MultiplicationTable
 from .cosets import CosetEnumeration
 from .presentation import Presentation
-from .proofs import DyckFactor, EqualityCertificate, certificate_fields, equation_words
-from .tables import DEFAULT_MAX_TABLE_ORDER, MultiplicationTable
-from .words import Word, concat
-
-WORDS_MODE = "words"
-LETTERS_MODE = "letters"
-
-
-class FinitenessCertificate(NamedTuple):
-    """An epimorphism witness: table, tau, coverage, and goal derivations.
-
-    ``images[i]`` is the word tau(u_i); images[0] is empty in words mode.
-    """
-
-    table: MultiplicationTable
-    images: tuple[Word, ...]
-    mode: str
-    coverage: dict[int, int] | None  # generator index -> witness element (words mode)
-    equation_certs: dict[tuple[int, int], EqualityCertificate]
-    coverage_certs: dict[int, EqualityCertificate]
+from .proofs import certificate_fields, equation_words
+from .tables import DEFAULT_MAX_TABLE_ORDER
+from .words import concat
 
 
 def _letters_certificate(words: FinitenessCertificate, max_table_order: int) -> FinitenessCertificate | None:

@@ -38,9 +38,10 @@ import math
 import sys
 from typing import NamedTuple
 
-from .derivation import EqualityCertificate, EqualityTask
+from .certificates import WORDS_MODE, EqualityCertificate, FinitenessCertificate
+from .derivation import EqualityTask
 from .presentation import Presentation, extend
-from .quotient import WORDS_MODE, FinitenessCertificate, FinitenessTask
+from .quotient import FinitenessTask
 from .tables import DEFAULT_MAX_TABLE_ORDER
 from .words import FrozenRecord, Word, is_word_over, reduce_word
 
@@ -83,6 +84,8 @@ def solve(
         raise ValueError("solve expects an unextended presentation")
     if not is_word_over(x, p.alphabet):
         raise ValueError("word is not over the presentation's alphabet")
+    if not (isinstance(max_table_order, int) and max_table_order >= 1):  # below 1, no table is ever emitted
+        raise ValueError("max_table_order must be >= 1 (an int)")
     target = reduce_word(x)
     if target == b"":
         return Outcome(EQUAL, EqualityCertificate(factors=(), target=b""), 0, 0)

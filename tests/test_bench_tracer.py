@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from wordrace import derivation, quotient
+from wordrace import derivation, quotient, tables
 from wordrace.presentation import parse_presentation
 from wordrace.quotient import LETTERS_MODE
 from wordrace.scheduler import NOT_EQUAL, Budget, solve
@@ -71,3 +71,45 @@ def test_tracer_installs_and_counts(layers):
         "scheduler.finite_arm_s",
     ):
         assert metrics[name] > 0, name
+
+
+@pytest.fixture
+def pace():
+    sys.path.insert(0, BENCH)
+    try:
+        import pace
+
+        yield pace
+    finally:
+        sys.path.remove(BENCH)
+        sys.modules.pop("pace", None)
+
+
+class CountingPacer:
+    def __init__(self):
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+
+
+def test_pace_targets_are_called(pace, monkeypatch):
+    # bench/setup_probe.py paces set-up through tables.is_group_table, and
+    # bench/run.py each solve through FinitenessTask.step.  paced() wraps
+    # nothing once such a name is gone, and the pacer would then calibrate
+    # only between the timed spans.
+    monkeypatch.setattr(tables, "_TABLE_CACHE", {})  # so that order 4 is enumerated here
+    p = parse_presentation("generators: a b\nrelator: aa\nrelator: bb\n")
+    for owner, attr, work in (
+        (tables, "is_group_table", lambda: tables.enumerate_tables(4)),
+        (quotient.FinitenessTask, "step", lambda: solve(p, parse_word("abab", p.alphabet), Budget())),
+    ):
+        original = vars(owner)[attr]
+        pacer = CountingPacer()
+        undo = pace.paced(owner, attr, pacer)
+        try:
+            work()
+        finally:
+            undo()
+        assert pacer.ticks > 0, attr
+        assert vars(owner)[attr] is original

@@ -144,6 +144,33 @@ class TestEqualityVerification:
         assert (ok, why) == (False, "relators-used 2000001 is above the cap of 100000")
         assert p.pulled_count == p.source.inline_count == 0
 
+    def test_in_memory_relator_above_the_cap_pulls_nothing(self):
+        # An in-memory certificate states no relators-used count, so the
+        # cap applies to each factor's index before its relator is pulled.
+        p = parse_presentation("generators: a b\nfamily: powers aa bb\n")
+        target = parse_word("aa", p.alphabet)
+        before = p.pulled_count
+        forged = EqualityCertificate((DyckFactor(b"", 400_000, 1),), target)
+        ok, why = verify_equality(forged, p, target)
+        assert (ok, why) == (False, "factor 0 cites relator 400000, above the cap of 100000")
+        assert p.pulled_count == before
+        ok, why = verify_equality(EqualityCertificate((DyckFactor(b"", -1, 1),), target), p, target)
+        assert (ok, why) == (False, "factor 0 cites negative relator index")
+
+    def test_nested_relator_above_the_cap_pulls_nothing(self):
+        p = parse_presentation("generators: a b\nfamily: powers aa bb\n")
+        extended = extend(p, parse_word("abab", p.alphabet))
+        cert = prove_finite(extended, 10_000)
+        (cell, nested), *_ = sorted(cert.equation_certs.items())
+        forged = cert._replace(equation_certs={
+            **cert.equation_certs, cell: EqualityCertificate((DyckFactor(b"", 400_000, 1),), nested.target),
+        })
+        before = extended.pulled_count
+        ok, why = verify_finiteness(forged, extended)
+        assert not ok
+        assert why.endswith("invalid: factor 0 cites relator 400000, above the cap of 100000")
+        assert extended.pulled_count == before
+
     def test_finiteness_claim_above_the_cap_is_rejected(self, monkeypatch):
         p = parse_presentation(DINF)
         x = parse_word("abab", p.alphabet)

@@ -186,6 +186,15 @@ def test_quantum_above_maxsize_is_error_exit(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_max_table_order_below_one_is_error_exit(dinf_pres, cap, capsys):
+    code = main(["solve", dinf_pres, "--word", "abab", "--max-table-order", cap])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("wordrace: error: max_table_order must be")
+    assert captured.out == ""
+
+
 def test_bad_usage_exits_above_two():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])

@@ -124,6 +124,18 @@ def test_budget_validation():
             Budget(*bad)
 
 
+def test_max_table_order_validation():
+    # A cap below 1 would hold back every table and spend the budget; a
+    # non-integer one would compare as a cap all the same.
+    p = parse_presentation(DINF)
+    x = parse_word("abab", p.alphabet)
+    for bad in (0, -3, 4.5, 8.0, "8", None):
+        for word in (x, b""):
+            with pytest.raises(ValueError, match="max_table_order"):
+                solve(p, word, Budget(10), max_table_order=bad)
+    assert solve(p, x, Budget(1000), max_table_order=4).verdict == NOT_EQUAL
+
+
 def test_exhausted_split_follows_the_turn_cycle():
     # Turns run q steps of the equality arm, then q of the finiteness arm,
     # and so on, cut after B steps: with B = 2qf + m the equality arm has

@@ -17,6 +17,7 @@ import types
 import pytest
 
 from helpers import associativity_failure
+from wordrace.certificates import generating_set
 from wordrace.tables import (
     MissingImageError,
     MultiplicationTable,
@@ -27,7 +28,6 @@ from wordrace.tables import (
     enumerate_tables,
     eval_in_table,
     find_isomorphism,
-    generating_set,
     is_group_table,
     isomorphisms,
     table_at_cursor,

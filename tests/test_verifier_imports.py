@@ -1,0 +1,64 @@
+"""The verifier's code reaches no prover code.
+
+``certcheck`` shares with the provers only the word kernel, the presentation
+and the certificate records with the table axioms (``certificates``), so a
+prover bug cannot certify itself.  The check is static, over the import
+statements of ``src/wordrace``: at run time the package ``__init__`` imports
+every module, so ``sys.modules`` would show the whole package.
+"""
+
+import ast
+import os
+
+PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "wordrace")
+PROVER = {"cosets", "proofs", "derivation", "quotient", "scheduler", "tables"}
+
+
+def package_imports(module):
+    """The modules of the package that ``module`` imports, anywhere in its source."""
+    with open(os.path.join(PACKAGE, module + ".py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                base = node.module
+            elif node.level == 0 and (node.module or "").startswith("wordrace"):
+                base = node.module.partition(".")[2]
+            else:
+                continue
+            # "from . import x" and "from wordrace import x" name modules.
+            names = [base.partition(".")[0]] if base else [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name.split(".")[1] for alias in node.names if alias.name.startswith("wordrace.")]
+        else:
+            continue
+        found.update(name for name in names if os.path.exists(os.path.join(PACKAGE, name + ".py")))
+    return found
+
+
+def closure(module):
+    seen, todo = set(), [module]
+    while todo:
+        for name in package_imports(todo.pop()):
+            if name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return seen
+
+
+def test_certificates_imports_only_words():
+    assert package_imports("certificates") == {"words"}
+
+
+def test_verifier_imports_no_prover_module():
+    assert package_imports("certcheck") == {"certificates", "presentation", "words"}
+    assert closure("certcheck") == {"certificates", "presentation", "words"}
+    assert not PROVER & closure("certcheck")
+
+
+def test_the_walk_follows_imports():
+    # The same walk finds the whole prover behind the solver, and the
+    # verifier behind the CLI, so an empty result above is not vacuous.
+    assert PROVER - {"scheduler"} <= closure("scheduler")
+    assert {"certcheck", "scheduler", "certificates"} <= closure("cli")
