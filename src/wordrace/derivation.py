@@ -17,7 +17,9 @@ n holds the products with factor count, relator index and conjugator
 length <= n not in stage n-1, by factor count and then lexicographically
 by (relator index, sign with + first, conjugator index).  Stage 0 is the
 empty product; the relators a stage needs are pulled when it begins.
-Zero exponents and empty relators are not enumerated.
+Zero exponents and empty relators are not enumerated.  No race arm runs
+this plain product loop of Kuznetsov's semi-decider; it stays in the
+library because the benchmark's tracer wraps its ``next_event`` by name.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .certificates import DyckFactor, EqualityCertificate
 from .cosets import CosetEnumeration
 from .presentation import Presentation
 from .proofs import MAX_RAW_FACTORS, _expand, _size, cat
-from .words import Word, concat, conjugate, count_words_up_to, invert, reduce_word, word_at_index
+from .words import Word, concat_all, conjugate, count_words_up_to, invert, reduce_word, word_at_index
 
 
 class ProductStream:
@@ -41,82 +43,44 @@ class ProductStream:
     that, for n = 0, 1, ..., sets ``stage``, pulls the relators stage n
     needs, yields the stage event and then the stage's products.  The order
     of the product events is fixed by the presentation alone, and every
-    product occurs exactly once.
+    product occurs exactly once.  No solve runs it (see the module notes).
     """
 
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
         self.stage = -1
-        self._conj_words: list[Word] = []
-        self._avail = 0  # relators pulled so far: the settled prefix
-        self._nonempty: list[tuple[int, Word]] = []  # its nonempty relators
-        self._exhausted = False
         self._events = self._all_events()
 
     def next_event(self):
         return next(self._events)
 
     def _all_events(self):
+        p, k = self.presentation, self.presentation.alphabet.k
         self.stage = 0
         yield ("stage", 0)
         yield ("product", (), b"")
+        avail, exhausted = 0, False
         for n in itertools.count(1):
             self.stage = n
-            entries = self._begin_stage(n)
+            old_avail, avail = avail, (avail if exhausted else p.available(n + 1))
+            exhausted = avail < n + 1  # a source that falls short is not asked again
+            rels = [(i, rel) for i in range(avail) if (rel := p.relator(i)) != b""]
             yield ("stage", n)
-            if not entries:
+            if not rels:
                 continue  # an empty stage, as on a relator-free presentation
+            old_conj = count_words_up_to(n - 1, k)
+            conjugators = [word_at_index(c, p.alphabet) for c in range(count_words_up_to(n, k))]
+            entries = [
+                (i < old_avail and c < old_conj, conjugate(t, body), DyckFactor(t, i, sign))
+                for i, rel in rels
+                for sign, body in ((1, rel), (-1, invert(rel)))
+                for c, t in enumerate(conjugators)
+            ]
             for m in range(1, n + 1):
-                skippable = m <= n - 1  # all-old products this short were in stage n-1
-                for factors, word, old in _prefixes(entries, m):
-                    if not (skippable and old):
-                        yield ("product", factors, word)
-
-    def _begin_stage(self, n: int):
-        # Pulls the relators stage n >= 1 needs; returns its (old, word, factor) entries.
-        p = self.presentation
-        prev_avail = self._avail
-        if not self._exhausted:
-            avail = p.available(n + 1)
-            self._exhausted = avail < n + 1
-            for i in range(prev_avail, avail):
-                rel = p.relator(i)
-                if rel != b"":
-                    self._nonempty.append((i, rel))
-            self._avail = avail
-        nonempty = self._nonempty
-        if not nonempty:
-            return []
-        k = p.alphabet.k
-        want = count_words_up_to(n, k)
-        while len(self._conj_words) < want:
-            self._conj_words.append(word_at_index(len(self._conj_words), p.alphabet))
-        old_conj = count_words_up_to(n - 1, k)
-        entries = []
-        for rel_idx, rel in nonempty:
-            inv_rel = invert(rel)
-            for sign, body in ((1, rel), (-1, inv_rel)):
-                for conj_idx in range(want):
-                    t = self._conj_words[conj_idx]
-                    entries.append(
-                        (
-                            rel_idx < prev_avail and conj_idx < old_conj,
-                            conjugate(t, body),
-                            DyckFactor(t, rel_idx, sign),
-                        )
-                    )
-        return entries
-
-
-def _prefixes(entries, depth):
-    # Products of depth entries as (factors, reduced word, all old), in itertools.product
-    # order, depth first so that each reduced prefix is computed once for its extensions.
-    if depth == 0:
-        yield (), b"", True
-        return
-    for factors, word, old in _prefixes(entries, depth - 1):
-        for e_old, e_word, factor in entries:
-            yield factors + (factor,), concat(word, e_word), old and e_old
+                for combo in itertools.product(entries, repeat=m):
+                    old, words, factors = zip(*combo)
+                    if m == n or not all(old):  # all-old and shorter: in stage n-1
+                        yield ("product", factors, concat_all(words))
 
 
 class EqualityTask(CosetEnumeration):

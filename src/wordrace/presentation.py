@@ -19,10 +19,12 @@ A stream is an external command whose stdout yields one relator per ASCII
 line in the compact word format; end of stream means the source is
 exhausted.  The command is spawned on the first pull and stopped at end of
 stream or on ``close()``.  A stream that fails (to spawn, or on a line that
-is not ASCII or not a word) stays failed: every later pull past the cached
-relators raises the same ``StreamError``.  The builtin ``powers`` family
-never terminates: it emits t.w.t^-1 for every base word w, over all
-conjugators t in enumeration order.
+is not ASCII, not a word, or longer than ``MAX_RELATOR_LETTERS`` characters
+before its newline) stays failed: every later pull past the cached
+relators raises the same ``StreamError``.  No more of a line is read than
+that limit and the newline.  The builtin ``powers`` family never
+terminates: it emits t.w.t^-1 for every base word w, over all conjugators
+t in enumeration order.
 
 Extending a presentation with a word X (the Algorithm 2 step) places X at
 relator index 0 and shifts the base relators up by one, so X is available
@@ -36,6 +38,9 @@ from collections.abc import Iterable, Iterator
 from itertools import count, islice
 
 from .words import Alphabet, Word, conjugate, format_word, is_word_over, parse_word, reduce_word, word_at_index
+
+
+MAX_RELATOR_LETTERS = 10**6  # the longest stream line, newline not counted
 
 
 class SourceExhausted(Exception):
@@ -131,7 +136,12 @@ def _stream(command: str, alphabet: Alphabet) -> Iterator[Word]:
     except (OSError, ValueError) as exc:
         raise StreamError(f"cannot spawn relator stream {command!r}: {exc}") from exc
     try:
-        for line_no, line in enumerate(proc.stdout, start=1):
+        for line_no in count(1):
+            line = proc.stdout.readline(MAX_RELATOR_LETTERS + 1)
+            if not line:
+                return
+            if len(line) > MAX_RELATOR_LETTERS and not line.endswith(b"\n"):
+                raise StreamError(f"stream line {line_no} is longer than {MAX_RELATOR_LETTERS} letters")
             try:
                 word = parse_word(line.decode("ascii").strip(), alphabet)
             except ValueError as exc:  # UnicodeDecodeError included

@@ -21,6 +21,7 @@ from wordrace.certcheck import (
 )
 from helpers import prove_equal, prove_finite, serialize_certificate
 from wordrace import certcheck
+from wordrace.certificates import is_group_table
 from wordrace.derivation import DyckFactor, EqualityCertificate
 from wordrace.presentation import extend, parse_presentation
 from wordrace.quotient import LETTERS_MODE, WORDS_MODE, FinitenessCertificate
@@ -298,6 +299,34 @@ class TestFinitenessVerification:
         assert doc.relators_used == 4
         ok, why = verify_finiteness_document(doc, extended)
         assert not ok and "unexpected" in why
+
+
+class TestTrustedBaseRejections:
+    """Forged in-memory certificates: each is refused with its exact reason."""
+
+    @pytest.mark.parametrize("factor, why", [
+        (DyckFactor(b"", 0, 0), "factor 0 has invalid sign 0"),
+        (DyckFactor(bytes([4]), 0, 1), "factor 0 conjugator is not over the alphabet"),  # DINF has letters 0..3
+    ], ids=["sign-0", "foreign-conjugator"])
+    def test_forged_equality_factor(self, equality_cert, factor, why):
+        p = dinf()
+        bad = EqualityCertificate((factor,) + equality_cert.factors[1:], equality_cert.target)
+        assert verify_equality(bad, p, parse_word("abba", p.alphabet)) == (False, why)
+
+    @pytest.mark.parametrize("forge, why", [
+        (lambda c: c._replace(images=c.images[:-1]), "image count differs from the table order"),
+        (lambda c: c._replace(images=c.images[:1] + (bytes([0, 1]),) + c.images[2:]), "image 1 is not reduced"),
+        (lambda c: c._replace(coverage=None), "words-mode certificate lacks a coverage map"),
+        (lambda c: c._replace(mode="foo"), "unknown tau mode 'foo'"),
+    ], ids=["image-dropped", "image-aA", "no-coverage", "mode-foo"])
+    def test_forged_finiteness_certificate(self, finiteness_cert, forge, why):
+        assert finiteness_cert.mode == WORDS_MODE
+        extended = extend(z(), parse_word("aaa", z().alphabet))
+        assert verify_finiteness(forge(finiteness_cert), extended) == (False, why)
+
+    def test_table_axioms_reject_empty_and_ragged_tables(self):
+        assert is_group_table(()) == (False, "empty table")
+        assert is_group_table(((0, 1), (1,))) == (False, "row 1 has length 1, expected 2")
 
 
 class TestDocumentParsing:

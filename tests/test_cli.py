@@ -195,6 +195,14 @@ def test_max_table_order_below_one_is_error_exit(dinf_pres, cap, capsys):
     assert captured.out == ""
 
 
+def test_enum_tables_order_below_one_is_error_exit(capsys):
+    code = main(["enum-tables", "--order", "0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "wordrace: error: --order must be >= 1\n"
+    assert captured.out == ""
+
+
 def test_bad_usage_exits_above_two():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])

@@ -9,9 +9,11 @@ from helpers import assemble, dyck_at_cursor, prove_equal
 from wordrace.certcheck import relators_used_by, verify_equality
 from wordrace import derivation
 from wordrace.derivation import DyckFactor, EqualityTask, ProductStream
-from wordrace.oracle import TableGroup, exponent_sum, is_identity_dinf, zn_table
+from wordrace.certificates import LETTERS_MODE, WORDS_MODE
+from wordrace.cli import main
+from wordrace.oracle import TableGroup, exponent_sum, is_identity_dinf, is_identity_z, zn_table
 from wordrace.presentation import extend, parse_presentation
-from wordrace.scheduler import EQUAL, solve
+from wordrace.scheduler import EQUAL, NOT_EQUAL, solve
 from wordrace.words import (
     Alphabet, concat_all, conjugate, count_words_up_to, format_word, invert, parse_word, reduce_word, word_at_index,
 )
@@ -175,6 +177,34 @@ def reference_events(p):
                     continue
                 word = concat_all(e[1] for e in combo)
                 yield ("product", tuple(e[2] for e in combo), word)
+
+
+def test_no_solve_runs_the_product_stream(monkeypatch, capsys):
+    def refuse(self, presentation):
+        raise AssertionError("a solve built a ProductStream")
+
+    monkeypatch.setattr(ProductStream, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        ProductStream(parse_presentation(Z))
+
+    def klein(w):  # D4 here is the Klein four-group: both exponent sums even
+        return exponent_sum(w, 0) % 2 == 0 and exponent_sum(w, 1) % 2 == 0
+
+    for text, word, mode, oracle in [
+        (DINF, "abab", WORDS_MODE, is_identity_dinf),
+        (DINF, "abba", WORDS_MODE, is_identity_dinf),
+        (Z, "aaa", WORDS_MODE, is_identity_z),
+        ("generators: a b\nfamily: powers aa bb\n", "abba", WORDS_MODE, is_identity_dinf),
+        (DINF + "relator: abab\n", "a", LETTERS_MODE, klein),
+    ]:
+        p = parse_presentation(text)
+        try:
+            x = parse_word(word, p.alphabet)
+            verdict = solve(p, x, tau_mode=mode).verdict
+        finally:
+            p.close()
+        assert verdict == (EQUAL if oracle(x) else NOT_EQUAL), (text, word)
+    assert main(["corpus"]) == 0
 
 
 class TestStageOrder:

@@ -7,6 +7,7 @@ import textwrap
 import pytest
 
 from helpers import PID_SCRIPT, serialize_presentation, stream_presentation
+from wordrace import presentation
 from wordrace.presentation import (
     PresentationSyntaxError,
     SourceExhausted,
@@ -63,6 +64,25 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(PresentationSyntaxError) as err:
         parse_presentation("generators: a\nfamily: powers\n")
     assert err.value.line == 2
+    for text, line in [
+        ("generators: a\nrelator aa\n", 2),  # no colon
+        ("generators: a\ngenerators: b\n", 2),
+        ("# the names\ngenerators:\n", 2),
+        ("generators: a\nstream:\n", 2),
+        ("# nothing here\n", None),  # no generators line
+        ("generators: a\nfamily: squares aa\n", 2),
+        ("generators: a\nfamily: powers ab\n", 2),
+    ]:
+        with pytest.raises(PresentationSyntaxError) as err:
+            parse_presentation(text)
+        assert err.value.line == line, text
+
+
+def test_negative_relator_index_is_index_error():
+    p = parse_presentation(DINF_TEXT)
+    for q in (p, extend(p, parse_word("ab", p.alphabet))):
+        with pytest.raises(IndexError):
+            q.relator(-1)
 
 
 def test_extend_places_x_at_index_zero():
@@ -286,5 +306,48 @@ def test_stream_end_reaps_child_before_close(tmp_path):
     try:
         assert p.available(5) == 2
         assert_gone(int(pid_file.read_text()))
+    finally:
+        p.close()
+
+
+# Writes its pid to argv[1], prints aa, then argv[2] letters a and a newline, or a forever if argv[2] is "forever".
+LONG_LINE_SCRIPT = """
+    import os, sys, time
+    with open(sys.argv[1], "w") as fh:
+        fh.write(str(os.getpid()))
+    print("aa", flush=True)
+    try:
+        if sys.argv[2] != "forever":
+            print("a" * int(sys.argv[2]), flush=True)
+        else:
+            while True:
+                sys.stdout.write("a")
+                sys.stdout.flush()
+    except BrokenPipeError:
+        time.sleep(30)
+"""
+
+
+def test_stream_line_at_the_limit_is_read(tmp_path, monkeypatch):
+    monkeypatch.setattr(presentation, "MAX_RELATOR_LETTERS", 8)
+    p = stream_presentation(tmp_path, 'import sys\nprint("a" * 8)\nsys.stdout.write("b" * 8)\n')
+    try:
+        assert p.available(5) == 2  # the last line has no newline
+        assert p.relator(0) == parse_word("a" * 8, p.alphabet)
+        assert p.relator(1) == parse_word("b" * 8, p.alphabet)
+    finally:
+        p.close()
+
+
+@pytest.mark.parametrize("letters", ["9", "forever"])
+def test_stream_line_over_the_limit_fails(tmp_path, monkeypatch, letters):
+    monkeypatch.setattr(presentation, "MAX_RELATOR_LETTERS", 8)
+    pid_file = tmp_path / "pid"
+    p = stream_presentation(tmp_path, LONG_LINE_SCRIPT, pid_file, letters)
+    try:
+        with pytest.raises(StreamError, match="stream line 2 is longer than 8 letters"):
+            p.available(5)
+        assert p.pulled_count == 1
+        assert_gone(int(pid_file.read_text()))  # reaped on the error, before close
     finally:
         p.close()
