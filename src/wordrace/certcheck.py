@@ -151,11 +151,18 @@ class _Lines:
         return line[len(prefix):].strip()
 
 
+def _natural(text: str) -> int:
+    """A count or index as written: ASCII digits only, so no sign, ``_`` or other script's digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise CertificateSyntaxError(f"expected a natural number, got {text!r}")
+    return int(text)
+
+
 def _parse_equality_body(lines: _Lines, alphabet: Alphabet) -> EqualityDocument:
     digest = lines.expect("presentation")
     target = parse_word(lines.expect("target"), alphabet)
-    relators_used = int(lines.expect("relators-used"))
-    count = int(lines.expect("factors"))
+    relators_used = _natural(lines.expect("relators-used"))
+    count = _natural(lines.expect("factors"))
     factors = []
     for _ in range(count):
         rest = lines.expect("factor")
@@ -168,21 +175,21 @@ def _parse_equality_body(lines: _Lines, alphabet: Alphabet) -> EqualityDocument:
             raise CertificateSyntaxError(f"bad factor line {rest!r}")
         if sign_text not in ("+", "-"):
             raise CertificateSyntaxError(f"bad sign {sign_text!r}")
-        factors.append(DyckFactor(parse_word(conj_text, alphabet), int(idx_text), 1 if sign_text == "+" else -1))
+        factors.append(DyckFactor(parse_word(conj_text, alphabet), _natural(idx_text), 1 if sign_text == "+" else -1))
     if (end := lines.next()) != "end: certificate":
         raise CertificateSyntaxError(f"expected end of certificate, got {end!r}")
     return EqualityDocument(digest, relators_used, EqualityCertificate(tuple(factors), target))
 
 
 def _cell(text: str) -> tuple[int, int]:
-    i, j = (int(v) for v in text.split())
+    i, j = map(_natural, text.split())
     return i, j
 
 
 def _parse_nested(lines: _Lines, alphabet: Alphabet, count_key: str, key: str, parse_key) -> dict:
     """Nested equality documents by key; a key given twice is a syntax error."""
     docs = {}
-    for _ in range(int(lines.expect(count_key))):
+    for _ in range(_natural(lines.expect(count_key))):
         k = parse_key(lines.expect(key))
         if k in docs:
             raise CertificateSyntaxError(f"duplicate {key!r} block for {k!r}")
@@ -198,13 +205,13 @@ def _parse_finiteness_body(lines: _Lines, alphabet: Alphabet) -> FinitenessDocum
     mode = lines.expect("tau-mode")
     if mode not in (WORDS_MODE, LETTERS_MODE):
         raise CertificateSyntaxError(f"unknown tau-mode {mode!r}")
-    relators_used = int(lines.expect("relators-used"))
-    order = int(lines.expect("order"))
+    relators_used = _natural(lines.expect("relators-used"))
+    order = _natural(lines.expect("order"))
     if order < 1:
         raise CertificateSyntaxError("order must be >= 1")
     cells = []
     for _ in range(order):
-        row = tuple(int(v) for v in lines.expect("row").split())
+        row = tuple(map(_natural, lines.expect("row").split()))
         if len(row) != order:
             raise CertificateSyntaxError("row length does not match order")
         cells.append(row)
@@ -215,7 +222,7 @@ def _parse_finiteness_body(lines: _Lines, alphabet: Alphabet) -> FinitenessDocum
         coverage = {}
         for _ in range(alphabet.k):
             name, element = lines.expect("cover").split()
-            coverage[alphabet.index(name)] = int(element)
+            coverage[alphabet.index(name)] = _natural(element)
     equation_docs = _parse_nested(lines, alphabet, "equation-certs", "cell", _cell)
     coverage_docs = _parse_nested(lines, alphabet, "cover-certs", "cover-cert", alphabet.index)
     if (end := lines.next()) != "end: certificate":

@@ -16,8 +16,9 @@ import time
 from . import certcheck, oracle
 from .certificates import LETTERS_MODE, WORDS_MODE
 from .presentation import StreamError, extend, parse_presentation
+from .quotient import DEFAULT_MAX_TABLE_ORDER
 from .scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Budget, solve
-from .tables import DEFAULT_MAX_TABLE_ORDER, enumerate_tables
+from .tables import enumerate_tables
 from .words import format_word, parse_word
 
 EXIT_ERROR = 3

@@ -14,14 +14,14 @@ from typing import NamedTuple
 
 from .certificates import MultiplicationTable
 from .tables import MissingImageError, eval_in_table
-from .words import FrozenRecord, Word, letter_index, letter_sign
+from .words import FrozenRecord, Word
 
 
 def exponent_sum(w: Word, generator_index: int = 0) -> int:
     total = 0
     for x in w:
-        if letter_index(x) == generator_index:
-            total += letter_sign(x)
+        if x >> 1 == generator_index:
+            total += -1 if x & 1 else 1
     return total
 
 

@@ -54,8 +54,13 @@ from .certificates import LETTERS_MODE, WORDS_MODE, DyckFactor, EqualityCertific
 from .cosets import CosetEnumeration
 from .presentation import Presentation
 from .proofs import certificate_fields, equation_words
-from .tables import DEFAULT_MAX_TABLE_ORDER
 from .words import concat
+
+# The largest order of an emitted certificate's table, configurable per run:
+# the closed coset table's order in words mode, times the most generators
+# sharing one class in letters mode.  ``FinitenessTask.step`` applies it to
+# closed tables only.  8 was sized for the blind (table, tau) search, now gone.
+DEFAULT_MAX_TABLE_ORDER = 8
 
 
 def _letters_certificate(words: FinitenessCertificate, max_table_order: int) -> FinitenessCertificate | None:

@@ -41,8 +41,7 @@ from typing import NamedTuple
 from .certificates import WORDS_MODE, EqualityCertificate, FinitenessCertificate
 from .derivation import EqualityTask
 from .presentation import Presentation, extend
-from .quotient import FinitenessTask
-from .tables import DEFAULT_MAX_TABLE_ORDER
+from .quotient import DEFAULT_MAX_TABLE_ORDER, FinitenessTask
 from .words import FrozenRecord, Word, is_word_over, reduce_word
 
 EQUAL = "equal"
@@ -58,9 +57,9 @@ class Budget(FrozenRecord):
     quantum: int
 
     def __init__(self, max_total_steps: int | None = 1_000_000, quantum: int = 1):
-        if not (isinstance(quantum, int) and 1 <= quantum <= sys.maxsize):  # the turn pipeline repeats each step quantum times
+        if not (type(quantum) is int and 1 <= quantum <= sys.maxsize):  # the turn pipeline repeats each step quantum times
             raise ValueError(f"quantum must be between 1 and {sys.maxsize} (an int)")
-        if max_total_steps is not None and not (isinstance(max_total_steps, int) and max_total_steps >= 0):
+        if max_total_steps is not None and not (type(max_total_steps) is int and max_total_steps >= 0):
             raise ValueError("budget must be >= 0 (an int) or unlimited")
         self._set_fields(max_total_steps, quantum)
 
@@ -84,7 +83,7 @@ def solve(
         raise ValueError("solve expects an unextended presentation")
     if not is_word_over(x, p.alphabet):
         raise ValueError("word is not over the presentation's alphabet")
-    if not (isinstance(max_table_order, int) and max_table_order >= 1):  # below 1, no table is ever emitted
+    if not (type(max_table_order) is int and max_table_order >= 1):  # below 1, no table is ever emitted
         raise ValueError("max_table_order must be >= 1 (an int)")
     target = reduce_word(x)
     if target == b"":

@@ -56,12 +56,6 @@ import itertools
 from .certificates import MultiplicationTable, is_group_table
 from .words import Word
 
-# The largest order of a finiteness certificate's table, in either tau mode:
-# the closed coset table's order in words mode, and in letters mode that
-# order times the most generators sharing one class.  8 covers the full
-# corpus.  Configurable per run.
-DEFAULT_MAX_TABLE_ORDER = 8
-
 
 class MissingImageError(ValueError):
     """A word uses a generator with no assigned table element."""
@@ -311,8 +305,8 @@ def enumerate_tables(order: int) -> tuple[MultiplicationTable, ...]:
     return result
 
 
-def table_at_cursor(c: int, max_order: int = DEFAULT_MAX_TABLE_ORDER) -> MultiplicationTable | None:
-    """Fixed total enumeration: tables of order 1, then 2, ... up to the cap."""
+def table_at_cursor(c: int, max_order: int = 8) -> MultiplicationTable | None:
+    """Fixed total enumeration: tables of order 1, then 2, ... up to ``max_order``, by default criterion 4's."""
     if c < 0:
         raise ValueError("cursor must be a natural number")
     order = 1

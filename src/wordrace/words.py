@@ -99,14 +99,6 @@ def is_word_over(w: Word, alphabet: Alphabet) -> bool:
     return all(0 <= letter < 2 * alphabet.k for letter in w)
 
 
-def letter_index(x: int) -> int:
-    return x >> 1
-
-
-def letter_sign(x: int) -> int:
-    return -1 if x & 1 else 1
-
-
 def reduce_word(raw) -> Word:
     """Freely reduce a letter sequence; idempotent on already-reduced input.
 

@@ -15,9 +15,9 @@ import textwrap
 from wordrace.certcheck import serialize_equality, serialize_finiteness
 from wordrace.derivation import EqualityCertificate, EqualityTask, ProductStream
 from wordrace.presentation import extend, parse_presentation
-from wordrace.quotient import WORDS_MODE, FinitenessCertificate, FinitenessTask
+from wordrace.quotient import DEFAULT_MAX_TABLE_ORDER, WORDS_MODE, FinitenessCertificate, FinitenessTask
 from wordrace.scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Outcome
-from wordrace.tables import DEFAULT_MAX_TABLE_ORDER, enumerate_tables
+from wordrace.tables import enumerate_tables
 from wordrace.words import (
     MalformedWordError,
     concat_all,

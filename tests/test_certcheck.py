@@ -366,6 +366,30 @@ class TestDocumentParsing:
         with pytest.raises(CertificateSyntaxError, match="duplicate"):
             parse_certificate(forged, p.alphabet)
 
+    @pytest.mark.parametrize("name, line, forged", [
+        # range(-1) is empty, so a negative count would read zero blocks.
+        ("abab", "cover-certs: 0", "cover-certs: -1"),
+        ("abab", "cover-certs: 0", "cover-certs: +0"),
+        ("abab", "equation-certs: 8", "equation-certs: ٨"),  # Arabic-Indic 8
+        ("abab", "relators-used: 3", "relators-used: +3"),
+        ("abab", "order: 4", "order: +4"),
+        ("abab", "order: 4", "order: 0"),
+        ("abab", "row: 0 1 2 3", "row: 0 +1 2 3"),
+        ("abab", "cover: a 1", "cover: a +1"),
+        ("abab", "cell: 1 1", "cell: 1 -0"),
+        ("abba", "relators-used: 2", "relators-used: ٢"),  # Arabic-Indic 2
+        ("abba", "factors: 2", "factors: +2"),
+        ("abba", "factors: 2", "factors: 0_2"),
+        ("abba", "factor: a 1 +", "factor: a +1 +"),
+        ("abba", "factor: a 1 +", "factor: a 1_0 +"),
+    ])
+    def test_rejects_counts_and_indices_not_in_ascii_digits(self, name, line, forged):
+        text = fuzz_documents()[name]
+        assert f"\n{line}\n" in text
+        p = dinf()
+        with pytest.raises(CertificateSyntaxError):
+            parse_certificate(text.replace(f"\n{line}\n", f"\n{forged}\n", 1), p.alphabet)
+
 
 # name -> (presentation, word, tau mode, the word's verdict)
 FUZZ_CASES = {

@@ -119,7 +119,7 @@ def test_budget_validation():
         Budget(10, sys.maxsize + 1)  # itertools.repeat takes at most sys.maxsize
     assert Budget(10, sys.maxsize).quantum == sys.maxsize
     # Non-integers would fail only deep inside solve's itertools pipeline.
-    for bad in ((10.5,), (10.0,), (100, 2.0), ("10",)):
+    for bad in ((10.5,), (10.0,), (100, 2.0), ("10",), (True,), (False,), (10, True)):
         with pytest.raises(ValueError):
             Budget(*bad)
 
@@ -129,7 +129,7 @@ def test_max_table_order_validation():
     # non-integer one would compare as a cap all the same.
     p = parse_presentation(DINF)
     x = parse_word("abab", p.alphabet)
-    for bad in (0, -3, 4.5, 8.0, "8", None):
+    for bad in (0, -3, 4.5, 8.0, "8", None, True, False):
         for word in (x, b""):
             with pytest.raises(ValueError, match="max_table_order"):
                 solve(p, word, Budget(10), max_table_order=bad)

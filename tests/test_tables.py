@@ -399,6 +399,12 @@ class TestCursor:
     def test_deterministic(self):
         assert table_at_cursor(5) == table_at_cursor(5)
 
+    def test_default_bound_is_order_8(self):
+        # Orders 1..8 hold 1 + 1 + 1 + 2 + 1 + 2 + 1 + 5 = 14 tables, and the
+        # default bound is its own, not the solver's table cap.
+        assert table_at_cursor(13).order == 8
+        assert table_at_cursor(14) is None
+
 
 class TestEval:
     def test_examples(self):

@@ -60,5 +60,11 @@ def test_verifier_imports_no_prover_module():
 def test_the_walk_follows_imports():
     # The same walk finds the whole prover behind the solver, and the
     # verifier behind the CLI, so an empty result above is not vacuous.
-    assert PROVER - {"scheduler"} <= closure("scheduler")
+    assert PROVER - {"scheduler", "tables"} <= closure("scheduler")
     assert {"certcheck", "scheduler", "certificates"} <= closure("cli")
+
+
+def test_solver_imports_no_table_search_verifier_or_cli():
+    # The solver runs the two coset enumerations and nothing else: not the
+    # table search, the ground-truth oracle, the verifier or the CLI.
+    assert not {"tables", "oracle", "certcheck", "cli"} & closure("scheduler")
