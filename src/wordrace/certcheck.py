@@ -152,10 +152,17 @@ class _Lines:
 
 
 def _natural(text: str) -> int:
-    """A count or index as written: ASCII digits only, so no sign, ``_`` or other script's digits."""
-    if not (text.isascii() and text.isdigit()):
+    """A count or index as written: ASCII digits, no sign, ``_``, other script's digits or leading zero."""
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
         raise CertificateSyntaxError(f"expected a natural number, got {text!r}")
     return int(text)
+
+
+def _pair(key: str, text: str) -> list[str]:
+    tokens = text.split()
+    if len(tokens) != 2:
+        raise CertificateSyntaxError(f"expected two values in {key!r} line, got {text!r}")
+    return tokens
 
 
 def _parse_equality_body(lines: _Lines, alphabet: Alphabet) -> EqualityDocument:
@@ -181,9 +188,8 @@ def _parse_equality_body(lines: _Lines, alphabet: Alphabet) -> EqualityDocument:
     return EqualityDocument(digest, relators_used, EqualityCertificate(tuple(factors), target))
 
 
-def _cell(text: str) -> tuple[int, int]:
-    i, j = map(_natural, text.split())
-    return i, j
+def _cell(text: str) -> tuple[int, ...]:
+    return tuple(map(_natural, _pair("cell", text)))
 
 
 def _parse_nested(lines: _Lines, alphabet: Alphabet, count_key: str, key: str, parse_key) -> dict:
@@ -221,7 +227,7 @@ def _parse_finiteness_body(lines: _Lines, alphabet: Alphabet) -> FinitenessDocum
     if mode == WORDS_MODE:
         coverage = {}
         for _ in range(alphabet.k):
-            name, element = lines.expect("cover").split()
+            name, element = _pair("cover", lines.expect("cover"))
             coverage[alphabet.index(name)] = _natural(element)
     equation_docs = _parse_nested(lines, alphabet, "equation-certs", "cell", _cell)
     coverage_docs = _parse_nested(lines, alphabet, "cover-certs", "cover-cert", alphabet.index)

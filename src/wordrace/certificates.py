@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .words import FrozenRecord, Word
+from .words import Word
 
 WORDS_MODE = "words"
 LETTERS_MODE = "letters"
@@ -35,12 +35,8 @@ class EqualityCertificate(NamedTuple):
     target: Word
 
 
-class MultiplicationTable(FrozenRecord):
-    _fields = ("cells",)
-    cells: tuple[tuple[int, ...], ...]
-
-    def __init__(self, cells: tuple[tuple[int, ...], ...]):
-        self._set_fields(cells)
+class MultiplicationTable(NamedTuple("MultiplicationTable", [("cells", tuple[tuple[int, ...], ...])])):
+    # No __slots__: the cached ``inverses`` is kept in the instance __dict__.
 
     @property
     def order(self) -> int:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .certificates import MultiplicationTable
 from .tables import MissingImageError, eval_in_table
-from .words import FrozenRecord, Word
+from .words import Word
 
 
 def exponent_sum(w: Word, generator_index: int = 0) -> int:
@@ -50,14 +50,13 @@ def is_identity_dinf(w: Word) -> bool:
     return dinf_normal_form(w) == b""
 
 
-class TableGroup(FrozenRecord):
+class TableGroup(NamedTuple("TableGroup", [("table", MultiplicationTable), ("images", tuple[int, ...])])):
     """A finite group given by its table plus generator images."""
 
-    _fields = ("table", "images")
-    table: MultiplicationTable
-    images: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make: validate there too
 
-    def __init__(self, table: MultiplicationTable, images: tuple[int, ...]):
+    def __new__(cls, table: MultiplicationTable, images: tuple[int, ...]):
         r = table.order
         for e in images:
             if not 0 <= e < r:
@@ -75,7 +74,7 @@ class TableGroup(FrozenRecord):
                         frontier.append(y)
         if len(reached) != r:
             raise ValueError("generator images do not generate the table's group")
-        self._set_fields(table, images)
+        return super().__new__(cls, table, images)
 
     def is_identity(self, w: Word) -> bool:
         return eval_in_table(self.table, self.images, w) == 0
@@ -86,10 +85,7 @@ class CorpusGroup(NamedTuple):
 
     name: str
     presentation_text: str
-    decide: Callable[[Word], bool]
-
-    def is_identity(self, w: Word) -> bool:
-        return self.decide(w)
+    is_identity: Callable[[Word], bool]
 
 
 def zn_table(n: int) -> MultiplicationTable:

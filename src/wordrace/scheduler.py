@@ -42,26 +42,25 @@ from .certificates import WORDS_MODE, EqualityCertificate, FinitenessCertificate
 from .derivation import EqualityTask
 from .presentation import Presentation, extend
 from .quotient import DEFAULT_MAX_TABLE_ORDER, FinitenessTask
-from .words import FrozenRecord, Word, is_word_over, reduce_word
+from .words import Word, is_word_over, reduce_word
 
 EQUAL = "equal"
 NOT_EQUAL = "not-equal"
 EXHAUSTED = "exhausted"
 
 
-class Budget(FrozenRecord):
+class Budget(NamedTuple("Budget", [("max_total_steps", int | None), ("quantum", int)])):
     """Total step allowance across both arms; None means run until resolved."""
 
-    _fields = ("max_total_steps", "quantum")
-    max_total_steps: int | None
-    quantum: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make: validate there too
 
-    def __init__(self, max_total_steps: int | None = 1_000_000, quantum: int = 1):
+    def __new__(cls, max_total_steps: int | None = 1_000_000, quantum: int = 1):
         if not (type(quantum) is int and 1 <= quantum <= sys.maxsize):  # the turn pipeline repeats each step quantum times
             raise ValueError(f"quantum must be between 1 and {sys.maxsize} (an int)")
         if max_total_steps is not None and not (type(max_total_steps) is int and max_total_steps >= 0):
             raise ValueError("budget must be >= 0 (an int) or unlimited")
-        self._set_fields(max_total_steps, quantum)
+        return super().__new__(cls, max_total_steps, quantum)
 
 
 class Outcome(NamedTuple):

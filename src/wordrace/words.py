@@ -13,9 +13,14 @@ assume reduced operands: only the junction of two reduced words can cancel.
 
 Text format: lowercase letter = generator, uppercase letter = its
 inverse (``abA`` is a.b.a^-1), empty string = identity.
+
+:class:`Alphabet` is a ``typing.NamedTuple``, as every record of the
+library is; it validates in ``__new__``, on every path that builds one.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 Word = bytes
 
@@ -26,47 +31,13 @@ class MalformedWordError(ValueError):
     """A letter sequence refers outside its alphabet or is unparseable."""
 
 
-class FrozenRecord:
-    """A value whose ``_fields`` are set once, by ``_set_fields``, and never reassigned.
-
-    It compares, hashes and prints by those fields, as a frozen dataclass
-    does; the records that validate or cache are built on it, so that no
-    import of wordrace loads ``dataclasses``.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def _set_fields(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
-
-
-class Alphabet(FrozenRecord):
+class Alphabet(NamedTuple("Alphabet", [("generators", tuple[str, ...])])):
     """Ordered generator names; single lowercase Latin letters, all distinct."""
 
-    _fields = ("generators",)
-    generators: tuple[str, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make: validate there too
 
-    def __init__(self, generators: tuple[str, ...]):
+    def __new__(cls, generators: tuple[str, ...]):
         if not 1 <= len(generators) <= MAX_GENERATORS:
             raise MalformedWordError(f"alphabet must have 1..{MAX_GENERATORS} generators, got {len(generators)}")
         seen = set()
@@ -76,7 +47,7 @@ class Alphabet(FrozenRecord):
             if name in seen:
                 raise MalformedWordError(f"duplicate generator {name!r}")
             seen.add(name)
-        self._set_fields(generators)
+        return super().__new__(cls, generators)
 
     @property
     def k(self) -> int:

@@ -382,6 +382,11 @@ class TestDocumentParsing:
         ("abba", "factors: 2", "factors: 0_2"),
         ("abba", "factor: a 1 +", "factor: a +1 +"),
         ("abba", "factor: a 1 +", "factor: a 1_0 +"),
+        # A leading zero would give one certificate a second document.
+        ("abab", "order: 4", "order: 04"),
+        ("abab", "relators-used: 3", "relators-used: 03"),
+        ("abab", "cell: 1 1", "cell: 01 1"),
+        ("abba", "factor: a 1 +", "factor: a 01 +"),
     ])
     def test_rejects_counts_and_indices_not_in_ascii_digits(self, name, line, forged):
         text = fuzz_documents()[name]
@@ -389,6 +394,19 @@ class TestDocumentParsing:
         p = dinf()
         with pytest.raises(CertificateSyntaxError):
             parse_certificate(text.replace(f"\n{line}\n", f"\n{forged}\n", 1), p.alphabet)
+
+    @pytest.mark.parametrize("line, forged", [
+        ("cell: 1 1", "cell: 1 1 1"),
+        ("cell: 1 1", "cell: 1"),
+        ("cover: a 1", "cover: a"),
+        ("cover: a 1", "cover: a 1 2"),
+    ])
+    def test_rejects_a_pair_line_with_another_number_of_values(self, line, forged):
+        text = fuzz_documents()["abab"]
+        assert f"\n{line}\n" in text
+        key = line.partition(":")[0]
+        with pytest.raises(CertificateSyntaxError, match=key):
+            parse_certificate(text.replace(f"\n{line}\n", f"\n{forged}\n", 1), dinf().alphabet)
 
 
 # name -> (presentation, word, tau mode, the word's verdict)

@@ -80,3 +80,14 @@ def test_tables_compare_and_hash_by_cells():
     assert Z2 != zn_table(3)
     assert Z2.inverses == (0, 1)  # cached on a frozen table
     assert FinitenessCertificate(same, (b"",), "words", {0: 1}, {}, {}) == FIN
+
+
+def test_replace_validates_like_the_constructor():
+    # A namedtuple's _make and _replace build with tuple.__new__ unless routed through the constructor.
+    with pytest.raises(ValueError, match="quantum must be between 1"):
+        Budget()._replace(quantum=0)
+    with pytest.raises(MalformedWordError, match="duplicate generator 'a'"):
+        Alphabet(("a",))._replace(generators=("a", "a"))
+    with pytest.raises(ValueError, match="do not generate"):
+        TableGroup(zn_table(4), (1,))._replace(images=(2,))
+    assert Budget()._replace(quantum=2) == Budget(quantum=2)
