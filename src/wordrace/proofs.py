@@ -8,24 +8,36 @@ certificate spells them out as Dyck factors: ``certificate_fields`` for a
 closed table, ``derivation.EqualityTask`` for the trace of X.
 
 A closed table of a finite group H that maps onto G1 yields a finiteness
-certificate: the images are the shortlex transversal, found breadth first;
-each generator is covered by the element its edge out of coset 0 reaches;
-the cell (i, j) is proved by tracing images[j] from coset i and
-concatenating the edge proofs.  The cells' goal words are those of
-``equation_words``, which the letters-mode translation also uses.  The edge
-proofs are first rebuilt over the shortlex transversal and shortened by
-Knuth's generalization of Dijkstra's algorithm ("A generalization of
-Dijkstra's algorithm", 1977): tree edges cost nothing, and a relator cycle
-whose other edges are all settled settles its last one at one factor plus
-their sizes.  An edge no cycle settles keeps its enumeration proof, which
-can be exponentially long: when the shortest such proof has over
-MAX_RAW_FACTORS factors nothing is emitted.
+certificate: the images are the shortlex transversal, found breadth first,
+and each generator is covered by the element its edge out of coset 0
+reaches.  ``certificate_fields`` builds it in one pass, for a table of r
+cosets over k2 letters whose relators have L letters in all:
+
+- Edge proofs.  Edge i.x = j needs a proof of images[i] x images[j]^-1,
+  shared with its mirror j.x^-1 = i.  Tree edges cost nothing; the rest
+  are shortened by Knuth's generalization of Dijkstra's algorithm ("A
+  generalization of Dijkstra's algorithm", 1977): a relator cycle whose
+  other edges are all settled settles its last one at one factor plus
+  their sizes.  Each cycle is traced once, r L steps, kept as its places
+  off the tree and offered at most once.  Only an edge that no cycle
+  settles reads the enumeration's proofs (Havas and Ramsay, "Proving a
+  group trivial made easy", 2000): each such edge is sized once, on a
+  DAG made only for the cosets those edges join, and the cheapest is
+  expanded, which can be exponentially long.  When it has over
+  MAX_RAW_FACTORS factors nothing is emitted.
+- Cells.  Cell (i, j) is cell (i, p) and one edge more, p being the parent
+  of j, so the table takes r^2 steps.  Its proof is that of (i, p) with
+  the edge's appended, cancelled at the junction only.  Only a cell whose
+  goal is nonempty crosses an edge off the tree, so only those cells make
+  a product; every other cell shares its parent's proof.
+- Goals.  The cells' goal words are those of ``equation_words``, which the
+  letters-mode translation also uses: r^2 words, one ``concat`` for each
+  empty one and two for the others.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 
 from .certificates import DyckFactor, EqualityCertificate, MultiplicationTable
 from .words import Word, concat, invert, reduce_word
@@ -53,18 +65,7 @@ def cat(*parts):
 
 
 def _invert_factors(factors):
-    return tuple(DyckFactor(f.conjugator, f.relator_index, -f.sign) for f in reversed(factors))
-
-
-def _cancel(factors):
-    """Free reduction over factors: a factor next to its own inverse cancels."""
-    out = []
-    for f in factors:
-        if out and out[-1].sign == -f.sign and out[-1][:2] == f[:2]:
-            out.pop()
-        else:
-            out.append(f)
-    return tuple(out)
+    return tuple(DyckFactor(t, n, -sign) for t, n, sign in reversed(factors))
 
 
 def _rep_word(rep) -> Word:
@@ -75,31 +76,46 @@ def _rep_word(rep) -> Word:
     return reduce_word(bytes(reversed(letters)))
 
 
+def _product(parts) -> tuple:
+    """The free reduction of the concatenated parts, each freely reduced: a factor next to its own inverse cancels.
+
+    Only the junctions of the parts can cancel.
+    """
+    out = ()
+    for part in parts:
+        t, n = 0, min(len(out), len(part))
+        while t < n and out[-1 - t].sign == -part[t].sign and out[-1 - t][:2] == part[t][:2]:
+            t += 1
+        out = out[: len(out) - t] + part[t:]
+    return out
+
+
 def _fold(node, memo, on_leaf, on_inverse, on_cat):
     """Evaluate a proof node bottom-up without recursion: on_leaf(n), on_inverse(value), on_cat(values).
 
     memo maps id(node) to (node, value), so each shared node is evaluated
     once, and a node made for the call stays alive, its id unused by
-    another, as long as the memo; the empty proof None is on_cat([]).
+    another, as long as the memo; the empty proof None is on_cat([]).  A
+    node whose children are still being evaluated maps to None.
     """
     if node is None:
         return on_cat([])
     stack = [node]
     while stack:
-        n = stack[-1]
-        if id(n) in memo:
-            stack.pop()
-            continue
-        if n[0] == _LEAF:
-            memo[id(n)] = (n, on_leaf(n))
-        else:
-            todo = [c for c in n[1:] if id(c) not in memo]
-            if todo:
-                stack.extend(todo)
-                continue
-            values = [memo[id(c)][1] for c in n[1:]]
-            memo[id(n)] = (n, on_inverse(values[0]) if n[0] == _INV else on_cat(values))
-        stack.pop()
+        n = stack.pop()
+        key = id(n)
+        if key not in memo:
+            if n[0] == _LEAF:
+                memo[key] = (n, on_leaf(n))
+            else:  # its children first, then itself again
+                memo[key] = None
+                stack.append(n)
+                stack += n[1:]
+        elif memo[key] is None:
+            if n[0] == _INV:
+                memo[key] = (n, on_inverse(memo[id(n[1])][1]))
+            else:
+                memo[key] = (n, on_cat([memo[id(c)][1] for c in n[1:]]))
     return memo[id(node)][1]
 
 
@@ -109,22 +125,50 @@ def _size(node, memo) -> int:
 
 
 def _expand(node, memo) -> tuple:
-    """The factors of a proof, cancelled."""
-    return _fold(node, memo, lambda n: (DyckFactor(_rep_word(n[1]), n[2], 1),), _invert_factors,
-                 lambda parts: _cancel(itertools.chain.from_iterable(parts)))
+    """The factors of a proof, freely reduced."""
+    return _fold(node, memo, lambda n: (DyckFactor(_rep_word(n[1]), n[2], 1),), _invert_factors, _product)
 
 
 def equation_words(table: MultiplicationTable, images: tuple[Word, ...]):
     """The r*r reduced goal words tau(u_i) tau(u_j) tau(u_k)^-1, row-major.
 
     Empty results are trivially proved (the empty Dyck product derives them).
+    A goal is empty exactly when tau(u_i) tau(u_j) reduces to tau(u_k), so an
+    empty goal takes one ``concat``.
     """
     inverses = [invert(w) for w in images]
     return [
-        (i, j, concat(concat(images[i], images[j]), inverses[k]))
-        for i, row in enumerate(table.cells)
+        (i, j, b"" if (w := concat(u, images[j])) == images[k] else concat(w, inverses[k]))
+        for i, (u, row) in enumerate(zip(images, table.cells))
         for j, k in enumerate(row)
     ]
+
+
+def _enumeration_proofs(edges, entry_proof, order, up, nxt, k2):
+    """The enumeration's proofs of the given edges, sized: (size, edge, proof), largest first.
+
+    Edge v = i*k2 + x is proved by base(i) . entry . base(i.x)^-1, base(j)
+    proving images[j] rep(j)^-1 along the tree from the tree edges' entry
+    proofs; the bases are made only for the cosets these edges join.
+    """
+    base, sizes, out = {0: None}, {}, []
+
+    def base_of(j):
+        path = []
+        while j not in base:
+            path.append(j)
+            j = up[j] // k2
+        for j in reversed(path):
+            i, x = divmod(up[j], k2)
+            base[j] = cat(base[i], entry_proof(order[i], x))
+        return base[j]
+
+    for v in edges:
+        i, x = divmod(v, k2)
+        p = cat(base_of(i), entry_proof(order[i], x), inv(base_of(nxt[v])))
+        out.append((_size(p, sizes), v, p))
+    out.sort(key=lambda entry: entry[:2], reverse=True)
+    return out
 
 
 def certificate_fields(table, entry_proof, rels, k2) -> dict | None:
@@ -137,108 +181,118 @@ def certificate_fields(table, entry_proof, rels, k2) -> dict | None:
     None when an edge needs an enumeration proof of more than
     MAX_RAW_FACTORS factors.
     """
-    # The shortlex transversal, breadth first from coset 0; base[i]
-    # proves images[i] rep(i)^-1 from the enumeration's proofs.
-    number, order, images, base, tree = {0: 0}, [0], [b""], [None], []
+    # The shortlex transversal, breadth first from coset 0: the tree edge
+    # up[j] = i*k2 + x first reached j, and images[j] = images[i] x.  Edge
+    # e = i*k2 + x runs from i to nxt[e].
+    number, order, images, up, nxt = {0: 0}, [0], [b""], [0], []
     for i, c in enumerate(order):
         for x, d in enumerate(table[c][:k2]):
             if d not in number:
                 number[d] = len(order)
                 order.append(d)
                 images.append(images[i] + bytes((x,)))
-                base.append(cat(base[i], entry_proof(c, x)))
-                tree.append(i * k2 + x)
+                up.append(i * k2 + x)
+            nxt.append(number[d])
     r = len(order)
-    nt = [[number[d] for d in table[c][:k2]] for c in order]  # nt[i][x] is the coset i.x
-    # Edge e = i*k2 + x needs a proof of images[i] x images[i.x]^-1; it and
-    # its mirror (i.x)*k2 + (x^1) share one, kept for the smaller of the two.
-    var = [min(e, nt[e // k2][e % k2] * k2 + (e % k2 ^ 1)) for e in range(r * k2)]
-    cycles, occurs = [], {}  # the relator cycles, and the cycles through each variable
+    # proof[e] proves images[i] x images[nxt[e]]^-1, and the mirror of e,
+    # the inverse letter back, has the inverse proof; the smaller of the two
+    # names their pair.  Tree edges are free.
+    mirror = [d * k2 + (e % k2 ^ 1) for e, d in enumerate(nxt)]
+    proof = [None] * (r * k2)
+    for e in up[1:]:
+        proof[e] = proof[mirror[e]] = ()
+    left = r * k2 // 2 - (r - 1)  # the pairs not yet settled
+    # The relator cycles, by coset and then relator, each kept as its places
+    # off the tree in order: the tree edges' empty proofs change neither a
+    # cycle's size nor its product.  For each pair off the tree, the cycles
+    # through it; for each cycle, its unsettled places.  A cycle with one
+    # place off the tree costs one leaf, and of those through one pair only
+    # the first can settle it, so only that one is offered.
+    cycles, pending, occurs, first = [], [], {}, {}
     for i in range(r):
         for index, word in rels:
-            entries, c = [], i
+            places, c = [], i
             for y in word:
-                entries.append(c * k2 + y)
-                c = nt[c][y]
-            for e in entries:
-                occurs.setdefault(var[e], []).append(len(cycles))
-            cycles.append((i, index, entries))
-    pending = [len(entries) for _, _, entries in cycles]  # unsettled places on each cycle
-    fac, heap = {}, []
-
-    def edge(e):
-        v = var[e]
-        return fac[v] if e == v else _invert_factors(fac[v])
-
-    def offer(n):  # a cycle with one unsettled place: it costs one leaf plus the others
-        entries = cycles[n][2]
-        t = next(t for t, e in enumerate(entries) if var[e] not in fac)
-        size = 1 + sum(len(fac[var[e]]) for e in entries if var[e] in fac)
-        heapq.heappush(heap, (size, var[entries[t]], n, t))
-
-    def settle(v, factors):
-        fac[v] = factors
+                e = c * k2 + y
+                if proof[e] is None:
+                    places.append(e)
+                    occurs.setdefault(min(e, mirror[e]), []).append(len(cycles))
+                c = nxt[e]
+            if len(places) == 1:
+                first.setdefault(min(places[0], mirror[places[0]]), len(cycles))
+            cycles.append((i, index, places))
+            pending.append(len(places))
+    heap = [(1, v, n, 0) for v, n in first.items()]  # (size, pair, cycle, unsettled place)
+    heapq.heapify(heap)
+    # Knuth's generalization of Dijkstra: the cheapest cycle with one
+    # unsettled place settles it, as inv(the edges before it) . leaf .
+    # inv(the edges after it), and a settled pair offers the cycles it
+    # leaves with one unsettled place.  When no cycle settles a pair, the
+    # pair with the smallest enumeration proof takes that proof; each is
+    # sized once, when the first is needed.
+    raw, expanded = None, {}
+    while left:
+        if heap:
+            _, v, n, t = heapq.heappop(heap)
+            if proof[v] is not None:
+                continue
+            i, index, places = cycles[n]
+            e, factors = places[t], (DyckFactor(images[i], index, 1),)
+            if len(places) > 1:
+                back = [proof[mirror[e]] for e in reversed(places)]  # the places' inverse proofs, last place first
+                s = len(places) - 1 - t
+                factors = _product([*back[s + 1 :], factors, *back[:s]])
+        else:
+            if raw is None:
+                unsettled = [v for v, m in enumerate(mirror) if v < m and proof[v] is None]
+                raw = _enumeration_proofs(unsettled, entry_proof, order, up, nxt, k2)
+            while proof[raw[-1][1]] is not None:
+                raw.pop()
+            size, v, p = raw.pop()
+            if size > MAX_RAW_FACTORS:
+                return None  # too large to write out
+            e, factors = v, _expand(p, expanded)
+        proof[e], proof[mirror[e]] = factors, _invert_factors(factors)
+        left -= 1
         touched = occurs.get(v, ())
         for n in touched:
             pending[n] -= 1
         for n in dict.fromkeys(touched):
             if pending[n] == 1:
-                offer(n)
+                places, size = cycles[n][2], 1
+                for s, e in enumerate(places):
+                    if proof[e] is None:
+                        t = s
+                    else:
+                        size += len(proof[e])
+                heapq.heappush(heap, (size, min(places[t], mirror[places[t]]), n, t))
 
-    # Knuth's generalization of Dijkstra: tree edges are free, and the
-    # cheapest cycle with one unsettled place settles it, as inv(the
-    # edges before it) . leaf . inv(the edges after it).  When no cycle
-    # settles an edge, the one with the smallest enumeration proof takes
-    # that proof.
-    for e in tree:
-        settle(var[e], ())
-    for n, left in enumerate(pending):
-        if left == 1:
-            offer(n)
-    sizes, expanded = {}, {}
-
-    def raw(v):  # the enumeration's proof of edge v, in three parts
-        i, x = divmod(v, k2)
-        return base[i], entry_proof(order[i], x), base[nt[i][x]]
-
-    while True:
-        while heap:
-            _, v, n, t = heapq.heappop(heap)
-            if v not in fac:
-                i, index, entries = cycles[n]
-                parts = [_invert_factors(edge(e)) for e in reversed(entries[:t])]
-                parts.append((DyckFactor(images[i], index, 1),))
-                parts += [_invert_factors(edge(e)) for e in reversed(entries[t + 1 :])]
-                proof = _cancel(itertools.chain.from_iterable(parts))  # proves entries[t]
-                settle(v, proof if entries[t] == v else _invert_factors(proof))
-        unsettled = {v: sum(_size(p, sizes) for p in raw(v)) for v in range(r * k2) if var[v] == v and v not in fac}
-        if not unsettled:
-            break
-        v = min(unsettled, key=unsettled.get)
-        if unsettled[v] > MAX_RAW_FACTORS:
-            return None  # too large to write out
-        head, middle, tail = (_expand(p, expanded) for p in raw(v))
-        settle(v, _cancel(itertools.chain(head, middle, _invert_factors(tail))))
-
-    def trace(i, word):  # the coset word leads to from i, and the edges it passes
-        edges = []
-        for x in word:
-            edges.append(i * k2 + x)
-            i = nt[i][x]
-        return i, edges
-
-    table = MultiplicationTable(tuple(tuple(trace(i, w)[0] for w in images) for i in range(r)))
+    # The table and the cell proofs column by column: cell (i, j) is cell
+    # (i, p) and one edge more, p being the parent of j, and its proof is
+    # that of (i, p) extended by the edge's.  Only an edge off the tree has
+    # a proof to add, and only a cell whose goal is nonempty passes one: a
+    # walk on tree edges alone spells the shortlex word of its end.
+    columns, cell_proofs = [range(r)], [[()] * r]
+    for e in up[1:]:
+        p, x = divmod(e, k2)
+        above, below, column = cell_proofs[p], cell_proofs[p][:], []
+        for i, c in enumerate(columns[p]):
+            d = c * k2 + x
+            column.append(nxt[d])
+            if proof[d]:
+                below[i] = _product((above[i], proof[d]))
+        columns.append(column)
+        cell_proofs.append(below)
+    table = MultiplicationTable(tuple(zip(*columns)))
     equation_certs = {
-        (i, j): EqualityCertificate(_cancel(itertools.chain.from_iterable(map(edge, trace(i, images[j])[1]))), goal)
-        for i, j, goal in equation_words(table, images)
-        if goal
+        (i, j): EqualityCertificate(cell_proofs[j][i], goal) for i, j, goal in equation_words(table, images) if goal
     }
     coverage, coverage_certs = {}, {}
     for g in range(k2 // 2):
-        e = coverage[g] = nt[0][2 * g]
+        e = coverage[g] = nxt[2 * g]
         goal = concat(bytes((2 * g,)), invert(images[e]))
         if goal:
-            coverage_certs[g] = EqualityCertificate(edge(2 * g), goal)
+            coverage_certs[g] = EqualityCertificate(proof[2 * g], goal)
     return {
         "table": table,
         "images": tuple(images),
