@@ -19,10 +19,10 @@ from wordrace.certcheck import serialize_equality, serialize_finiteness
 from wordrace.certificates import DyckFactor, MultiplicationTable
 from wordrace.derivation import EqualityCertificate, EqualityTask, ProductStream
 from wordrace.presentation import extend, parse_presentation
+from wordrace.proofs import _INV, _LEAF, _rep_word, cat
 from wordrace.quotient import DEFAULT_MAX_TABLE_ORDER, WORDS_MODE, FinitenessCertificate, FinitenessTask
 from wordrace.scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Outcome
 from wordrace.tables import enumerate_tables
-from wordrace.proofs import _INV, _LEAF, _rep_word, cat
 from wordrace.words import (
     MalformedWordError,
     Word,
