@@ -29,6 +29,7 @@ document is worked out from the factors, here and only here, by
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import NamedTuple
 
@@ -67,12 +68,11 @@ def relators_used_by_finiteness(cert: FinitenessCertificate) -> int:
 # serialization
 
 
-def _equality_lines(cert: EqualityCertificate, p: Presentation) -> list[str]:
-    a = p.alphabet
+def _equality_lines(cert: EqualityCertificate, a: Alphabet, digest) -> list[str]:
     used = relators_used_by(cert)
     return [
         "certificate: equality",
-        "presentation: " + presentation_digest(p, used),
+        "presentation: " + digest(used),
         "target: " + format_word(cert.target, a),
         f"relators-used: {used}",
         f"factors: {len(cert.factors)}",
@@ -83,15 +83,16 @@ def _equality_lines(cert: EqualityCertificate, p: Presentation) -> list[str]:
 
 
 def serialize_equality(cert: EqualityCertificate, p: Presentation) -> str:
-    return "\n".join(_equality_lines(cert, p)) + "\n"
+    return "\n".join(_equality_lines(cert, p.alphabet, functools.partial(presentation_digest, p))) + "\n"
 
 
 def serialize_finiteness(cert: FinitenessCertificate, extended: Presentation) -> str:
     a = extended.alphabet
     used = relators_used_by_finiteness(cert)
+    digest = functools.cache(functools.partial(presentation_digest, extended))  # hashes each count once
     out = [
         "certificate: finiteness",
-        "presentation: " + presentation_digest(extended, used),
+        "presentation: " + digest(used),
         "target: " + format_word(extended.extended_by, a),
         "tau-mode: " + cert.mode,
         f"relators-used: {used}",
@@ -103,10 +104,10 @@ def serialize_finiteness(cert: FinitenessCertificate, extended: Presentation) ->
         out += [f"cover: {a.generators[g]} {cert.coverage[g]}" for g in range(a.k)]
     out.append(f"equation-certs: {len(cert.equation_certs)}")
     for (i, j), nested in sorted(cert.equation_certs.items()):
-        out += [f"cell: {i} {j}", *_equality_lines(nested, extended)]
+        out += [f"cell: {i} {j}", *_equality_lines(nested, a, digest)]
     out.append(f"cover-certs: {len(cert.coverage_certs)}")
     for g, nested in sorted(cert.coverage_certs.items()):
-        out += [f"cover-cert: {a.generators[g]}", *_equality_lines(nested, extended)]
+        out += [f"cover-cert: {a.generators[g]}", *_equality_lines(nested, a, digest)]
     out.append("end: certificate")
     return "\n".join(out) + "\n"
 
@@ -389,9 +390,10 @@ def verify_finiteness_document(doc: FinitenessDocument, extended: Presentation) 
     ok, why = verify_finiteness(doc.certificate, extended)
     if not ok:
         return ok, why
-    if doc.digest != presentation_digest(extended, doc.relators_used):
+    digest = functools.cache(functools.partial(presentation_digest, extended))  # hashes each count once
+    if doc.digest != digest(doc.relators_used):
         return False, "presentation digest mismatch"
     for label, inner in nested.items():
-        if inner.digest != presentation_digest(extended, inner.relators_used):
+        if inner.digest != digest(inner.relators_used):
             return False, f"certificate at {label} invalid: presentation digest mismatch"
     return True, "ok"

@@ -14,7 +14,8 @@ this propagation (plus Latin pruning) yields complete tables in
 lexicographic row-major order.  The first table of each isomorphism class
 encountered this way is the lexicographic minimum over all relabelings
 fixing 0, i.e. the canonical form; later members of the class are rejected
-by an explicit isomorphism search.
+by an isomorphism search against the representatives of the same element
+orders.
 
 Row 1 is the left-regular permutation of element 1: it sends 0 to 1 and all
 its cycles have the length m of the order of 1.  Any two such permutations
@@ -29,14 +30,17 @@ p, the least prime dividing r, so enumeration tries only the seed of p as
 row 1.  The tables it skips are never first of their class, so the
 representatives and their order are those of the full search.
 
-Two cuts drop a candidate row before it is placed; neither changes the
-order in which the remaining tables come.
+Three cuts drop a candidate row while it is built, at its first position
+that fails; none changes the order in which the remaining tables come.
 - Cycle type, in every search: left multiplication by i has all its
   cycles of the order m of i, and m divides r.  So a row is cut as soon
   as a cycle closes at another length than the first, or at a length not
-  dividing r, or an open chain grows past m nodes.  No group table has
-  such a row, so this search yields exactly the tables it yielded without
-  the cut.
+  dividing r, or an open chain grows past m nodes.
+- Forward checks of the row rho of i against the placed rows H, in every
+  search (Haralick and Elliott's forward checking): for y and z in H, the
+  rows row_y o rho and rho o row_z of y.i and i.z agree at every x when y.i = i.z and differ at
+  every x otherwise; rho o rho, the row of i.i = v = rho(i), is row_v when
+  v is in H and differs from every row of H at every x otherwise.
 - The stabiliser of row p, in the seeded search: with the seed as row 1,
   rows 0..p-1 are its powers, and the first row chosen is p.  A
   relabeling pi that fixes 0..p and commutes with the seed keeps rows
@@ -44,9 +48,12 @@ order in which the remaining tables come.
   so is the relabeled table, which has the seed as row 1 too; so no table
   with this row p is first of its class, and the row is skipped.  The
   relabelings (``_row_p_relabelings``) permute and rotate the seed's
-  blocks 2..r/p-1, (r/p - 2)! * p^(r/p - 2) of them.
-Every table still yielded goes through ``is_group_table`` and the
-isomorphism filter.
+  blocks 2..r/p-1, (r/p - 2)! * p^(r/p - 2) of them.  Each is compared
+  on the prefix that both rows have determined, and dropped once it
+  differs there without being smaller (McKay's isomorph rejection).
+No group table has a row the first two cut, so the search yields exactly
+the tables it yielded without them.  Every table still yielded goes
+through ``is_group_table`` and the isomorphism filter.
 """
 
 from __future__ import annotations
@@ -73,42 +80,48 @@ def element_orders(cells) -> tuple[int, ...]:
 
 
 def isomorphisms(c1, c2):
-    """Yield every relabeling fixing 0 that carries table c1 onto table c2."""
+    """Yield every relabeling fixing 0 that carries group table c1 onto c2.
+
+    Generators of c1 are picked greedily, each the least element outside the
+    subgroup the earlier ones generate.  A relabeling phi is fixed by their
+    images, and it is an isomorphism when it is one-to-one and phi(x.g) =
+    phi(x).phi(g) for every element x and generator g.
+    """
     r = len(c1)
     if r != len(c2):
         return
-    ord1 = element_orders(c1)
-    ord2 = element_orders(c2)
+    ord1, ord2 = element_orders(c1), element_orders(c2)
     if sorted(ord1) != sorted(ord2):
         return
-    phi = [0] * r
-    used = [False] * r
-    used[0] = True
 
-    def consistent(x):
-        for p in range(x + 1):
-            row = c1[p]
-            for q in range(x + 1):
-                z = row[q]
-                if z <= x and c2[phi[p]][phi[q]] != phi[z]:
-                    return False
-        return True
+    def extended(phi, gens, y):
+        # phi with the last generator sent to y, carried along x -> x.g to
+        # the subgroup that gens generate; None where that fails.
+        phi = phi[:]
+        phi[gens[-1]] = y
+        reached = [x for x in range(r) if phi[x] is not None]
+        for x in reached:  # also visits what is appended meanwhile
+            for g in gens:
+                z, w = c1[x][g], c2[phi[x]][phi[g]]
+                if phi[z] is None and w not in phi:
+                    phi[z] = w
+                    reached.append(z)
+                elif phi[z] != w:
+                    return None
+        return phi
 
-    def rec(x):
-        if x == r:
+    def rec(phi, gens):
+        g = next((x for x in range(r) if phi[x] is None), None)
+        if g is None:
             yield tuple(phi)
             return
         for y in range(1, r):
-            if used[y] or ord2[y] != ord1[x]:
-                continue
-            phi[x] = y
-            used[y] = True
-            if consistent(x):
-                yield from rec(x + 1)
-            used[y] = False
-        phi[x] = 0
+            if ord2[y] == ord1[g] and y not in phi:
+                ext = extended(phi, gens + (g,), y)
+                if ext is not None:
+                    yield from rec(ext, gens + (g,))
 
-    yield from rec(1)
+    yield from rec([0] + [None] * (r - 1), ())
 
 
 def find_isomorphism(c1, c2):
@@ -161,13 +174,14 @@ def _complete_tables(r, row1=None):
         yield ((0,),)
         return
     p, relabelings = None, []
-    if row1 is not None:  # each relabeling with its inverse
+    if row1 is not None:  # each relabeling but the identity, with its inverse
         p = _least_prime(r)
-        relabelings = [(pi, sorted(range(r), key=pi.__getitem__)) for pi in _row_p_relabelings(r)]
+        relabelings = [(pi, sorted(range(r), key=pi.__getitem__)) for pi in _row_p_relabelings(r)[1:]]
     identity = tuple(range(r))
     rows: list = [None] * r
     rows[0] = identity
     placed = [0]
+    chosen = []  # the rows search() placed, in order
     col_used = [1 << j for j in range(r)]
 
     def place(idx, perm):
@@ -184,42 +198,80 @@ def _complete_tables(r, row1=None):
             for j in range(r):
                 col_used[j] &= ~(1 << perm[j])
 
-    def propagate(start):
-        # Close the placed rows under composition: rows[x.y] = rows[x] o rows[y].
-        qi = start
-        while qi < len(placed):
-            n = placed[qi]
-            qi += 1
-            fn = rows[n]
-            for m in list(placed):
-                fm = rows[m]
-                for x, fx, y, fy in ((n, fn, m, fm), (m, fm, n, fn)):
-                    target = fx[y]
-                    comp = tuple(fx[fy[j]] for j in range(r))
-                    existing = rows[target]
-                    if existing is None:
-                        for j in range(1, r):
-                            if col_used[j] & (1 << comp[j]):
-                                return False
-                        place(target, comp)
-                    elif existing != comp:
-                        return False
-                    if x == y:
-                        break
+    def propagate(mark):
+        # Close the placed rows under rows[x.g] = rows[x] o rows[g] for the
+        # chosen rows g.  They generate the placed rows, so these products
+        # give all the others; the rows placed before mark are already
+        # closed under all but the last.
+        for q, x in enumerate(placed):  # also visits what is appended meanwhile
+            fx = rows[x]
+            for g in chosen if q >= mark else chosen[-1:]:
+                comp = tuple(map(fx.__getitem__, rows[g]))
+                existing = rows[comp[0]]
+                if existing is None:
+                    for j in range(1, r):
+                        if col_used[j] & (1 << comp[j]):
+                            return False
+                    place(comp[0], comp)
+                elif existing != comp:
+                    return False
         return True
 
-    def row_candidates(i):
-        # The row is built as chains x -> row[x]: head[e] is the first node of
-        # the chain ending at e, tail[h] the last node of the chain starting
-        # at h, size[h] its node count.  m is the length of the first closed
-        # cycle, and 0 until one closes.
+    def row_candidates(i, tied):
+        # The row rho = row i is built as chains x -> row[x]: head[e] is the
+        # first node of the chain ending at e, tail[h] the last node of the
+        # chain starting at h, size[h] its node count.  m is the length of the
+        # first closed cycle, and 0 until one closes.
         row = [i] + [0] * (r - 1)
         used = 1 << i
         head, tail, size = list(range(r)), list(range(r)), [1] * r
         head[i], tail[0], size[0] = 0, i, 2
         m = 0
+        # Forward checks against the placed rows H.  ys[a][b] is the y in H
+        # with y.a = b, or -1 when b is outside the coset H.a.  For z in H,
+        # rho(z.x) = (i.z).x lies in H.rho(x) exactly when i.z = rho(z) lies
+        # in H.i, and then as y.rho(x) for the same y; and rho(rho(x)) =
+        # (i.i).x lies in H.x exactly when rho(i) is in H, as rho(i).x.
+        ys = [[-1] * r for _ in range(r)]
+        for y in placed:
+            for a, b in enumerate(rows[y]):
+                ys[a][b] = y
+        checks = sorted((z, rows[z], sorted(range(r), key=rows[z].__getitem__)) for z in placed if z)
 
-        def rec(pos):
+        def consistent(pos):
+            # Test the equations that row[pos] completes: for z = pos at
+            # every x, for an earlier z at x = pos and at z.x = pos; for
+            # rho o rho at every x once pos = i, later at x = pos and at
+            # the x with rho(x) = pos.
+            for z, zrow, zinv in checks:
+                if z > pos:
+                    break
+                want = ys[i][row[z]]
+                for x in range(pos + 1) if z == pos else (pos, zinv[pos]):
+                    if x <= pos and zrow[x] <= pos and ys[row[x]][row[zrow[x]]] != want:
+                        return False
+            if pos >= i:
+                want = ys[0][row[i]]
+                for x in range(pos + 1) if pos == i else (pos, row.index(pos) if used >> pos & 1 else pos):
+                    if row[x] <= pos and ys[x][row[row[x]]] != want:
+                        return False
+            return True
+
+        def still_tied(pos, tied):
+            # The relabelings pi still tied with rho, each advanced through
+            # the positions c where pi o rho o pi^-1 is now determined; None
+            # once one is lex smaller there.
+            keep = []
+            for pi, inv, c in tied:
+                while c <= pos and inv[c] <= pos and pi[row[inv[c]]] == row[c]:
+                    c += 1
+                if c > pos or inv[c] > pos:
+                    keep.append((pi, inv, c))
+                elif pi[row[inv[c]]] < row[c]:
+                    return None
+            return keep
+
+        def rec(pos, tied):
             nonlocal used, m
             if pos == r:
                 yield tuple(row)
@@ -230,49 +282,41 @@ def _complete_tables(r, row1=None):
                 if used & bit or col_used[pos] & bit:
                     continue
                 row[pos] = v
+                kept = still_tied(pos, tied) if consistent(pos) else None
+                if kept is None:
+                    continue
                 used |= bit
                 if v == h:  # closes a cycle of size[h] nodes
                     n = size[h]
                     if not m and r % n == 0:
                         m = n
-                        yield from rec(pos + 1)
+                        yield from rec(pos + 1, kept)
                         m = 0
                     elif n == m:
-                        yield from rec(pos + 1)
+                        yield from rec(pos + 1, kept)
                 else:  # joins the chain ending at pos to the one starting at v
                     n = size[h] + size[v]
                     if not m or n <= m:
                         t = tail[v]
                         head[t], tail[h], size[h] = h, t, n
-                        yield from rec(pos + 1)
+                        yield from rec(pos + 1, kept)
                         head[t], tail[h], size[h] = v, pos, n - size[v]
                 used &= ~bit
 
-        yield from rec(1)
-
-    def relabeled_smaller(perm):
-        # Is some pi o perm o pi^-1 lex smaller than perm?
-        for pi, inv in relabelings:
-            for x, y in enumerate(perm):
-                z = pi[perm[inv[x]]]
-                if z != y:
-                    if z < y:
-                        return True
-                    break
-        return False
+        yield from rec(1, [(pi, inv, 0) for pi, inv in tied])
 
     def search():
         i = next((n for n in range(r) if rows[n] is None), None)
         if i is None:
             yield tuple(rows)
             return
-        for perm in row1 if i == 1 and row1 is not None else row_candidates(i):
-            if i == p and relabeled_smaller(perm):
-                continue
+        for perm in row1 if i == 1 and row1 is not None else row_candidates(i, relabelings if i == p else ()):
             mark = len(placed)
             place(i, perm)
+            chosen.append(i)
             if propagate(mark):
                 yield from search()
+            chosen.pop()
             unplace_to(mark)
 
     yield from search()
@@ -295,10 +339,13 @@ def enumerate_tables(order: int) -> tuple[MultiplicationTable, ...]:
     if cached is not None:
         return cached
     reps: list[tuple] = []
+    by_orders: dict[tuple, list] = {}  # isomorphic tables have the same element orders
     for cells in _complete_tables(order, _row1_seeds(order)):
         ok, why = is_group_table(cells)
         assert ok, why
-        if all(find_isomorphism(cells, rep) is None for rep in reps):
+        alike = by_orders.setdefault(tuple(sorted(element_orders(cells))), [])
+        if all(find_isomorphism(cells, rep) is None for rep in alike):
+            alike.append(cells)
             reps.append(cells)
     result = tuple(MultiplicationTable(cells) for cells in reps)
     _TABLE_CACHE[order] = result

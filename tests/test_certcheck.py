@@ -12,6 +12,8 @@ from wordrace.certcheck import (
     FinitenessDocument,
     parse_certificate,
     presentation_digest,
+    relators_used_by,
+    relators_used_by_finiteness,
     serialize_equality,
     serialize_finiteness,
     verify_equality,
@@ -271,6 +273,24 @@ class TestFinitenessVerification:
         ok, why = verify_finiteness_document(doc, extend(z(), doc.target))
         assert not ok
         assert "more relators than the enclosing" in why
+
+    def test_each_relator_prefix_is_hashed_once(self, monkeypatch):
+        # Serializing and verifying a document hash the relator prefix once
+        # per distinct relators-used count, not once per nested certificate.
+        extended = extend(dinf(), parse_word("ab" * 8, dinf().alphabet))
+        cert = prove_finite(extended, 100_000, max_table_order=16)
+        nested = [*cert.equation_certs.values(), *cert.coverage_certs.values()]
+        counts = sorted({relators_used_by_finiteness(cert), *map(relators_used_by, nested)})
+        assert len(nested) > 2 * len(counts)
+        hashed = []
+        prefix_document = certcheck.prefix_document
+        monkeypatch.setattr(certcheck, "prefix_document", lambda p, n: hashed.append(n) or prefix_document(p, n))
+        text = serialize_finiteness(cert, extended)
+        assert sorted(hashed) == counts
+        hashed.clear()
+        doc = parse_certificate(text, extended.alphabet)
+        assert verify_finiteness_document(doc, extended) == (True, "ok")
+        assert sorted(hashed) == counts
 
     def test_requires_extended_presentation(self, finiteness_cert):
         ok, why = verify_finiteness(finiteness_cert, z())

@@ -5,7 +5,8 @@ independent oracles: exhaustive cell-by-cell generation for orders <= 4,
 and the orbit-stabilizer identity (raw table count = sum over classes of
 (r-1)!/|Aut|) for orders <= 7.  The representative hashes were captured
 while enumeration still filtered every complete table, before row 1 was
-restricted to seeds; that of order 11 before the search pruned rows.
+restricted to seeds; that of order 11 before the search pruned rows, and
+that of order 12 before candidate rows were checked while being built.
 """
 
 import hashlib
@@ -35,8 +36,9 @@ from wordrace.tables import (
 from wordrace.words import alphabet, concat, parse_word
 
 # One class per order except 4 (cyclic, Klein), 6 (cyclic, S3), 8
-# (C8, C4xC2, C2^3, D4, Q8), 9 (C9, C3xC3) and 10 (cyclic, D5); OEIS A000001.
-CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2, 11: 1}
+# (C8, C4xC2, C2^3, D4, Q8), 9 (C9, C3xC3), 10 (cyclic, D5) and 12 (C12,
+# C6xC2, D6, A4, Dic3); OEIS A000001.
+CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2, 11: 1, 12: 5}
 
 # SHA-256 of repr([t.cells for t in enumerate_tables(r)]): the
 # representatives and their order, which fix every cursor and certificate.
@@ -52,7 +54,15 @@ REPRESENTATIVE_HASHES = {
     9: "f2c24c470e773036c33c7b8446f83cc90ea9d93771b47b337ac040ca921159e4",
     10: "5e4558587abfaaa4f42293de842ffb920fbf34c2351cd21eddfaa55861a1c094",
     11: "931e722c9a3753160fafcc866c9e3940be25e426b2a7a21269d88931757f44c6",
+    12: "b4775e2bb63e549b9372077be817ec292d0cf9326cd7ede6071540a3b23448d4",
 }
+
+# SHA-256 of repr([list(_complete_tables(r, _row1_seeds(r))) for r in 1..11]):
+# every complete table the seeded search yields, in order, before the
+# isomorphism filter (1, 1, 1, 2, 1, 4, 1, 20, 3, 4 and 1 of them).  Captured
+# while each candidate row was checked against the placed rows only once
+# complete, so a pruning cut that drops a row leading to a table fails here.
+SEEDED_SEQUENCE_HASH = "5be5705ec617ba02cea4fe89cbf0693a85f806a103e80f78e52e6f6d00f9154a"
 
 
 def brute_tables(r):
@@ -268,10 +278,32 @@ class TestEnumeration:
             acc += math.factorial(r - 1) // aut
         assert raw_count == acc
 
+    @pytest.mark.parametrize("r", (8, 12))
+    def test_isomorphisms_are_relabelings_onto(self, r):
+        # Every map isomorphisms yields is one-to-one and carries each
+        # product onto a product, and every seeded table has such maps onto
+        # exactly one representative, as many as that one's automorphisms.
+        reps = [t.cells for t in enumerate_tables(r)]
+        automorphisms = [sum(1 for _ in isomorphisms(rep, rep)) for rep in reps]
+        for cells in _complete_tables(r, _row1_seeds(r)):
+            counts = []
+            for rep in reps:
+                maps = list(isomorphisms(cells, rep))
+                for phi in maps:
+                    assert sorted(phi) == list(range(r))
+                    assert all(rep[phi[x]][phi[y]] == phi[z] for x, row in enumerate(cells) for y, z in enumerate(row))
+                counts.append(len(maps))
+            assert sum(map(bool, counts)) == 1
+            assert max(counts) == automorphisms[counts.index(max(counts))]
+
     @pytest.mark.parametrize("r", sorted(REPRESENTATIVE_HASHES))
     def test_representatives_pinned(self, r):
         cells = [t.cells for t in enumerate_tables(r)]
         assert hashlib.sha256(repr(cells).encode()).hexdigest() == REPRESENTATIVE_HASHES[r]
+
+    def test_seeded_sequence_pinned(self):
+        seq = [list(_complete_tables(r, _row1_seeds(r))) for r in range(1, 12)]
+        assert hashlib.sha256(repr(seq).encode()).hexdigest() == SEEDED_SEQUENCE_HASH
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_same_representatives_as_full_search(self, r):
@@ -302,17 +334,20 @@ class TestEnumeration:
         assert {t[1] for t in seeded} == set(seeds)
 
     # (order, seeded): the most (propagate, rec) calls the search makes.
-    # Without the cycle-length comparison the first reads (173, 655),
-    # (309, 1000) and (281, 2997); without the open-chain or divisibility
-    # cut, rec is called more often.
-    SEARCH_WORK = {(6, False): (125, 549), (7, False): (120, 446), (8, True): (163, 2063)}
+    # Without the cycle-length comparison they read (91, 399), (190, 712),
+    # (25, 163) and (6, 40); without the divisibility cut rec reads 399,
+    # 620, 156 and 38, and without the open-chain cut 30 at order 9.
+    # Without the forward checks against the placed rows they read
+    # (125, 549), (120, 446), (163, 694) and (193, 1170).
+    SEARCH_WORK = {(6, False): (91, 384), (7, False): (120, 446), (8, True): (25, 144), (9, True): (4, 29)}
 
     @pytest.mark.parametrize("r,seeded", sorted(SEARCH_WORK))
     def test_search_work_is_bounded(self, r, seeded):
-        # The cycle-type cut only prunes, so it shows in the work done, not in
-        # the tables yielded: count the calls of the nested propagate (one per
-        # placed candidate row) and of row_candidates' rec (one per row
-        # position tried), each a distinct frame held until the count.
+        # The cycle-type cut and the forward checks only prune, so they show
+        # in the work done, not in the tables yielded: count the calls of the
+        # nested propagate (one per placed candidate row) and of
+        # row_candidates' rec (one per row position tried), each a distinct
+        # frame held until the count.
         def nested(code, name):
             return next(c for c in code.co_consts if isinstance(c, types.CodeType) and c.co_name == name)
 
