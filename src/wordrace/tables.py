@@ -38,22 +38,25 @@ that fails; none changes the order in which the remaining tables come.
   dividing r, or an open chain grows past m nodes.
 - Forward checks of the row rho of i against the placed rows H, in every
   search (Haralick and Elliott's forward checking): for y and z in H, the
-  rows row_y o rho and rho o row_z of y.i and i.z agree at every x when y.i = i.z and differ at
-  every x otherwise; rho o rho, the row of i.i = v = rho(i), is row_v when
-  v is in H and differs from every row of H at every x otherwise.
-- The stabiliser of row p, in the seeded search: with the seed as row 1,
-  rows 0..p-1 are its powers, and the first row chosen is p.  A
-  relabeling pi that fixes 0..p and commutes with the seed keeps rows
+  rows row_y o rho and rho o row_z of y.i and i.z agree at every x when
+  y.i = i.z and differ at every x otherwise; rho o rho, the row of i.i =
+  v = rho(i), is row_v when v is in H and differs from each row of H at
+  every x otherwise.
+- The stabiliser of the placed rows, in the seeded search: with the seed
+  as row 1, rows 0..p-1 are its powers, and the first row chosen is p.
+  A relabeling pi that fixes 0..p and commutes with the seed keeps rows
   0..p-1 and carries row p to pi o row_p o pi^-1.  If that is lex smaller,
   so is the relabeled table, which has the seed as row 1 too; so no table
   with this row p is first of its class, and the row is skipped.  The
   relabelings (``_row_p_relabelings``) permute and rotate the seed's
-  blocks 2..r/p-1, (r/p - 2)! * p^(r/p - 2) of them.  Each is compared
+  blocks 2..r/p-1, (r/p - 2)! * p^(r/p - 2) of them; at a later free row
+  i, those that fix i and commute with every placed row.  Each is compared
   on the prefix that both rows have determined, and dropped once it
   differs there without being smaller (McKay's isomorph rejection).
-No group table has a row the first two cut, so the search yields exactly
-the tables it yielded without them.  Every table still yielded goes
-through ``is_group_table`` and the isomorphism filter.
+No group table has a row the first two cut, and the third skips only
+tables that are not first of their class (up to order 11, only at row p).
+Every table still yielded goes through ``is_group_table`` and the
+isomorphism filter.
 """
 
 from __future__ import annotations
@@ -167,36 +170,37 @@ def _complete_tables(r, row1=None):
     """Group tables of order r with identity 0, in row-major lex order.
 
     All of them, or, given row1 = ``_row1_seeds(r)``, those whose row 1 is
-    the seed and whose row p no relabeling of ``_row_p_relabelings(r)``
-    makes lex smaller (see the module docstring).
+    the seed and whose free rows, each as it is chosen, no relabeling of
+    ``_row_p_relabelings(r)`` that keeps the placed rows makes lex smaller
+    (see the module docstring).
     """
     if r == 1:
         yield ((0,),)
         return
-    p, relabelings = None, []
-    if row1 is not None:  # each relabeling but the identity, with its inverse
-        p = _least_prime(r)
+    relabelings = []  # in the seeded search, each but the identity, with its inverse
+    if row1 is not None:
         relabelings = [(pi, sorted(range(r), key=pi.__getitem__)) for pi in _row_p_relabelings(r)[1:]]
     identity = tuple(range(r))
     rows: list = [None] * r
     rows[0] = identity
     placed = [0]
     chosen = []  # the rows search() placed, in order
-    col_used = [1 << j for j in range(r)]
+    # ys[a][b] is the placed y with y.a = b, or -1 when b is outside the
+    # coset H.a of the placed rows H: column a of the table so far.
+    ys = [[0 if b == a else -1 for b in range(r)] for a in range(r)]
 
     def place(idx, perm):
         rows[idx] = perm
         placed.append(idx)
-        for j in range(r):
-            col_used[j] |= 1 << perm[j]
+        for a, b in enumerate(perm):
+            ys[a][b] = idx
 
     def unplace_to(mark):
         while len(placed) > mark:
             idx = placed.pop()
-            perm = rows[idx]
+            for a, b in enumerate(rows[idx]):
+                ys[a][b] = -1
             rows[idx] = None
-            for j in range(r):
-                col_used[j] &= ~(1 << perm[j])
 
     def propagate(mark):
         # Close the placed rows under rows[x.g] = rows[x] o rows[g] for the
@@ -209,15 +213,15 @@ def _complete_tables(r, row1=None):
                 comp = tuple(map(fx.__getitem__, rows[g]))
                 existing = rows[comp[0]]
                 if existing is None:
-                    for j in range(1, r):
-                        if col_used[j] & (1 << comp[j]):
+                    for a in range(1, r):
+                        if ys[a][comp[a]] >= 0:
                             return False
                     place(comp[0], comp)
                 elif existing != comp:
                     return False
         return True
 
-    def row_candidates(i, tied):
+    def row_candidates(i):
         # The row rho = row i is built as chains x -> row[x]: head[e] is the
         # first node of the chain ending at e, tail[h] the last node of the
         # chain starting at h, size[h] its node count.  m is the length of the
@@ -227,15 +231,9 @@ def _complete_tables(r, row1=None):
         head, tail, size = list(range(r)), list(range(r)), [1] * r
         head[i], tail[0], size[0] = 0, i, 2
         m = 0
-        # Forward checks against the placed rows H.  ys[a][b] is the y in H
-        # with y.a = b, or -1 when b is outside the coset H.a.  For z in H,
-        # rho(z.x) = (i.z).x lies in H.rho(x) exactly when i.z = rho(z) lies
-        # in H.i, and then as y.rho(x) for the same y; and rho(rho(x)) =
-        # (i.i).x lies in H.x exactly when rho(i) is in H, as rho(i).x.
-        ys = [[-1] * r for _ in range(r)]
-        for y in placed:
-            for a, b in enumerate(rows[y]):
-                ys[a][b] = y
+        # Forward checks against the placed rows H, which stay placed while
+        # this runs: ys[rho(x)][rho(z.x)] = ys[i][rho(z)] for z in H, as both
+        # name the y with y.i = i.z, and ys[x][rho(rho(x))] = ys[0][rho(i)].
         checks = sorted((z, rows[z], sorted(range(r), key=rows[z].__getitem__)) for z in placed if z)
 
         def consistent(pos):
@@ -279,7 +277,7 @@ def _complete_tables(r, row1=None):
             h = head[pos]
             for v in range(r):
                 bit = 1 << v
-                if used & bit or col_used[pos] & bit:
+                if used & bit or ys[pos][v] >= 0:
                     continue
                 row[pos] = v
                 kept = still_tied(pos, tied) if consistent(pos) else None
@@ -303,14 +301,17 @@ def _complete_tables(r, row1=None):
                         head[t], tail[h], size[h] = v, pos, n - size[v]
                 used &= ~bit
 
-        yield from rec(1, [(pi, inv, 0) for pi, inv in tied])
+        # The relabelings that keep every placed row and fix i: all of them
+        # at i = p, and those that commute with every chosen row later.
+        yield from rec(1, [(pi, inv, 0) for pi, inv in relabelings if pi[i] == i and all(
+            pi[rows[g][x]] == rows[g][pi[x]] for g in chosen for x in range(r))])
 
     def search():
         i = next((n for n in range(r) if rows[n] is None), None)
         if i is None:
             yield tuple(rows)
             return
-        for perm in row1 if i == 1 and row1 is not None else row_candidates(i, relabelings if i == p else ()):
+        for perm in row1 if i == 1 and row1 is not None else row_candidates(i):
             mark = len(placed)
             place(i, perm)
             chosen.append(i)
