@@ -141,10 +141,6 @@ def _row1_seeds(r):
     return []
 
 
-def _least_prime(r):
-    return next(q for q in range(2, r + 1) if r % q == 0)
-
-
 def _row_p_relabelings(r):
     """Every relabeling that fixes 0..p and commutes with the seed of
     ``_row1_seeds(r)``, p the least prime dividing r > 1; identity first.
@@ -153,7 +149,7 @@ def _row_p_relabelings(r):
     blocks 0 and 1 and sends each later block onto a later one, rotated:
     (r/p - 2)! * p^(r/p - 2) of them, or the identity alone when r/p <= 2.
     """
-    p = _least_prime(r)
+    p = next(q for q in range(2, r + 1) if r % q == 0)
     later = range(2, r // p)
     out = []
     for targets in itertools.permutations(later):
