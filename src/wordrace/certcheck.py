@@ -16,8 +16,12 @@ each ``relators-used`` count against MAX_RELATORS and its own factors,
 each nested count against the enclosing one), before any relator is
 pulled; then the certificate, by the certificate check; and last the digests.
 
-Certificate documents are canonical text: fixed field order, compact word
-format, newline-terminated.  A document binds itself to a presentation via
+Each certificate has one document: the text that ``_lines`` renders.
+Writing renders a document with computed digests and counts;
+``parse_certificate`` renders the document it parsed, with the digests and
+counts it states, and refuses the text unless the two are byte-identical,
+so it needs no rule of its own on spaces, line ends, leading zeros, block
+order or unreduced words.  A document binds itself to a presentation via
 the SHA-256 digest of the serialized alphabet plus the pulled-relator
 prefix it cites (``relators-used`` lines).  Equality documents carry the
 factor list; finiteness documents carry the table, the image words, the
@@ -65,55 +69,7 @@ def relators_used_by_finiteness(cert: FinitenessCertificate) -> int:
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def _equality_lines(cert: EqualityCertificate, a: Alphabet, digest) -> list[str]:
-    used = relators_used_by(cert)
-    return [
-        "certificate: equality",
-        "presentation: " + digest(used),
-        "target: " + format_word(cert.target, a),
-        f"relators-used: {used}",
-        f"factors: {len(cert.factors)}",
-        *(f"factor: {format_word(f.conjugator, a)} {f.relator_index} {'+' if f.sign == 1 else '-'}"
-          for f in cert.factors),
-        "end: certificate",
-    ]
-
-
-def serialize_equality(cert: EqualityCertificate, p: Presentation) -> str:
-    return "\n".join(_equality_lines(cert, p.alphabet, functools.partial(presentation_digest, p))) + "\n"
-
-
-def serialize_finiteness(cert: FinitenessCertificate, extended: Presentation) -> str:
-    a = extended.alphabet
-    used = relators_used_by_finiteness(cert)
-    digest = functools.cache(functools.partial(presentation_digest, extended))  # hashes each count once
-    out = [
-        "certificate: finiteness",
-        "presentation: " + digest(used),
-        "target: " + format_word(extended.extended_by, a),
-        "tau-mode: " + cert.mode,
-        f"relators-used: {used}",
-        f"order: {cert.table.order}",
-    ]
-    out += ["row: " + " ".join(str(v) for v in row) for row in cert.table.cells]
-    out += ["image: " + format_word(image, a) for image in cert.images]
-    if cert.mode == WORDS_MODE:
-        out += [f"cover: {a.generators[g]} {cert.coverage[g]}" for g in range(a.k)]
-    out.append(f"equation-certs: {len(cert.equation_certs)}")
-    for (i, j), nested in sorted(cert.equation_certs.items()):
-        out += [f"cell: {i} {j}", *_equality_lines(nested, a, digest)]
-    out.append(f"cover-certs: {len(cert.coverage_certs)}")
-    for g, nested in sorted(cert.coverage_certs.items()):
-        out += [f"cover-cert: {a.generators[g]}", *_equality_lines(nested, a, digest)]
-    out.append("end: certificate")
-    return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# parsing
+# canonical text
 
 
 class EqualityDocument(NamedTuple):
@@ -131,109 +87,144 @@ class FinitenessDocument(NamedTuple):
     coverage_docs: dict
 
 
+def _lines(doc: EqualityDocument | FinitenessDocument, a: Alphabet) -> list[str]:
+    """The lines of a document's text, with the digests and counts it states.
+
+    It must never raise on a parsed document: parsing renders what it read.
+    """
+    cert = doc.certificate
+    if isinstance(doc, EqualityDocument):
+        return [
+            "certificate: equality",
+            "presentation: " + doc.digest,
+            "target: " + format_word(cert.target, a),
+            f"relators-used: {doc.relators_used}",
+            f"factors: {len(cert.factors)}",
+            *(f"factor: {format_word(f.conjugator, a)} {f.relator_index} {'+' if f.sign == 1 else '-'}"
+              for f in cert.factors),
+            "end: certificate",
+        ]
+    out = [
+        "certificate: finiteness",
+        "presentation: " + doc.digest,
+        "target: " + format_word(doc.target, a),
+        "tau-mode: " + cert.mode,
+        f"relators-used: {doc.relators_used}",
+        f"order: {cert.table.order}",
+        *("row: " + " ".join(map(str, row)) for row in cert.table.cells),
+        *("image: " + format_word(image, a) for image in cert.images),
+        # By the map's own keys: a parsed map that names a generator twice is short.
+        *(f"cover: {a.generators[g]} {e}" for g, e in sorted((cert.coverage or {}).items())),
+        f"equation-certs: {len(doc.equation_docs)}",
+    ]
+    for (i, j), nested in sorted(doc.equation_docs.items()):
+        out += [f"cell: {i} {j}", *_lines(nested, a)]
+    out.append(f"cover-certs: {len(doc.coverage_docs)}")
+    for g, nested in sorted(doc.coverage_docs.items()):
+        out += [f"cover-cert: {a.generators[g]}", *_lines(nested, a)]
+    out.append("end: certificate")
+    return out
+
+
+def _text(doc: EqualityDocument | FinitenessDocument, a: Alphabet) -> str:
+    return "\n".join(_lines(doc, a)) + "\n"
+
+
+def _equality_document(cert: EqualityCertificate, digest) -> EqualityDocument:
+    used = relators_used_by(cert)
+    return EqualityDocument(digest(used), used, cert)
+
+
+def serialize_equality(cert: EqualityCertificate, p: Presentation) -> str:
+    return _text(_equality_document(cert, functools.partial(presentation_digest, p)), p.alphabet)
+
+
+def serialize_finiteness(cert: FinitenessCertificate, extended: Presentation) -> str:
+    used = relators_used_by_finiteness(cert)
+    digest = functools.cache(functools.partial(presentation_digest, extended))  # hashes each count once
+    doc = FinitenessDocument(
+        digest(used), used, extended.extended_by, cert,
+        {cell: _equality_document(nested, digest) for cell, nested in cert.equation_certs.items()},
+        {g: _equality_document(nested, digest) for g, nested in cert.coverage_certs.items()},
+    )
+    return _text(doc, extended.alphabet)
+
+
 class _Lines:
     def __init__(self, text: str):
-        self.lines = text.splitlines()
+        self.lines = text.split("\n")  # not splitlines(): a "\r" stays in its line, and the round trip refuses it
         self.pos = 0
 
-    def next(self) -> str:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos]
-            self.pos += 1
-            if line.strip():
-                return line.strip()
-        raise CertificateSyntaxError("unexpected end of certificate document")
-
-    def expect(self, key: str) -> str:
-        line = self.next()
-        prefix = key + ":"
-        if not line.startswith(prefix):
+    def expect(self, key: str, count: int) -> list[str]:
+        """The ``count`` values of the next line, which must read ``key: values`` with single spaces."""
+        if self.pos == len(self.lines):
+            raise CertificateSyntaxError("unexpected end of certificate document")
+        line = self.lines[self.pos]
+        self.pos += 1
+        if not line.startswith(key + ": "):
             raise CertificateSyntaxError(f"expected {key!r} line, got {line!r}")
-        return line[len(prefix):].strip()
+        values = line[len(key) + 2:].split(" ")
+        if len(values) != count:
+            raise CertificateSyntaxError(f"expected {count} values in {key!r} line, got {line!r}")
+        return values
 
 
 def _natural(text: str) -> int:
-    """A count or index as written: ASCII digits, no sign, ``_``, other script's digits or leading zero."""
-    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
+    """A count or index in ASCII digits: no sign, ``_`` or other script's digits.
+
+    ``int`` may be limited to 640 digits at the least, so a longer number is
+    refused here rather than by ``int``; no count or index comes near it.
+    """
+    if not (text.isascii() and text.isdigit()) or len(text) > 640:
         raise CertificateSyntaxError(f"expected a natural number, got {text!r}")
     return int(text)
 
 
-def _pair(key: str, text: str) -> list[str]:
-    tokens = text.split()
-    if len(tokens) != 2:
-        raise CertificateSyntaxError(f"expected two values in {key!r} line, got {text!r}")
-    return tokens
-
-
 def _parse_equality_body(lines: _Lines, alphabet: Alphabet) -> EqualityDocument:
-    digest = lines.expect("presentation")
-    target = parse_word(lines.expect("target"), alphabet)
-    relators_used = _natural(lines.expect("relators-used"))
-    count = _natural(lines.expect("factors"))
+    [digest] = lines.expect("presentation", 1)
+    [target] = lines.expect("target", 1)
+    [used] = lines.expect("relators-used", 1)
+    [count] = lines.expect("factors", 1)
     factors = []
-    for _ in range(count):
-        rest = lines.expect("factor")
-        tokens = rest.split()
-        if len(tokens) == 2:
-            conj_text, idx_text, sign_text = "", tokens[0], tokens[1]
-        elif len(tokens) == 3:
-            conj_text, idx_text, sign_text = tokens
-        else:
-            raise CertificateSyntaxError(f"bad factor line {rest!r}")
-        if sign_text not in ("+", "-"):
-            raise CertificateSyntaxError(f"bad sign {sign_text!r}")
-        factors.append(DyckFactor(parse_word(conj_text, alphabet), _natural(idx_text), 1 if sign_text == "+" else -1))
-    if (end := lines.next()) != "end: certificate":
-        raise CertificateSyntaxError(f"expected end of certificate, got {end!r}")
-    return EqualityDocument(digest, relators_used, EqualityCertificate(tuple(factors), target))
+    for _ in range(_natural(count)):
+        conjugator, index, sign = lines.expect("factor", 3)
+        factors.append(DyckFactor(parse_word(conjugator, alphabet), _natural(index), 1 if sign == "+" else -1))
+    lines.expect("end", 1)
+    return EqualityDocument(digest, _natural(used), EqualityCertificate(tuple(factors), parse_word(target, alphabet)))
 
 
-def _cell(text: str) -> tuple[int, ...]:
-    return tuple(map(_natural, _pair("cell", text)))
-
-
-def _parse_nested(lines: _Lines, alphabet: Alphabet, count_key: str, key: str, parse_key) -> dict:
+def _parse_nested(lines: _Lines, alphabet: Alphabet, count_key: str, key: str, arity: int, parse_key) -> dict:
     """Nested equality documents by key; a key given twice is a syntax error."""
     docs = {}
-    for _ in range(_natural(lines.expect(count_key))):
-        k = parse_key(lines.expect(key))
+    [count] = lines.expect(count_key, 1)
+    for _ in range(_natural(count)):
+        k = parse_key(*lines.expect(key, arity))
         if k in docs:
             raise CertificateSyntaxError(f"duplicate {key!r} block for {k!r}")
-        if lines.expect("certificate") != "equality":
-            raise CertificateSyntaxError("nested certificate must be an equality certificate")
+        lines.expect("certificate", 1)  # any kind but equality renders otherwise
         docs[k] = _parse_equality_body(lines, alphabet)
     return docs
 
 
 def _parse_finiteness_body(lines: _Lines, alphabet: Alphabet) -> FinitenessDocument:
-    digest = lines.expect("presentation")
-    target = parse_word(lines.expect("target"), alphabet)
-    mode = lines.expect("tau-mode")
+    [digest] = lines.expect("presentation", 1)
+    [target] = lines.expect("target", 1)
+    [mode] = lines.expect("tau-mode", 1)
     if mode not in (WORDS_MODE, LETTERS_MODE):
         raise CertificateSyntaxError(f"unknown tau-mode {mode!r}")
-    relators_used = _natural(lines.expect("relators-used"))
-    order = _natural(lines.expect("order"))
+    [used] = lines.expect("relators-used", 1)
+    order = _natural(lines.expect("order", 1)[0])
     if order < 1:
         raise CertificateSyntaxError("order must be >= 1")
-    cells = []
-    for _ in range(order):
-        row = tuple(map(_natural, lines.expect("row").split()))
-        if len(row) != order:
-            raise CertificateSyntaxError("row length does not match order")
-        cells.append(row)
-    table = MultiplicationTable(tuple(cells))
-    images = tuple(parse_word(lines.expect("image"), alphabet) for _ in range(order))
+    table = MultiplicationTable(tuple(tuple(map(_natural, lines.expect("row", order))) for _ in range(order)))
+    images = tuple(parse_word(lines.expect("image", 1)[0], alphabet) for _ in range(order))
     coverage = None
     if mode == WORDS_MODE:
-        coverage = {}
-        for _ in range(alphabet.k):
-            name, element = _pair("cover", lines.expect("cover"))
-            coverage[alphabet.index(name)] = _natural(element)
-    equation_docs = _parse_nested(lines, alphabet, "equation-certs", "cell", _cell)
-    coverage_docs = _parse_nested(lines, alphabet, "cover-certs", "cover-cert", alphabet.index)
-    if (end := lines.next()) != "end: certificate":
-        raise CertificateSyntaxError(f"expected end of certificate, got {end!r}")
+        covers = [lines.expect("cover", 2) for _ in range(alphabet.k)]
+        coverage = {alphabet.index(name): _natural(element) for name, element in covers}
+    equation_docs = _parse_nested(lines, alphabet, "equation-certs", "cell", 2, lambda i, j: (_natural(i), _natural(j)))
+    coverage_docs = _parse_nested(lines, alphabet, "cover-certs", "cover-cert", 1, alphabet.index)
+    lines.expect("end", 1)
     cert = FinitenessCertificate(
         table=table,
         images=images,
@@ -242,18 +233,24 @@ def _parse_finiteness_body(lines: _Lines, alphabet: Alphabet) -> FinitenessDocum
         equation_certs={cell: doc.certificate for cell, doc in equation_docs.items()},
         coverage_certs={g: doc.certificate for g, doc in coverage_docs.items()},
     )
-    return FinitenessDocument(digest, relators_used, target, cert, equation_docs, coverage_docs)
+    return FinitenessDocument(digest, _natural(used), parse_word(target, alphabet), cert, equation_docs, coverage_docs)
 
 
 def parse_certificate(text: str, alphabet: Alphabet):
-    """Parse a certificate document; returns an Equality/FinitenessDocument."""
+    """Parse a certificate document; returns an Equality/FinitenessDocument.
+
+    The document must be the very text that its parse renders to, so each
+    certificate, with its digests and counts, has exactly one document.
+    """
     lines = _Lines(text)
-    kind = lines.expect("certificate")
-    if kind == "equality":
-        return _parse_equality_body(lines, alphabet)
-    if kind == "finiteness":
-        return _parse_finiteness_body(lines, alphabet)
-    raise CertificateSyntaxError(f"unknown certificate kind {kind!r}")
+    [kind] = lines.expect("certificate", 1)
+    parse = {"equality": _parse_equality_body, "finiteness": _parse_finiteness_body}.get(kind)
+    if parse is None:
+        raise CertificateSyntaxError(f"unknown certificate kind {kind!r}")
+    doc = parse(lines, alphabet)
+    if _text(doc, alphabet) != text:
+        raise CertificateSyntaxError("document is not the canonical text of the certificate it states")
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,8 @@ def _build_parser() -> _Parser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    # Line ends as written: a certificate has one spelling, and a presentation is split on any line end.
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         return handle.read()
 
 

@@ -1,6 +1,7 @@
 """Certificate round-trips, digest binding, and mutation resistance."""
 
 import functools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -119,7 +120,7 @@ class TestEqualityVerification:
             "target: aa\n"
             "relators-used: 1\n"
             "factors: 1\n"
-            "factor: 200000 +\n"
+            "factor:  200000 +\n"
             "end: certificate\n"
         )
         p = parse_presentation("generators: a b\nfamily: powers aa bb\n")
@@ -138,7 +139,7 @@ class TestEqualityVerification:
             "target: aa\n"
             "relators-used: 2000001\n"
             "factors: 1\n"
-            "factor: 2000000 +\n"
+            "factor:  2000000 +\n"
             "end: certificate\n"
         )
         p = parse_presentation("generators: a b\nfamily: powers aa bb\n")
@@ -349,6 +350,11 @@ class TestTrustedBaseRejections:
         assert is_group_table(((0, 1), (1,))) == (False, "row 1 has length 1, expected 2")
 
 
+def swap_first_cell_blocks(text):
+    first, second = re.findall(r"cell: .*?end: certificate\n", text, re.S)[:2]
+    return text.replace(first + second, second + first)
+
+
 class TestDocumentParsing:
     def test_rejects_unknown_kind(self):
         with pytest.raises(CertificateSyntaxError):
@@ -427,6 +433,34 @@ class TestDocumentParsing:
         key = line.partition(":")[0]
         with pytest.raises(CertificateSyntaxError, match=key):
             parse_certificate(text.replace(f"\n{line}\n", f"\n{forged}\n", 1), dinf().alphabet)
+
+    @pytest.mark.parametrize("name, respell", [
+        ("abab", lambda t: t.replace("\nrow: 0 1 2 3\n", "\nrow: 0  1 2 3\n")),
+        ("abab", lambda t: t.replace("\ncover: a 1\n", "\n  cover: a 1\n")),
+        ("abab", lambda t: t.replace("\norder: 4\n", "\norder: 4\n\n")),
+        ("abab", lambda t: t.replace("\n", "\r\n")),
+        ("abab", lambda t: t[:-1]),
+        ("abab", lambda t: t + "\n"),
+        ("abab", swap_first_cell_blocks),
+        ("abba", lambda t: t.replace("\ntarget: abba\n", "\ntarget: abbaaA\n")),
+        ("abba", lambda t: t.replace("\nfactor:  0 +\n", "\nfactor: 0 +\n")),
+    ], ids=["double-space", "indent", "blank-line", "crlf", "no-final-newline", "trailing-blank-line",
+            "cells-swapped", "unreduced-target", "one-space-empty-conjugator"])
+    def test_refuses_every_spelling_but_the_written_one(self, name, respell):
+        # Each of these states a certificate that verifies in its written form.
+        text = fuzz_documents()[name]
+        forged = respell(text)
+        assert forged != text
+        with pytest.raises(CertificateSyntaxError):
+            parse_certificate(forged, dinf().alphabet)
+
+    def test_refuses_a_count_too_long_for_int(self):
+        # int() refuses more than 4,300 digits by default, with a bare ValueError.
+        text = fuzz_documents()["abba"]
+        forged = text.replace("\nrelators-used: 2\n", f"\nrelators-used: {'1' * 5000}\n")
+        assert forged != text
+        with pytest.raises(CertificateSyntaxError, match="natural number"):
+            parse_certificate(forged, dinf().alphabet)
 
 
 # name -> (presentation, word, tau mode, the word's verdict)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from wordrace import certcheck
-from wordrace.cli import main
+from wordrace.cli import EXIT_ERROR, main
 
 Z_TEXT = "generators: a\n"
 DINF_TEXT = "generators: a b\nrelator: aa\nrelator: bb\n"
@@ -121,6 +121,16 @@ def test_verify_caps_the_relators_a_certificate_cites(dinf_pres, tmp_path, capsy
     assert capsys.readouterr().out == "invalid: relators-used 2 is above the cap of 1\n"
     monkeypatch.setattr(certcheck, "MAX_RELATORS", 2)
     assert main(["verify", str(cert_path), dinf_pres]) == 0
+
+
+def test_verify_reads_a_certificate_with_its_line_ends_as_written(dinf_pres, tmp_path, capsys):
+    out_path = tmp_path / "outcome.json"
+    assert main(["solve", dinf_pres, "--word", "abba", "--json", "--output", str(out_path)]) == 0
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_bytes(json.loads(out_path.read_text())["certificate"].replace("\n", "\r\n").encode())
+    capsys.readouterr()
+    assert main(["verify", str(cert_path), dinf_pres]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("wordrace: error: ")
 
 
 def test_verify_rejects_tampered_certificate(z_pres, tmp_path, capsys):

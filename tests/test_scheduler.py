@@ -383,8 +383,14 @@ def test_only_idle_steps_of_the_equality_arm_can_be_skipped():
     assert arm.steps_taken == 10**15 + 3 and arm.spent
 
 
-def test_both_arms_spent_ends_a_bounded_run_at_once():
-    p = parse_presentation(Z)
-    out = solve(p, parse_word("a" * 9, p.alphabet), Budget(10**15 + 4, 3))
+@pytest.mark.parametrize("text, word, budget, max_table_order, steps", [
+    # The equality arm is spent first and the finiteness arm runs alone.
+    (Z, "a" * 9, Budget(10**15 + 4, 3), 8, (5 * 10**14 + 3, 5 * 10**14 + 1)),
+    # Z/4 closes in both arms, above the cap in the second: both are spent at one check.
+    ("generators: a\nrelator: aaaa\n", "aa", Budget(10**15), 1, (5 * 10**14, 5 * 10**14)),
+], ids=["alone-phase", "both-at-one-check"])
+def test_both_arms_spent_ends_a_bounded_run_at_once(text, word, budget, max_table_order, steps):
+    p = parse_presentation(text)
+    out = solve(p, parse_word(word, p.alphabet), budget, max_table_order=max_table_order)
     assert out.verdict == EXHAUSTED
-    assert (out.steps_equal_arm, out.steps_finite_arm) == (5 * 10**14 + 3, 5 * 10**14 + 1)
+    assert (out.steps_equal_arm, out.steps_finite_arm) == steps
