@@ -19,7 +19,7 @@ pulled; then the certificate, by the certificate check; and last the digests.
 Each certificate has one document: the text that ``_lines`` renders.
 Writing renders a document with computed digests and counts;
 ``parse_certificate`` renders the document it parsed, with the digests and
-counts it states, and refuses the text unless the two are byte-identical,
+counts it states, and refuses the text unless each line is the one it read,
 so it needs no rule of its own on spaces, line ends, leading zeros, block
 order or unreduced words.  A document binds itself to a presentation via
 the SHA-256 digest of the serialized alphabet plus the pulled-relator
@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import NamedTuple
+import itertools
+from typing import Iterator, NamedTuple
 
 from .certificates import (
     LETTERS_MODE, WORDS_MODE, DyckFactor, EqualityCertificate, FinitenessCertificate, MultiplicationTable,
@@ -43,7 +44,8 @@ from .certificates import (
 )
 from .presentation import Presentation, prefix_document
 from .words import (
-    Alphabet, Word, concat_all, conjugate, format_word, invert, is_word_over, parse_word, reduce_word,
+    Alphabet, MalformedWordError, Word, concat_all, conjugate, format_word, invert, is_word_over, parse_word,
+    reduce_word,
 )
 
 MAX_RELATORS = 100_000  # the most relators a document may cite
@@ -87,14 +89,14 @@ class FinitenessDocument(NamedTuple):
     coverage_docs: dict
 
 
-def _lines(doc: EqualityDocument | FinitenessDocument, a: Alphabet) -> list[str]:
-    """The lines of a document's text, with the digests and counts it states.
+def _lines(doc: EqualityDocument | FinitenessDocument, a: Alphabet) -> Iterator[str]:
+    """The lines of a document's text, one at a time, with the digests and counts it states.
 
     It must never raise on a parsed document: parsing renders what it read.
     """
     cert = doc.certificate
     if isinstance(doc, EqualityDocument):
-        return [
+        yield from [
             "certificate: equality",
             "presentation: " + doc.digest,
             "target: " + format_word(cert.target, a),
@@ -104,7 +106,8 @@ def _lines(doc: EqualityDocument | FinitenessDocument, a: Alphabet) -> list[str]
               for f in cert.factors),
             "end: certificate",
         ]
-    out = [
+        return
+    yield from [
         "certificate: finiteness",
         "presentation: " + doc.digest,
         "target: " + format_word(doc.target, a),
@@ -118,12 +121,11 @@ def _lines(doc: EqualityDocument | FinitenessDocument, a: Alphabet) -> list[str]
         f"equation-certs: {len(doc.equation_docs)}",
     ]
     for (i, j), nested in sorted(doc.equation_docs.items()):
-        out += [f"cell: {i} {j}", *_lines(nested, a)]
-    out.append(f"cover-certs: {len(doc.coverage_docs)}")
+        yield from [f"cell: {i} {j}", *_lines(nested, a)]
+    yield f"cover-certs: {len(doc.coverage_docs)}"
     for g, nested in sorted(doc.coverage_docs.items()):
-        out += [f"cover-cert: {a.generators[g]}", *_lines(nested, a)]
-    out.append("end: certificate")
-    return out
+        yield from [f"cover-cert: {a.generators[g]}", *_lines(nested, a)]
+    yield "end: certificate"
 
 
 def _text(doc: EqualityDocument | FinitenessDocument, a: Alphabet) -> str:
@@ -180,17 +182,25 @@ def _natural(text: str) -> int:
     return int(text)
 
 
+def _read(parse, *args):
+    """parse(*args) on a word or generator name of the document; one the alphabet cannot spell is a syntax error."""
+    try:
+        return parse(*args)
+    except MalformedWordError as e:
+        raise CertificateSyntaxError(str(e)) from e
+
+
 def _parse_equality_body(lines: _Lines, alphabet: Alphabet) -> EqualityDocument:
     [digest] = lines.expect("presentation", 1)
-    [target] = lines.expect("target", 1)
+    target = _read(parse_word, lines.expect("target", 1)[0], alphabet)
     [used] = lines.expect("relators-used", 1)
     [count] = lines.expect("factors", 1)
     factors = []
     for _ in range(_natural(count)):
         conjugator, index, sign = lines.expect("factor", 3)
-        factors.append(DyckFactor(parse_word(conjugator, alphabet), _natural(index), 1 if sign == "+" else -1))
+        factors.append(DyckFactor(_read(parse_word, conjugator, alphabet), _natural(index), 1 if sign == "+" else -1))
     lines.expect("end", 1)
-    return EqualityDocument(digest, _natural(used), EqualityCertificate(tuple(factors), parse_word(target, alphabet)))
+    return EqualityDocument(digest, _natural(used), EqualityCertificate(tuple(factors), target))
 
 
 def _parse_nested(lines: _Lines, alphabet: Alphabet, count_key: str, key: str, arity: int, parse_key) -> dict:
@@ -208,7 +218,7 @@ def _parse_nested(lines: _Lines, alphabet: Alphabet, count_key: str, key: str, a
 
 def _parse_finiteness_body(lines: _Lines, alphabet: Alphabet) -> FinitenessDocument:
     [digest] = lines.expect("presentation", 1)
-    [target] = lines.expect("target", 1)
+    target = _read(parse_word, lines.expect("target", 1)[0], alphabet)
     [mode] = lines.expect("tau-mode", 1)
     if mode not in (WORDS_MODE, LETTERS_MODE):
         raise CertificateSyntaxError(f"unknown tau-mode {mode!r}")
@@ -217,13 +227,13 @@ def _parse_finiteness_body(lines: _Lines, alphabet: Alphabet) -> FinitenessDocum
     if order < 1:
         raise CertificateSyntaxError("order must be >= 1")
     table = MultiplicationTable(tuple(tuple(map(_natural, lines.expect("row", order))) for _ in range(order)))
-    images = tuple(parse_word(lines.expect("image", 1)[0], alphabet) for _ in range(order))
+    images = tuple(_read(parse_word, lines.expect("image", 1)[0], alphabet) for _ in range(order))
     coverage = None
     if mode == WORDS_MODE:
         covers = [lines.expect("cover", 2) for _ in range(alphabet.k)]
-        coverage = {alphabet.index(name): _natural(element) for name, element in covers}
+        coverage = {_read(alphabet.index, name): _natural(element) for name, element in covers}
     equation_docs = _parse_nested(lines, alphabet, "equation-certs", "cell", 2, lambda i, j: (_natural(i), _natural(j)))
-    coverage_docs = _parse_nested(lines, alphabet, "cover-certs", "cover-cert", 1, alphabet.index)
+    coverage_docs = _parse_nested(lines, alphabet, "cover-certs", "cover-cert", 1, lambda g: _read(alphabet.index, g))
     lines.expect("end", 1)
     cert = FinitenessCertificate(
         table=table,
@@ -233,7 +243,7 @@ def _parse_finiteness_body(lines: _Lines, alphabet: Alphabet) -> FinitenessDocum
         equation_certs={cell: doc.certificate for cell, doc in equation_docs.items()},
         coverage_certs={g: doc.certificate for g, doc in coverage_docs.items()},
     )
-    return FinitenessDocument(digest, _natural(used), parse_word(target, alphabet), cert, equation_docs, coverage_docs)
+    return FinitenessDocument(digest, _natural(used), target, cert, equation_docs, coverage_docs)
 
 
 def parse_certificate(text: str, alphabet: Alphabet):
@@ -248,7 +258,8 @@ def parse_certificate(text: str, alphabet: Alphabet):
     if parse is None:
         raise CertificateSyntaxError(f"unknown certificate kind {kind!r}")
     doc = parse(lines, alphabet)
-    if _text(doc, alphabet) != text:
+    written = itertools.chain(_lines(doc, alphabet), [""])  # "\n" ends the text, so its split ends with ""
+    if not all(line == read for line, read in itertools.zip_longest(written, lines.lines)):
         raise CertificateSyntaxError("document is not the canonical text of the certificate it states")
     return doc
 

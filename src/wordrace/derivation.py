@@ -10,7 +10,8 @@ whose path, defined first from coset 0, is X; after every step that is
 not idle the arm traces X along it.  Once X leads from coset 0 back to it
 (on a closed table too), the entry proofs along the way prove X, and
 cancelled they are the certificate (Havas and Ramsay, "Proving a group
-trivial made easy", 2000).
+trivial made easy", 2000), unless ``proofs.write_out`` finds them too
+large: their nodes state their sizes, so such a step expands nothing.
 
 ``ProductStream`` enumerates the Dyck products themselves by stages: stage
 n holds the products with factor count, relator index and conjugator
@@ -25,12 +26,11 @@ library because the benchmark's tracer wraps its ``next_event`` by name.
 from __future__ import annotations
 
 import itertools
-import operator
 
 from .certificates import DyckFactor, EqualityCertificate
 from .cosets import CosetEnumeration
 from .presentation import Presentation
-from .proofs import MAX_RAW_FACTORS, _expand, _size, cat
+from .proofs import cat, write_out
 from .words import Word, concat_all, conjugate, count_words_up_to, invert, reduce_word, word_at_index
 
 
@@ -97,7 +97,6 @@ class EqualityTask(CosetEnumeration):
         self.target = self._path = reduce_word(target)
         self.certificate: EqualityCertificate | None = None
         self._at = (0, 0)  # (f, i): X[:i] leads from coset 0 to f
-        self._large = None  # the table proofs along X when they were last too large to write out
 
     def step(self) -> EqualityCertificate | None:
         """Advance one quantum; return a certificate once X leads from coset 0 back to it."""
@@ -120,20 +119,11 @@ class EqualityTask(CosetEnumeration):
 
     def _certify(self):
         """The certificate from the proofs along X, unless they are too large to write out."""
-        table, word, k2 = self._table, self.target, self.k2
-        stored, f = [], 0
+        table, word, f = self._table, self.target, 0
         for x in word:
+            f = table[f][x]
             if f < 0:  # a coincidence is still moving the entries along the way
                 return None
-            stored.append(table[f][k2 + x])
-            f = table[f][x]
-        if f:
-            return None
-        if self._large is not None and all(map(operator.is_, stored, self._large)):
-            return None  # the same proofs, still too large
-        memo = {}
-        if sum(_size(p, memo) for p in stored) > MAX_RAW_FACTORS:  # inv(p) is as large as p
-            self._large = stored
-            return None  # too large to write out
-        self.certificate = EqualityCertificate(_expand(cat(*self._walk(0, word)), {}), word)
+        factors = None if f else write_out(cat(*self._walk(0, word)), {})
+        self.certificate = None if factors is None else EqualityCertificate(factors, word)
         return self.certificate

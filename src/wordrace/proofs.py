@@ -3,8 +3,10 @@
 A proof is a node of a DAG: None (the empty product), a leaf (rep, i)
 standing for rep R_i rep^-1 with rep a representative chain (see
 ``cosets``), a concatenation, or an inverse.  The enumeration builds nodes
-with ``leaf``, ``cat`` and ``inv`` and never expands them; only a
-certificate spells them out as Dyck factors: ``certificate_fields`` for a
+with ``leaf``, ``cat`` and ``inv``, each stating its factor count before
+cancellation, and never expands them; only a certificate spells them out
+as Dyck factors, through ``write_out``, which refuses a proof of more than
+MAX_RAW_FACTORS factors before expanding it: ``certificate_fields`` for a
 closed table, ``derivation.EqualityTask`` for the trace of X.
 
 A closed table of a finite group H that maps onto G1 yields a finiteness
@@ -21,9 +23,9 @@ cosets over k2 letters whose relators have L letters in all:
   their sizes.  Each cycle is traced once, r L steps, kept as its places
   off the tree and offered at most once.  Only an edge that no cycle
   settles reads the enumeration's proofs (Havas and Ramsay, "Proving a
-  group trivial made easy", 2000): each such edge is sized once, on a
-  DAG made only for the cosets those edges join, and the cheapest is
-  expanded, which can be exponentially long.  When it has over
+  group trivial made easy", 2000), on a DAG made only for the cosets
+  those edges join: the cheapest, by the sizes its nodes state, is
+  written out, which can be exponentially long.  When it has over
   MAX_RAW_FACTORS factors nothing is emitted.
 - Cells.  Cell (i, j) is cell (i, p) and one edge more, p being the parent
   of j, so the table takes r^2 steps.  Its proof is that of (i, p) with
@@ -44,24 +46,24 @@ from .words import Word, concat, invert, reduce_word
 
 MAX_RAW_FACTORS = 10**6  # the largest enumeration proof a certificate may expand, before cancellation
 
-_LEAF, _CAT, _INV = 0, 1, 2
+_LEAF, _CAT, _INV = 0, 1, 2  # a node is (kind, its factor count before cancellation, *its fields)
 
 
 def leaf(rep, index):
-    return (_LEAF, rep, index)
+    return (_LEAF, 1, rep, index)
 
 
 def inv(p):
     if p is None:
         return None
-    return p[1] if p[0] == _INV else (_INV, p)
+    return p[2] if p[0] == _INV else (_INV, p[1], p)
 
 
 def cat(*parts):
     parts = [p for p in parts if p is not None]
     if len(parts) < 2:
         return parts[0] if parts else None
-    return (_CAT, *parts)
+    return (_CAT, sum(p[1] for p in parts), *parts)
 
 
 def _invert_factors(factors):
@@ -90,43 +92,39 @@ def _product(parts) -> tuple:
     return out
 
 
-def _fold(node, memo, on_leaf, on_inverse, on_cat):
-    """Evaluate a proof node bottom-up without recursion: on_leaf(n), on_inverse(value), on_cat(values).
+def _expand(node, memo) -> tuple:
+    """The factors of a proof node, freely reduced, evaluated bottom-up without recursion.
 
-    memo maps id(node) to (node, value), so each shared node is evaluated
-    once, and a node made for the call stays alive, its id unused by
-    another, as long as the memo; the empty proof None is on_cat([]).  A
-    node whose children are still being evaluated maps to None.
+    memo maps id(node) to (node, factors), so each shared node is expanded once and a node made for
+    the call keeps its id while the memo lives; a node whose children are still to come maps to None.
     """
-    if node is None:
-        return on_cat([])
     stack = [node]
     while stack:
         n = stack.pop()
         key = id(n)
         if key not in memo:
             if n[0] == _LEAF:
-                memo[key] = (n, on_leaf(n))
+                memo[key] = (n, (DyckFactor(_rep_word(n[2]), n[3], 1),))
             else:  # its children first, then itself again
                 memo[key] = None
                 stack.append(n)
-                stack += n[1:]
+                stack += n[2:]
         elif memo[key] is None:
             if n[0] == _INV:
-                memo[key] = (n, on_inverse(memo[id(n[1])][1]))
+                memo[key] = (n, _invert_factors(memo[id(n[2])][1]))
             else:
-                memo[key] = (n, on_cat([memo[id(c)][1] for c in n[1:]]))
+                memo[key] = (n, _product([memo[id(c)][1] for c in n[2:]]))
     return memo[id(node)][1]
 
 
-def _size(node, memo) -> int:
-    """The factor count of a proof before cancellation."""
-    return _fold(node, memo, lambda n: 1, int, sum)
+def write_out(proof, memo) -> tuple | None:
+    """The factors of a proof, freely reduced, or None if it has over MAX_RAW_FACTORS before cancellation.
 
-
-def _expand(node, memo) -> tuple:
-    """The factors of a proof, freely reduced."""
-    return _fold(node, memo, lambda n: (DyckFactor(_rep_word(n[1]), n[2], 1),), _invert_factors, _product)
+    The size is read off the node, so a proof too large is never expanded.  memo is ``_expand``'s.
+    """
+    if proof is None:
+        return ()
+    return None if proof[1] > MAX_RAW_FACTORS else _expand(proof, memo)
 
 
 def equation_words(table: MultiplicationTable, images: tuple[Word, ...]):
@@ -145,13 +143,13 @@ def equation_words(table: MultiplicationTable, images: tuple[Word, ...]):
 
 
 def _enumeration_proofs(edges, entry_proof, order, up, nxt, k2):
-    """The enumeration's proofs of the given edges, sized: (size, edge, proof), largest first.
+    """The enumeration's proofs of the given edges: (size, edge, proof), largest first.
 
     Edge v = i*k2 + x is proved by base(i) . entry . base(i.x)^-1, base(j)
     proving images[j] rep(j)^-1 along the tree from the tree edges' entry
     proofs; the bases are made only for the cosets these edges join.
     """
-    base, sizes, out = {0: None}, {}, []
+    base, out = {0: None}, []
 
     def base_of(j):
         path = []
@@ -166,7 +164,7 @@ def _enumeration_proofs(edges, entry_proof, order, up, nxt, k2):
     for v in edges:
         i, x = divmod(v, k2)
         p = cat(base_of(i), entry_proof(order[i], x), inv(base_of(nxt[v])))
-        out.append((_size(p, sizes), v, p))
+        out.append((p[1] if p else 0, v, p))
     out.sort(key=lambda entry: entry[:2], reverse=True)
     return out
 
@@ -228,8 +226,8 @@ def certificate_fields(table, entry_proof, rels, k2) -> dict | None:
     # unsettled place settles it, as inv(the edges before it) . leaf .
     # inv(the edges after it), and a settled pair offers the cycles it
     # leaves with one unsettled place.  When no cycle settles a pair, the
-    # pair with the smallest enumeration proof takes that proof; each is
-    # sized once, when the first is needed.
+    # pair with the smallest enumeration proof takes that proof, made for
+    # every unsettled pair when the first is needed.
     raw, expanded = None, {}
     while left:
         if heap:
@@ -248,10 +246,10 @@ def certificate_fields(table, entry_proof, rels, k2) -> dict | None:
                 raw = _enumeration_proofs(unsettled, entry_proof, order, up, nxt, k2)
             while proof[raw[-1][1]] is not None:
                 raw.pop()
-            size, v, p = raw.pop()
-            if size > MAX_RAW_FACTORS:
+            _, v, p = raw.pop()
+            e, factors = v, write_out(p, expanded)
+            if factors is None:
                 return None  # too large to write out
-            e, factors = v, _expand(p, expanded)
         proof[e], proof[mirror[e]] = factors, _invert_factors(factors)
         left -= 1
         touched = occurs.get(v, ())

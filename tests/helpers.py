@@ -218,10 +218,11 @@ PID_SCRIPT = """
 #
 # ``certificate_fields_reference`` is the builder that ``proofs`` replaced
 # with its one-pass form, with the goal words and proof folds it used, kept
-# verbatim but for reading ``proofs.MAX_RAW_FACTORS`` at call time.  It
-# traces images[j] from every coset i for each cell, builds every coset's
-# enumeration proof up front and sizes every unsettled edge again on every
-# fallback pass; ``proofs.certificate_fields`` must return the same fields.
+# verbatim but for reading ``proofs.MAX_RAW_FACTORS`` at call time and the
+# node fields past the size each node states.  It traces images[j] from
+# every coset i for each cell, builds every coset's enumeration proof up
+# front and sizes every unsettled edge again on every fallback pass;
+# ``proofs.certificate_fields`` must return the same fields.
 
 
 def _invert_factors(factors):
@@ -257,11 +258,11 @@ def _fold(node, memo, on_leaf, on_inverse, on_cat):
         if n[0] == _LEAF:
             memo[id(n)] = (n, on_leaf(n))
         else:
-            todo = [c for c in n[1:] if id(c) not in memo]
+            todo = [c for c in n[2:] if id(c) not in memo]
             if todo:
                 stack.extend(todo)
                 continue
-            values = [memo[id(c)][1] for c in n[1:]]
+            values = [memo[id(c)][1] for c in n[2:]]
             memo[id(n)] = (n, on_inverse(values[0]) if n[0] == _INV else on_cat(values))
         stack.pop()
     return memo[id(node)][1]
@@ -274,7 +275,7 @@ def _size(node, memo) -> int:
 
 def _expand(node, memo) -> tuple:
     """The factors of a proof, cancelled."""
-    return _fold(node, memo, lambda n: (DyckFactor(_rep_word(n[1]), n[2], 1),), _invert_factors,
+    return _fold(node, memo, lambda n: (DyckFactor(_rep_word(n[2]), n[3], 1),), _invert_factors,
                  lambda parts: _cancel(itertools.chain.from_iterable(parts)))
 
 

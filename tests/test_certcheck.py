@@ -29,7 +29,7 @@ from wordrace.derivation import DyckFactor, EqualityCertificate
 from wordrace.presentation import extend, parse_presentation
 from wordrace.quotient import LETTERS_MODE, WORDS_MODE, FinitenessCertificate
 from wordrace.scheduler import EQUAL, NOT_EQUAL, solve
-from wordrace.words import parse_word
+from wordrace.words import MalformedWordError, parse_word
 
 DINF = "generators: a b\nrelator: aa\nrelator: bb\n"
 D4 = "generators: a b\nrelator: aa\nrelator: bb\nrelator: abab\n"
@@ -421,6 +421,21 @@ class TestDocumentParsing:
         with pytest.raises(CertificateSyntaxError):
             parse_certificate(text.replace(f"\n{line}\n", f"\n{forged}\n", 1), p.alphabet)
 
+    @pytest.mark.parametrize("name, line, forged", [
+        ("abba", "target: abba", "target: abza"),
+        ("abba", "target: abba", "target: ab9a"),
+        ("abba", "factor: a 1 +", "factor: za 1 +"),
+        ("abab", "cover: a 1", "cover: z 1"),
+        ("abab", "image: a", "image: z"),
+        ("abab", "cover-certs: 0", "cover-certs: 1\ncover-cert: z"),
+    ])
+    def test_rejects_a_word_or_generator_name_outside_the_alphabet(self, name, line, forged):
+        text = fuzz_documents()[name]
+        assert f"\n{line}\n" in text
+        with pytest.raises(CertificateSyntaxError) as caught:
+            parse_certificate(text.replace(f"\n{line}\n", f"\n{forged}\n", 1), dinf().alphabet)
+        assert isinstance(caught.value.__cause__, MalformedWordError)
+
     @pytest.mark.parametrize("line, forged", [
         ("cell: 1 1", "cell: 1 1 1"),
         ("cell: 1 1", "cell: 1"),
@@ -552,6 +567,6 @@ class TestDocumentFuzzing:
             else:
                 ok, why = verify_finiteness_document(doc, extend(p, x))
                 certified = NOT_EQUAL
-        except ValueError:  # CertificateSyntaxError included
+        except CertificateSyntaxError:
             return
         assert not ok or certified == verdict, why

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import assemble, dyck_at_cursor, prove_equal
 from wordrace.certcheck import relators_used_by, verify_equality
-from wordrace import derivation
+from wordrace import proofs
 from wordrace.derivation import DyckFactor, EqualityTask, ProductStream
 from wordrace.certificates import LETTERS_MODE, WORDS_MODE
 from wordrace.cli import main
@@ -371,22 +371,22 @@ def test_consequences_with_long_conjugators_are_decided_equal(text, x, parent_st
 
 def test_a_trace_proof_above_the_cap_is_not_written_out(monkeypatch):
     p = parse_presentation(DINF)
-    monkeypatch.setattr(derivation, "MAX_RAW_FACTORS", 1)
+    monkeypatch.setattr(proofs, "MAX_RAW_FACTORS", 1)
     assert prove_equal(p, parse_word("aa", p.alphabet), 1000).factors == (DyckFactor(b"", 0, 1),)
     assert prove_equal(p, parse_word("abba", p.alphabet), 1000) is None  # two factors at least
 
 
-def test_a_proof_too_large_to_write_out_is_sized_once(monkeypatch):
-    """Once X leads back to coset 0, the proofs along it are sized again only when they change."""
+def test_no_step_expands_a_proof_above_the_cap(monkeypatch):
+    """Once X leads back to coset 0, a step that finds the proofs along it too large expands nothing."""
     p = parse_presentation(DINF)
     x = parse_word("abba", p.alphabet)
-    monkeypatch.setattr(derivation, "MAX_RAW_FACTORS", 1)
-    sized = []
-    size = derivation._size
-    monkeypatch.setattr(derivation, "_size", lambda node, memo: sized.append(node) or size(node, memo))
+    monkeypatch.setattr(proofs, "MAX_RAW_FACTORS", 1)
+    expanded = []
+    expand = proofs._expand
+    monkeypatch.setattr(proofs, "_expand", lambda node, memo: expanded.append(node) or expand(node, memo))
     task = EqualityTask(p, x)
-    while not sized:
+    while task._at != (0, len(x)):
         assert task.step() is None
     for _ in range(20_000):
         assert task.step() is None
-    assert len(sized) == len(x)
+    assert expanded == []

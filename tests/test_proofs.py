@@ -110,3 +110,30 @@ def test_fallback_edges_read_no_more_enumeration_proofs_than_the_reference():
     proofs.certificate_fields(e._table, read, e._rels, e.k2)
     assert len(reference_calls) == 4
     assert 0 < len(calls) <= len(reference_calls)
+
+
+def reachable(roots):
+    """The proof nodes reachable from roots, each once."""
+    seen, todo = {}, [n for n in roots if n is not None]
+    while todo:
+        n = todo.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            if n[0] != proofs._LEAF:
+                todo += n[2:]
+    return list(seen.values())
+
+
+@pytest.mark.parametrize(
+    "text, word, largest",
+    [("generators: a b c\nrelator: babcc\nfamily: powers CbcBCbac\n", "C", 10**40), (DINF, "ababab", 1)],
+    ids=["babcc", "dinf-ababab"],
+)
+def test_every_node_states_the_size_the_reference_fold_finds(text, word, largest):
+    # The entry proofs and union-find proofs of a closed table, with all
+    # they share; in the babcc case they run to over 10^40 factors.
+    e = closed_enumeration(text, word)
+    roots = [p for row in e._table if row for p in row[e.k2 :]] + e._uproof
+    nodes, memo = reachable(roots), {}
+    assert [n[1] for n in nodes] == [helpers._size(n, memo) for n in nodes]
+    assert max(n[1] for n in nodes) > largest

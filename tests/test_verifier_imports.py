@@ -14,25 +14,34 @@ PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 PROVER = {"cosets", "proofs", "derivation", "quotient", "scheduler", "tables"}
 
 
-def package_imports(module):
-    """The modules of the package that ``module`` imports, anywhere in its source."""
+def import_statements(module):
+    """The import statements of ``module``, anywhere in its source."""
     with open(os.path.join(PACKAGE, module + ".py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def package_base(node):
+    """The module of the package a ``from`` import reads, "" for the package itself, or None outside it."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and (node.module or "").startswith("wordrace"):
+        return node.module.partition(".")[2]
+    return None
+
+
+def package_imports(module):
+    """The modules of the package that ``module`` imports, anywhere in its source."""
     found = set()
-    for node in ast.walk(tree):
+    for node in import_statements(module):
         if isinstance(node, ast.ImportFrom):
-            if node.level == 1:
-                base = node.module
-            elif node.level == 0 and (node.module or "").startswith("wordrace"):
-                base = node.module.partition(".")[2]
-            else:
+            base = package_base(node)
+            if base is None:
                 continue
             # "from . import x" and "from wordrace import x" name modules.
             names = [base.partition(".")[0]] if base else [alias.name for alias in node.names]
-        elif isinstance(node, ast.Import):
-            names = [alias.name.split(".")[1] for alias in node.names if alias.name.startswith("wordrace.")]
         else:
-            continue
+            names = [alias.name.split(".")[1] for alias in node.names if alias.name.startswith("wordrace.")]
         found.update(name for name in names if os.path.exists(os.path.join(PACKAGE, name + ".py")))
     return found
 
@@ -68,3 +77,19 @@ def test_solver_imports_no_table_search_verifier_or_cli():
     # The solver runs the two coset enumerations and nothing else: not the
     # table search, the ground-truth oracle, the verifier or the CLI.
     assert not {"tables", "oracle", "certcheck", "cli"} & closure("scheduler")
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # A module's private names are its own: what two modules share goes
+    # through a public name.
+    modules = sorted(name[:-3] for name in os.listdir(PACKAGE) if name.endswith(".py"))
+    assert {"derivation", "proofs", "certcheck"} <= set(modules)
+    private = [
+        (module, base, alias.name)
+        for module in modules
+        for node in import_statements(module)
+        if isinstance(node, ast.ImportFrom) and (base := package_base(node))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
