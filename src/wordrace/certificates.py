@@ -13,7 +13,6 @@ check.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 from .words import Word
@@ -35,20 +34,12 @@ class EqualityCertificate(NamedTuple):
     target: Word
 
 
-class MultiplicationTable(NamedTuple("MultiplicationTable", [("cells", tuple[tuple[int, ...], ...])])):
-    # No __slots__: the cached ``inverses`` is kept in the instance __dict__.
+class MultiplicationTable(NamedTuple):
+    cells: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
         return len(self.cells)
-
-    @cached_property
-    def inverses(self) -> tuple[int, ...]:
-        """inverses[e] is the unique element with e.inverses[e] = 0."""
-        inv = [0] * self.order
-        for e, row in enumerate(self.cells):
-            inv[e] = row.index(0)
-        return tuple(inv)
 
 
 class FinitenessCertificate(NamedTuple):

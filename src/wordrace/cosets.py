@@ -20,10 +20,10 @@ The inline prefix, X included, is scanned from the first step; the m-th
 relator of a ``family:`` or ``stream:`` source joins after JOIN_STEPS * 2^m
 steps and is then scanned at every live coset.  A step is one definition,
 one deduction, one coincidence (one dead coset's row moved) or one coset
-found complete.  Live cosets are capped at COSET_BASE + COSET_RATE *
-isqrt(steps), so memory grows with the square root of the steps; while
-the table is full a step is one deduction-only lookahead scan of one
-(coset, relator) pair, and dead cosets' slots are reused.
+found complete.  Live cosets are capped at COSET_BASE + isqrt(steps), so
+memory grows with the square root of the steps; while the table is full a
+step is one deduction-only lookahead scan of one (coset, relator) pair, and
+dead cosets' slots are reused.
 
 Until a nonempty relator joins the enumeration waits, idle (spent if none
 can come); it then first defines the path of the word ``_path`` (empty
@@ -63,8 +63,7 @@ from .proofs import cat, inv, leaf
 from .words import invert
 
 JOIN_STEPS = 1000  # the m-th relator past the inline prefix joins after JOIN_STEPS * 2^m steps
-COSET_BASE = 256  # live cosets allowed after s steps: COSET_BASE + COSET_RATE * isqrt(s)
-COSET_RATE = 1
+COSET_BASE = 256  # live cosets allowed after s steps: COSET_BASE + isqrt(s)
 
 _ONE_STEP = (None,)  # what a step without a coincidence yields
 
@@ -136,7 +135,7 @@ class CosetEnumeration:
         s = self.steps_taken
         if s >= self._grow_at:
             root = math.isqrt(s)
-            self._limit = COSET_BASE + COSET_RATE * root
+            self._limit = COSET_BASE + root
             self._grow_at = (root + 1) ** 2
         if s >= self._join_at:
             self._join()

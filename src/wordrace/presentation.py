@@ -164,6 +164,7 @@ class Presentation:
         self.alphabet = alphabet
         self.source = source
         self.extended_by = extended_by
+        self._head = () if extended_by is None else (extended_by,)  # the relators before the source's
 
     def __repr__(self):
         return f"Presentation(alphabet={self.alphabet!r}, source={self.source!r}, extended_by={self.extended_by!r})"
@@ -173,11 +174,9 @@ class Presentation:
         return self.extended_by is not None
 
     def relator(self, i: int) -> Word:
-        if self.extended_by is not None:
-            if i == 0:
-                return self.extended_by
-            return self.source.relator(i - 1)
-        return self.source.relator(i)
+        if 0 <= i < len(self._head):
+            return self._head[i]
+        return self.source.relator(i - len(self._head))
 
     def try_relator(self, i: int) -> Word | None:
         try:
@@ -189,20 +188,16 @@ class Presentation:
         """How many relators with index < upto this presentation can supply."""
         if upto <= 0:
             return 0
-        if self.extended_by is not None:
-            return 1 + self.source.available(upto - 1)
-        return self.source.available(upto)
+        return len(self._head) + self.source.available(upto - len(self._head))
 
     @property
     def pulled_count(self) -> int:
-        extra = 1 if self.extended_by is not None else 0
-        return self.source.pulled_count + extra
+        return len(self._head) + self.source.pulled_count
 
     @property
     def inline_count(self) -> int:
         """How many relators are given up front: X, if extended, and the inline prefix."""
-        extra = 1 if self.extended_by is not None else 0
-        return self.source.inline_count + extra
+        return len(self._head) + self.source.inline_count
 
     def close(self) -> None:
         self.source.close()

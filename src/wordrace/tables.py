@@ -319,9 +319,6 @@ def _complete_tables(r, row1=None):
     yield from search()
 
 
-_TABLE_CACHE: dict[int, tuple[MultiplicationTable, ...]] = {}
-
-
 def enumerate_tables(order: int) -> tuple[MultiplicationTable, ...]:
     """One table per isomorphism class of groups of the given order.
 
@@ -332,9 +329,6 @@ def enumerate_tables(order: int) -> tuple[MultiplicationTable, ...]:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    cached = _TABLE_CACHE.get(order)
-    if cached is not None:
-        return cached
     reps: list[tuple] = []
     by_orders: dict[tuple, list] = {}  # isomorphic tables have the same element orders
     for cells in _complete_tables(order, _row1_seeds(order)):
@@ -344,9 +338,7 @@ def enumerate_tables(order: int) -> tuple[MultiplicationTable, ...]:
         if all(find_isomorphism(cells, rep) is None for rep in alike):
             alike.append(cells)
             reps.append(cells)
-    result = tuple(MultiplicationTable(cells) for cells in reps)
-    _TABLE_CACHE[order] = result
-    return result
+    return tuple(MultiplicationTable(cells) for cells in reps)
 
 
 def table_at_cursor(c: int, max_order: int = 8) -> MultiplicationTable | None:
@@ -366,11 +358,10 @@ def table_at_cursor(c: int, max_order: int = 8) -> MultiplicationTable | None:
 def eval_in_table(table: MultiplicationTable, images, w: Word) -> int:
     """Evaluate a word in the table; images maps generator index -> element.
 
-    Inverse letters go through the table's unique inverses; the empty word
-    evaluates to the identity 0.
+    An inverse letter goes through its element's unique inverse, the column
+    of 0 in its row; the empty word evaluates to the identity 0.
     """
     cells = table.cells
-    inv = table.inverses
     e = 0
     for x in w:
         try:
@@ -378,6 +369,6 @@ def eval_in_table(table: MultiplicationTable, images, w: Word) -> int:
         except (KeyError, IndexError):
             raise MissingImageError(f"no image for generator index {x >> 1}") from None
         if x & 1:
-            elem = inv[elem]
+            elem = cells[elem].index(0)
         e = cells[e][elem]
     return e

@@ -93,12 +93,11 @@ class CountingPacer:
         self.ticks += 1
 
 
-def test_pace_targets_are_called(pace, monkeypatch):
+def test_pace_targets_are_called(pace):
     # bench/setup_probe.py paces set-up through tables.is_group_table, and
     # bench/run.py each solve through FinitenessTask.step.  paced() wraps
     # nothing once such a name is gone, and the pacer would then calibrate
     # only between the timed spans.
-    monkeypatch.setattr(tables, "_TABLE_CACHE", {})  # so that order 4 is enumerated here
     p = parse_presentation("generators: a b\nrelator: aa\nrelator: bb\n")
     for owner, attr, work in (
         (tables, "is_group_table", lambda: tables.enumerate_tables(4)),

@@ -484,6 +484,7 @@ FUZZ_CASES = {
     "abab": (DINF, "abab", WORDS_MODE, NOT_EQUAL),  # by the Klein group
     "d4-a": (D4, "a", LETTERS_MODE, NOT_EQUAL),  # by Z/2, letters mode
     "m2-a": (M2, "a", LETTERS_MODE, NOT_EQUAL),  # by Z/2 x Z/2: the class of b and c has two generators
+    "m2-words": (M2, "a", WORDS_MODE, NOT_EQUAL),  # by Z/2, with cover-cert: blocks for a and c
     # Coset-enumeration certificates with shortened edge proofs.
     "abAB": (DINF, "abAB", WORDS_MODE, NOT_EQUAL),  # order 4
     "ababab": (DINF, "ababab", WORDS_MODE, NOT_EQUAL),  # order 6
@@ -550,6 +551,10 @@ MUTATIONS = st.one_of(
 
 
 class TestDocumentFuzzing:
+    def test_some_document_has_a_nested_coverage_certificate(self):
+        # Otherwise no mutation lands in a cover-cert: block.
+        assert any("\ncover-cert:" in doc for doc in fuzz_documents().values())
+
     @settings(max_examples=2400, deadline=None, derandomize=True)
     @given(case=st.sampled_from(sorted(FUZZ_CASES)), ops=MUTATIONS)
     def test_mutated_documents_fail_only_as_rejections(self, case, ops):

@@ -15,7 +15,7 @@ from wordrace.certcheck import (
     verify_finiteness,
     verify_finiteness_document,
 )
-from wordrace.cosets import COSET_BASE, COSET_RATE, JOIN_STEPS, CosetEnumeration
+from wordrace.cosets import COSET_BASE, JOIN_STEPS, CosetEnumeration
 from wordrace.oracle import is_identity_dinf, is_identity_z
 from wordrace.presentation import extend, parse_presentation
 from wordrace.quotient import LETTERS_MODE, WORDS_MODE, FinitenessTask
@@ -27,7 +27,7 @@ DINF = "generators: a b\nrelator: aa\nrelator: bb\n"
 
 
 def coset_limit(steps):
-    return COSET_BASE + COSET_RATE * math.isqrt(steps)
+    return COSET_BASE + math.isqrt(steps)
 
 
 def round_trip(text, x, cert):

@@ -143,6 +143,18 @@ def test_available_counts():
     assert q.available(0) == 0
 
 
+def test_extended_counts_at_the_head_boundary():
+    # X is relator 0 and pulls nothing; the source's relators start at index 1.
+    p = parse_presentation("generators: a b\nrelator: ab\nfamily: powers aa bb\n")
+    q = extend(p, parse_word("abab", p.alphabet))
+    assert (p.inline_count, p.pulled_count) == (1, 1)
+    assert (q.inline_count, q.pulled_count) == (2, 2)
+    assert q.available(-1) == q.available(0) == 0
+    assert q.available(1) == 1 and q.pulled_count == 2
+    assert q.available(2) == 2 and q.pulled_count == 2
+    assert q.available(4) == 4 and (q.pulled_count, p.pulled_count) == (4, 3)
+
+
 def test_family_powers_emits_conjugates():
     p = parse_presentation("generators: a b\nfamily: powers aa bb\n")
     a = p.alphabet

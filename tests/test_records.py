@@ -50,6 +50,11 @@ def test_fields_cannot_be_assigned(record, field):
         setattr(record, field, getattr(record, field))
 
 
+@pytest.mark.parametrize("record,field", FROZEN)
+def test_records_keep_no_instance_dict(record, field):
+    assert not hasattr(record, "__dict__")
+
+
 def test_keyword_and_positional_construction():
     assert Budget() == Budget(1_000_000, 1) == Budget(max_total_steps=1_000_000, quantum=1)
     assert Budget(None).max_total_steps is None
@@ -78,7 +83,6 @@ def test_tables_compare_and_hash_by_cells():
     assert same == Z2 and hash(same) == hash(Z2)
     assert {Z2: "C2"}[same] == "C2"
     assert Z2 != zn_table(3)
-    assert Z2.inverses == (0, 1)  # cached on a frozen table
     assert FinitenessCertificate(same, (b"",), "words", {0: 1}, {}, {}) == FIN
 
 
