@@ -11,25 +11,23 @@ There is one path per certificate kind.  ``verify_equality`` and
 index of MAX_RELATORS or more before pulling; a finiteness certificate
 must carry exactly the nested certificates its nonempty goals need.
 ``verify_equality_document`` and ``verify_finiteness_document`` check a
-parsed document in three passes: first every claim (the target,
-each ``relators-used`` count against MAX_RELATORS and its own factors,
-each nested count against the enclosing one), before any relator is
-pulled; then the certificate, by the certificate check; and last the digests.
+parsed document's target (finiteness only), then its certificate, by the
+certificate check, and last its digests.
 
 Each certificate has one document: the text that ``_lines`` renders.
-Writing renders a document with computed digests and counts;
-``parse_certificate`` renders the document it parsed, with the digests and
-counts it states, and refuses the text unless each line is the one it read,
-so it needs no rule of its own on spaces, line ends, leading zeros, block
-order or unreduced words.  A document binds itself to a presentation via
-the SHA-256 digest of the serialized alphabet plus the pulled-relator
-prefix it cites (``relators-used`` lines).  Equality documents carry the
-factor list; finiteness documents carry the table, the image words, the
-coverage witnesses, and one nested equality document per nonempty goal,
-at most one per cell or generator.  The in-memory certificates hold the
-same fields and nothing derivable: the ``relators-used`` count of a
-document is worked out from the factors, here and only here, by
-``relators_used_by``.
+Writing renders a document with computed digests; ``parse_certificate``
+renders the document it parsed, with the digests it states, and refuses
+the text unless each line is the one it read, so it needs no rule of its
+own on spaces, line ends, leading zeros, block order or unreduced words.
+A document binds itself to a presentation via the SHA-256 digest of the
+serialized alphabet plus the pulled-relator prefix it cites (``relators-used``
+lines).  Equality documents carry the factor list; finiteness documents
+carry the table, the image words, the coverage witnesses, and one nested
+equality document per nonempty goal, at most one per cell or generator.
+Documents and in-memory certificates hold the same fields and nothing
+derivable: ``_lines`` renders each ``relators-used`` count from the factors
+(``relators_used_by``), so a document that states another count is refused
+by the parser, before any relator is pulled.
 """
 from __future__ import annotations
 
@@ -76,13 +74,11 @@ def relators_used_by_finiteness(cert: FinitenessCertificate) -> int:
 
 class EqualityDocument(NamedTuple):
     digest: str
-    relators_used: int
     certificate: EqualityCertificate
 
 
 class FinitenessDocument(NamedTuple):
     digest: str
-    relators_used: int
     target: Word
     certificate: FinitenessCertificate
     equation_docs: dict
@@ -90,7 +86,7 @@ class FinitenessDocument(NamedTuple):
 
 
 def _lines(doc: EqualityDocument | FinitenessDocument, a: Alphabet) -> Iterator[str]:
-    """The lines of a document's text, one at a time, with the digests and counts it states.
+    """The lines of a document's text, one at a time, with the digests it states.
 
     It must never raise on a parsed document: parsing renders what it read.
     """
@@ -100,7 +96,7 @@ def _lines(doc: EqualityDocument | FinitenessDocument, a: Alphabet) -> Iterator[
             "certificate: equality",
             "presentation: " + doc.digest,
             "target: " + format_word(cert.target, a),
-            f"relators-used: {doc.relators_used}",
+            f"relators-used: {relators_used_by(cert)}",
             f"factors: {len(cert.factors)}",
             *(f"factor: {format_word(f.conjugator, a)} {f.relator_index} {'+' if f.sign == 1 else '-'}"
               for f in cert.factors),
@@ -112,7 +108,7 @@ def _lines(doc: EqualityDocument | FinitenessDocument, a: Alphabet) -> Iterator[
         "presentation: " + doc.digest,
         "target: " + format_word(doc.target, a),
         "tau-mode: " + cert.mode,
-        f"relators-used: {doc.relators_used}",
+        f"relators-used: {relators_used_by_finiteness(cert)}",
         f"order: {cert.table.order}",
         *("row: " + " ".join(map(str, row)) for row in cert.table.cells),
         *("image: " + format_word(image, a) for image in cert.images),
@@ -133,8 +129,7 @@ def _text(doc: EqualityDocument | FinitenessDocument, a: Alphabet) -> str:
 
 
 def _equality_document(cert: EqualityCertificate, digest) -> EqualityDocument:
-    used = relators_used_by(cert)
-    return EqualityDocument(digest(used), used, cert)
+    return EqualityDocument(digest(relators_used_by(cert)), cert)
 
 
 def serialize_equality(cert: EqualityCertificate, p: Presentation) -> str:
@@ -142,10 +137,9 @@ def serialize_equality(cert: EqualityCertificate, p: Presentation) -> str:
 
 
 def serialize_finiteness(cert: FinitenessCertificate, extended: Presentation) -> str:
-    used = relators_used_by_finiteness(cert)
     digest = functools.cache(functools.partial(presentation_digest, extended))  # hashes each count once
     doc = FinitenessDocument(
-        digest(used), used, extended.extended_by, cert,
+        digest(relators_used_by_finiteness(cert)), extended.extended_by, cert,
         {cell: _equality_document(nested, digest) for cell, nested in cert.equation_certs.items()},
         {g: _equality_document(nested, digest) for g, nested in cert.coverage_certs.items()},
     )
@@ -193,14 +187,14 @@ def _read(parse, *args):
 def _parse_equality_body(lines: _Lines, alphabet: Alphabet) -> EqualityDocument:
     [digest] = lines.expect("presentation", 1)
     target = _read(parse_word, lines.expect("target", 1)[0], alphabet)
-    [used] = lines.expect("relators-used", 1)
+    lines.expect("relators-used", 1)  # rendered from the factors, so the round trip checks it
     [count] = lines.expect("factors", 1)
     factors = []
     for _ in range(_natural(count)):
         conjugator, index, sign = lines.expect("factor", 3)
         factors.append(DyckFactor(_read(parse_word, conjugator, alphabet), _natural(index), 1 if sign == "+" else -1))
     lines.expect("end", 1)
-    return EqualityDocument(digest, _natural(used), EqualityCertificate(tuple(factors), target))
+    return EqualityDocument(digest, EqualityCertificate(tuple(factors), target))
 
 
 def _parse_nested(lines: _Lines, alphabet: Alphabet, count_key: str, key: str, arity: int, parse_key) -> dict:
@@ -222,7 +216,7 @@ def _parse_finiteness_body(lines: _Lines, alphabet: Alphabet) -> FinitenessDocum
     [mode] = lines.expect("tau-mode", 1)
     if mode not in (WORDS_MODE, LETTERS_MODE):
         raise CertificateSyntaxError(f"unknown tau-mode {mode!r}")
-    [used] = lines.expect("relators-used", 1)
+    lines.expect("relators-used", 1)
     order = _natural(lines.expect("order", 1)[0])
     if order < 1:
         raise CertificateSyntaxError("order must be >= 1")
@@ -243,14 +237,15 @@ def _parse_finiteness_body(lines: _Lines, alphabet: Alphabet) -> FinitenessDocum
         equation_certs={cell: doc.certificate for cell, doc in equation_docs.items()},
         coverage_certs={g: doc.certificate for g, doc in coverage_docs.items()},
     )
-    return FinitenessDocument(digest, _natural(used), target, cert, equation_docs, coverage_docs)
+    return FinitenessDocument(digest, target, cert, equation_docs, coverage_docs)
 
 
 def parse_certificate(text: str, alphabet: Alphabet):
     """Parse a certificate document; returns an Equality/FinitenessDocument.
 
     The document must be the very text that its parse renders to, so each
-    certificate, with its digests and counts, has exactly one document.
+    certificate, with its digests, has exactly one document, and a
+    ``relators-used`` count other than the one its factors cite is refused here.
     """
     lines = _Lines(text)
     [kind] = lines.expect("certificate", 1)
@@ -294,13 +289,9 @@ def verify_equality(cert: EqualityCertificate, p: Presentation, x: Word) -> tupl
 
 
 def verify_equality_document(doc: EqualityDocument, p: Presentation, x: Word) -> tuple[bool, str]:
-    """Check the relator claim, then the certificate, then the digest."""
-    if doc.relators_used > MAX_RELATORS:
-        return False, f"relators-used {doc.relators_used} is above the cap of {MAX_RELATORS}"
-    if doc.relators_used != relators_used_by(doc.certificate):
-        return False, "relators-used differs from the cited factors"
+    """Check the certificate, then the digest of the relator prefix its factors cite."""
     ok, why = verify_equality(doc.certificate, p, x)
-    if ok and doc.digest != presentation_digest(p, doc.relators_used):
+    if ok and doc.digest != presentation_digest(p, relators_used_by(doc.certificate)):
         return False, "presentation digest mismatch"
     return ok, why
 
@@ -374,34 +365,20 @@ def verify_finiteness(cert: FinitenessCertificate, extended: Presentation) -> tu
 
 
 def verify_finiteness_document(doc: FinitenessDocument, extended: Presentation) -> tuple[bool, str]:
-    """Check every claim, then the certificate, then every digest.
+    """Check the target, then the certificate, then every digest.
 
-    The target, the enclosing relator claim and each nested claim are
-    checked before any relator is pulled, so a document cannot make the
-    verifier pull more relators than its nested factors cite, or than MAX_RELATORS.
+    Each digest is taken at the count its own factors cite; ``verify_finiteness``
+    pulls no relator at or above MAX_RELATORS.
     """
     if extended.extended_by != doc.target:
         return False, "document target differs from the extension word"
-    if doc.relators_used > MAX_RELATORS:
-        return False, f"relators-used {doc.relators_used} is above the cap of {MAX_RELATORS}"
-    if doc.relators_used != relators_used_by_finiteness(doc.certificate):
-        return False, "relators-used differs from the nested certificates"
-    nested = {
-        _goal_label(key, extended.alphabet): inner
-        for key, inner in [*doc.equation_docs.items(), *doc.coverage_docs.items()]
-    }
-    for label, inner in nested.items():
-        if inner.relators_used > doc.relators_used:
-            return False, "a nested certificate claims more relators than the enclosing one"
-        if inner.relators_used != relators_used_by(inner.certificate):
-            return False, f"certificate at {label} invalid: relators-used differs from the cited factors"
     ok, why = verify_finiteness(doc.certificate, extended)
     if not ok:
         return ok, why
     digest = functools.cache(functools.partial(presentation_digest, extended))  # hashes each count once
-    if doc.digest != digest(doc.relators_used):
+    if doc.digest != digest(relators_used_by_finiteness(doc.certificate)):
         return False, "presentation digest mismatch"
-    for label, inner in nested.items():
-        if inner.digest != digest(inner.relators_used):
-            return False, f"certificate at {label} invalid: presentation digest mismatch"
+    for key, inner in [*doc.equation_docs.items(), *doc.coverage_docs.items()]:
+        if inner.digest != digest(relators_used_by(inner.certificate)):
+            return False, f"certificate at {_goal_label(key, extended.alphabet)} invalid: presentation digest mismatch"
     return True, "ok"

@@ -100,20 +100,28 @@ class TestEqualityVerification:
         ok, _ = verify_equality(equality_cert, p, parse_word("bb", p.alphabet))
         assert not ok
 
-    def test_max_index_inconsistency_rejected(self, equality_cert):
+    def test_max_index_inconsistency_rejected(self):
         # The relator count a document states must be the factors' highest
-        # index plus one.
-        p = dinf()
-        used = max(f.relator_index for f in equality_cert.factors) + 1
-        for claimed in (used - 1, used + 1):
-            doc = EqualityDocument("0" * 64, claimed, equality_cert)
-            ok, why = verify_equality_document(doc, p, equality_cert.target)
-            assert not ok
-            assert "relators-used" in why
+        # index plus one: the parser renders each count from the factors, so
+        # it refuses every other count, enclosing or nested, one at a time.
+        forged_counts = 0
+        for name, text in fuzz_documents().items():
+            lines = text.split("\n")
+            alphabet = parse_presentation(FUZZ_CASES[name][0]).alphabet
+            for n, line in enumerate(lines):
+                if line.startswith("relators-used: "):
+                    used = int(line.partition(": ")[2])
+                    for claimed in (used + 1, used - 1) if used else (used + 1,):
+                        forged = "\n".join([*lines[:n], f"relators-used: {claimed}", *lines[n + 1:]])
+                        with pytest.raises(CertificateSyntaxError, match="not the canonical text"):
+                            parse_certificate(forged, alphabet)
+                        forged_counts += 1
+        assert forged_counts > 2 * len(FUZZ_CASES)
 
     def test_forged_relator_claim_pulls_nothing(self):
         # One factor citing relator 200000 under "relators-used: 1": the
-        # claim is checked against the factors before any relator is pulled.
+        # parser renders the count from the factors and refuses the document,
+        # so no relator is pulled.
         text = (
             "certificate: equality\n"
             f"presentation: {'0' * 64}\n"
@@ -124,15 +132,13 @@ class TestEqualityVerification:
             "end: certificate\n"
         )
         p = parse_presentation("generators: a b\nfamily: powers aa bb\n")
-        doc = parse_certificate(text, p.alphabet)
-        ok, why = verify_equality_document(doc, p, parse_word("aa", p.alphabet))
-        assert not ok
-        assert "relators-used" in why
+        with pytest.raises(CertificateSyntaxError, match="not the canonical text"):
+            parse_certificate(text, p.alphabet)
         assert p.source.pulled_count <= 1
 
     def test_relator_claim_above_the_cap_pulls_nothing(self):
-        # A claim the factors bear out, but above the cap: rejected before
-        # any relator past the inline prefix is pulled.
+        # A count the factors bear out, but above the cap: the factor is
+        # rejected before its relator, or any before it, is pulled.
         text = (
             "certificate: equality\n"
             f"presentation: {'0' * 64}\n"
@@ -145,7 +151,7 @@ class TestEqualityVerification:
         p = parse_presentation("generators: a b\nfamily: powers aa bb\n")
         doc = parse_certificate(text, p.alphabet)
         ok, why = verify_equality_document(doc, p, parse_word("aa", p.alphabet))
-        assert (ok, why) == (False, "relators-used 2000001 is above the cap of 100000")
+        assert (ok, why) == (False, "factor 0 cites relator 2000000, above the cap of 100000")
         assert p.pulled_count == p.source.inline_count == 0
 
     def test_in_memory_relator_above_the_cap_pulls_nothing(self):
@@ -180,12 +186,34 @@ class TestEqualityVerification:
         x = parse_word("abab", p.alphabet)
         extended = extend(p, x)
         doc = parse_certificate(serialize_finiteness(prove_finite(extended, 1000), extended), p.alphabet)
-        assert doc.relators_used == 3
+        assert relators_used_by_finiteness(doc.certificate) == 3
         monkeypatch.setattr(certcheck, "MAX_RELATORS", 3)
         assert verify_finiteness_document(doc, extended) == (True, "ok")
         monkeypatch.setattr(certcheck, "MAX_RELATORS", 2)
         ok, why = verify_finiteness_document(doc, extended)
-        assert (ok, why) == (False, "relators-used 3 is above the cap of 2")
+        assert (ok, why) == (False, "certificate at cell (2,1) invalid: factor 2 cites relator 2, above the cap of 2")
+
+    @pytest.mark.parametrize("index, why, pulled", [
+        (999, "assembled product does not reduce to the target", 1000),
+        (1000, "factor 0 cites relator 1000, above the cap of 1000", 0),
+    ], ids=["below-the-cap", "at-the-cap"])
+    def test_a_parsed_document_pulls_relators_below_the_cap_only(self, monkeypatch, index, why, pulled):
+        # With no stated count left to check, the cap is the per-factor one,
+        # applied before the factor's relator is pulled.
+        monkeypatch.setattr(certcheck, "MAX_RELATORS", 1000)
+        text = (
+            "certificate: equality\n"
+            f"presentation: {'0' * 64}\n"
+            "target: aa\n"
+            f"relators-used: {index + 1}\n"
+            "factors: 1\n"
+            f"factor:  {index} +\n"
+            "end: certificate\n"
+        )
+        p = parse_presentation("generators: a b\nfamily: powers aa bb\n")
+        doc = parse_certificate(text, p.alphabet)
+        assert verify_equality_document(doc, p, parse_word("aa", p.alphabet)) == (False, why)
+        assert p.pulled_count == pulled
 
     def test_digest_binds_presentation(self, equality_cert):
         p = dinf()
@@ -270,10 +298,8 @@ class TestFinitenessVerification:
         text = serialize_finiteness(finiteness_cert, extended)
         enclosing, nested, rest = text.split("relators-used: 1\n", 2)
         forged = enclosing + "relators-used: 1\n" + nested + "relators-used: 2\n" + rest
-        doc = parse_certificate(forged, extended.alphabet)
-        ok, why = verify_finiteness_document(doc, extend(z(), doc.target))
-        assert not ok
-        assert "more relators than the enclosing" in why
+        with pytest.raises(CertificateSyntaxError, match="not the canonical text"):
+            parse_certificate(forged, extended.alphabet)
 
     def test_each_relator_prefix_is_hashed_once(self, monkeypatch):
         # Serializing and verifying a document hash the relator prefix once
@@ -293,13 +319,33 @@ class TestFinitenessVerification:
         assert verify_finiteness_document(doc, extended) == (True, "ok")
         assert sorted(hashed) == counts
 
+    def test_document_target_must_be_the_extension_word(self):
+        p = dinf()
+        doc = parse_certificate(fuzz_documents()["abab"], p.alphabet)
+        ok, why = verify_finiteness_document(doc, extend(p, parse_word("ab", p.alphabet)))
+        assert (ok, why) == (False, "document target differs from the extension word")
+
+    def test_nested_digest_is_taken_at_its_own_count(self):
+        # Cell (1,1) cites relators 0..1 and the enclosing document 0..2, so
+        # the enclosing digest is the wrong one for the nested block.
+        p = dinf()
+        text = fuzz_documents()["abab"]
+        enclosing = re.search(r"^presentation: (\w+)$", text, re.M)[1]
+        head, cell, rest = text.partition("\ncell: 1 1\ncertificate: equality\n")
+        forged = head + cell + re.sub(r"^presentation: \w+$", f"presentation: {enclosing}", rest, count=1, flags=re.M)
+        assert forged != text
+        doc = parse_certificate(forged, p.alphabet)
+        ok, why = verify_finiteness_document(doc, extend(p, parse_word("abab", p.alphabet)))
+        assert (ok, why) == (False, "certificate at cell (1,1) invalid: presentation digest mismatch")
+
     def test_requires_extended_presentation(self, finiteness_cert):
         ok, why = verify_finiteness(finiteness_cert, z())
         assert not ok
 
     def test_letters_mode_rejects_coverage_certificates(self):
         # Letters mode has no coverage goals, so a cover-cert block is never
-        # checked; it must be refused, or it would set relators-used unseen.
+        # checked; it must be refused, or its factors would set the
+        # enclosing relators-used count unseen.
         p = parse_presentation(D4)
         extended = extend(p, parse_word("a", p.alphabet))
         cert = solve(p, parse_word("a", p.alphabet), tau_mode=LETTERS_MODE).certificate
@@ -317,7 +363,7 @@ class TestFinitenessVerification:
         ok, why = verify_finiteness(forged, extended)
         assert not ok and "unexpected" in why
         doc = parse_certificate(serialize_finiteness(forged, extended), p.alphabet)
-        assert doc.relators_used == 4
+        assert relators_used_by_finiteness(doc.certificate) == 4
         ok, why = verify_finiteness_document(doc, extended)
         assert not ok and "unexpected" in why
 
@@ -472,7 +518,7 @@ class TestDocumentParsing:
     def test_refuses_a_count_too_long_for_int(self):
         # int() refuses more than 4,300 digits by default, with a bare ValueError.
         text = fuzz_documents()["abba"]
-        forged = text.replace("\nrelators-used: 2\n", f"\nrelators-used: {'1' * 5000}\n")
+        forged = text.replace("\nfactors: 2\n", f"\nfactors: {'1' * 5000}\n")
         assert forged != text
         with pytest.raises(CertificateSyntaxError, match="natural number"):
             parse_certificate(forged, dinf().alphabet)

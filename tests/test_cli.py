@@ -118,7 +118,7 @@ def test_verify_caps_the_relators_a_certificate_cites(dinf_pres, tmp_path, capsy
     capsys.readouterr()
     monkeypatch.setattr(certcheck, "MAX_RELATORS", 1)
     assert main(["verify", str(cert_path), dinf_pres]) == 1
-    assert capsys.readouterr().out == "invalid: relators-used 2 is above the cap of 1\n"
+    assert capsys.readouterr().out == "invalid: factor 0 cites relator 1, above the cap of 1\n"
     monkeypatch.setattr(certcheck, "MAX_RELATORS", 2)
     assert main(["verify", str(cert_path), dinf_pres]) == 0
 

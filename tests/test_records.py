@@ -38,8 +38,8 @@ FROZEN = [
     pytest.param(EQ, "target", id="EqualityCertificate"),
     pytest.param(FIN, "table", id="FinitenessCertificate"),
     pytest.param(Outcome("equal", EQ, 3, 2), "verdict", id="Outcome"),
-    pytest.param(EqualityDocument("0" * 64, 1, EQ), "digest", id="EqualityDocument"),
-    pytest.param(FinitenessDocument("0" * 64, 0, b"\x00", FIN, {}, {}), "target", id="FinitenessDocument"),
+    pytest.param(EqualityDocument("0" * 64, EQ), "digest", id="EqualityDocument"),
+    pytest.param(FinitenessDocument("0" * 64, b"\x00", FIN, {}, {}), "target", id="FinitenessDocument"),
     pytest.param(CorpusGroup("Z", "generators: a\n", is_identity_z), "name", id="CorpusGroup"),
 ]
 
