@@ -13,12 +13,8 @@ import json
 import sys
 import time
 
-from . import certcheck, oracle
 from .certificates import LETTERS_MODE, WORDS_MODE
 from .presentation import StreamError, extend, parse_presentation
-from .quotient import DEFAULT_MAX_TABLE_ORDER
-from .scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Budget, solve
-from .tables import enumerate_tables
 from .words import format_word, parse_word
 
 EXIT_ERROR = 3
@@ -46,7 +42,7 @@ def _build_parser() -> _Parser:
         help="run until resolved; may never terminate if the group is not just infinite",
     )
     ps.add_argument("--quantum", type=int, default=1, help="steps per arm turn")
-    ps.add_argument("--max-table-order", type=int, default=DEFAULT_MAX_TABLE_ORDER,
+    ps.add_argument("--max-table-order", type=int,
                     help="largest order of the table a finiteness certificate emits, in either tau mode")
     ps.add_argument("--strict-tau", action="store_true",
                     help="literal letter-valued surjections instead of word-valued assignments")
@@ -72,13 +68,19 @@ def _read(path: str) -> str:
 
 
 def _cmd_solve(args) -> int:
+    # Each command imports what it runs, so that verify loads no prover module.
+    from . import certcheck
+    from .quotient import DEFAULT_MAX_TABLE_ORDER
+    from .scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Budget, solve
+
     p = parse_presentation(_read(args.presentation))
     try:
         word = parse_word(args.word, p.alphabet)
         budget = Budget(None if args.unlimited else args.budget, args.quantum)
         mode = LETTERS_MODE if args.strict_tau else WORDS_MODE
         start = time.perf_counter()
-        outcome = solve(p, word, budget, tau_mode=mode, max_table_order=args.max_table_order)
+        cap = DEFAULT_MAX_TABLE_ORDER if args.max_table_order is None else args.max_table_order
+        outcome = solve(p, word, budget, tau_mode=mode, max_table_order=cap)
         wall_ms = (time.perf_counter() - start) * 1000.0
         print(f"wall-time-ms: {wall_ms:.1f}", file=sys.stderr)
 
@@ -119,6 +121,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import certcheck
+
     p = parse_presentation(_read(args.presentation))
     try:
         doc = certcheck.parse_certificate(_read(args.certificate), p.alphabet)
@@ -143,6 +147,8 @@ def _cmd_verify(args) -> int:
 def _cmd_enum_tables(args) -> int:
     if args.order < 1:
         raise ValueError("--order must be >= 1")
+    from .tables import enumerate_tables
+
     blocks = []
     for table in enumerate_tables(args.order):
         blocks.append("\n".join(" ".join(str(v) for v in row) for row in table.cells))
@@ -159,6 +165,9 @@ _CORPUS_WORDS = {
 
 
 def _cmd_corpus(args) -> int:
+    from . import oracle
+    from .scheduler import EQUAL, NOT_EQUAL, Budget, solve
+
     all_ok = True
     print(f"{'group':6} {'word':8} {'verdict':10} {'oracle':8} ok")
     for group in oracle.corpus_groups():

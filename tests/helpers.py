@@ -5,12 +5,14 @@ a budget, search for a letters-mode quotient by brute force, re-assemble a
 product the slow way, index the Dyck enumeration by cursor, find where a
 coset enumeration's idle window ends by scanning every slot, build a
 finiteness certificate by tracing every cell, print a presentation or
-certificate back, or write a stream source, so that tests can state what
-the solver must match.
+certificate back, write a stream source, or run code in a fresh interpreter,
+so that tests can state what the solver must match.
 """
 
 import heapq
 import itertools
+import os
+import subprocess
 import sys
 import textwrap
 
@@ -199,6 +201,18 @@ def stream_presentation(tmp_path, body, *args):
     script.write_text(textwrap.dedent(body))
     command = " ".join(map(str, (sys.executable, script, *args)))
     return parse_presentation(f"generators: a b\nstream: {command}\n")
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter with this checkout's src first on the path; its stdout lines."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 # Writes its pid to argv[1], then prints aa and bb forever, or once if argv[2] is "once".

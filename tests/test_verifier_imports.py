@@ -2,13 +2,18 @@
 
 ``certcheck`` shares with the provers only the word kernel, the presentation
 and the certificate records with the table axioms (``certificates``), so a
-prover bug cannot certify itself.  The check is static, over the import
-statements of ``src/wordrace``: at run time the package ``__init__`` imports
-every module, so ``sys.modules`` would show the whole package.
+prover bug cannot certify itself.  It is checked twice: statically, over the
+import statements of ``src/wordrace``, and at run time, over ``sys.modules``
+after ``wordrace verify`` runs in a fresh interpreter.  The package loads each
+module on first use, so the second check sees what the verifier ran.
 """
 
 import ast
+import json
 import os
+
+from helpers import run_fresh
+from wordrace.cli import main
 
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "wordrace")
 PROVER = {"cosets", "proofs", "derivation", "quotient", "scheduler", "tables"}
@@ -77,6 +82,44 @@ def test_solver_imports_no_table_search_verifier_or_cli():
     # The solver runs the two coset enumerations and nothing else: not the
     # table search, the ground-truth oracle, the verifier or the CLI.
     assert not {"tables", "oracle", "certcheck", "cli"} & closure("scheduler")
+
+
+def loaded_after_cli(*runs):
+    """The exit codes of ``wordrace.cli.main`` on each argv of ``runs``, and the wordrace modules then loaded, in a fresh interpreter."""
+    lines = run_fresh(f"""
+        import sys
+        import wordrace.cli
+        print([wordrace.cli.main(argv) for argv in {list(runs)!r}])
+        print(*sorted(m.partition(".")[2] or m for m in sys.modules if m.startswith("wordrace")))
+    """)
+    return json.loads(lines[-2]), set(lines[-1].split())
+
+
+def test_verify_runs_on_the_trusted_base_alone(tmp_path):
+    pres = tmp_path / "dinf.pres"
+    pres.write_text("generators: a b\nrelator: aa\nrelator: bb\n")
+    runs = []
+    for word, code in (("abab", 1), ("abba", 0)):  # a finiteness and an equality document
+        out = tmp_path / f"{word}.json"
+        assert main(["solve", str(pres), "--word", word, "--json", "--output", str(out)]) == code
+        cert = tmp_path / f"{word}.cert"
+        cert.write_text(json.loads(out.read_text())["certificate"])
+        runs.append(["verify", str(cert), str(pres), "--word", word])
+    codes, loaded = loaded_after_cli(*runs)
+    assert codes == [0, 0]
+    assert loaded == {"wordrace", "cli", "certcheck", "certificates", "presentation", "words"}
+    assert not (PROVER | {"oracle"}) & loaded
+
+
+def test_solve_loads_the_prover_at_run_time(tmp_path):
+    # The same run-time check sees the prover behind the solver, so an empty
+    # result above is not vacuous; the table search and the oracle stay out.
+    pres = tmp_path / "dinf.pres"
+    pres.write_text("generators: a b\nrelator: aa\nrelator: bb\n")
+    codes, loaded = loaded_after_cli(["solve", str(pres), "--word", "abab", "--output", str(tmp_path / "out")])
+    assert codes == [1]
+    assert PROVER - {"tables"} <= loaded
+    assert not {"tables", "oracle"} & loaded
 
 
 def test_no_module_imports_a_private_name_of_another():
