@@ -85,7 +85,7 @@ def test_solver_imports_no_table_search_verifier_or_cli():
 
 
 def loaded_after_cli(*runs):
-    """The exit codes of ``wordrace.cli.main`` on each argv of ``runs``, and the wordrace modules then loaded, in a fresh interpreter."""
+    """In a fresh interpreter, ``wordrace.cli.main``'s exit code on each argv of ``runs``; then the modules loaded."""
     lines = run_fresh(f"""
         import sys
         import wordrace.cli
