@@ -56,28 +56,6 @@ class FinitenessCertificate(NamedTuple):
     coverage_certs: dict[int, EqualityCertificate]
 
 
-def generating_set(cells) -> tuple[int, ...]:
-    """The greedy generating set of a Latin square with identity 0.
-
-    Each pick is the least element outside the closure of 0 and the earlier
-    picks under the product.  That closure is a subsquare, and a proper
-    subsquare has at most half the order, so there are at most log2 r picks.
-    """
-    picks, closure, inside = [], [0], {0}
-    for g in range(1, len(cells)):
-        if g not in inside:
-            picks.append(g)
-            closure.append(g)
-            inside.add(g)
-            for n, x in enumerate(closure):  # also visits what is appended meanwhile
-                for y in closure[: n + 1]:
-                    for z in (cells[x][y], cells[y][x]):
-                        if z not in inside:
-                            inside.add(z)
-                            closure.append(z)
-    return tuple(picks)
-
-
 def is_group_table(cells) -> tuple[bool, str | None]:
     """Check the three table invariants; report the first violation found."""
     r = len(cells)
@@ -101,12 +79,25 @@ def is_group_table(cells) -> tuple[bool, str | None]:
     for j in range(r):
         if len({cells[i][j] for i in range(r)}) != r:
             return False, f"column {j} is not a permutation"
-    # Light's test: the elements j with (i.j).k = i.(j.k) for all i, k are
-    # closed under the product, so checking a generating set suffices.
-    for j in generating_set(cells):
+    # Light's test.  The j with (i.j).k = i.(j.k) for all i, k form a
+    # subloop N.  Each pick is the least element the walk x -> x.g from 0 by
+    # the earlier picks g has not reached.  While the picks lie in N, the
+    # reached set is closed (s.(t.g) = (s.t).g): it is the subsquare they
+    # generate, at most half the order if proper.  So the first pick outside
+    # N fails, picks that all pass generate the table, and at most log2 r pass.
+    picks, reached, inside = [], [0], {0}
+    for j in range(1, r):
+        if j in inside:
+            continue
         for i in range(r):
             ij = cells[i][j]
             for k in range(r):
                 if cells[ij][k] != cells[i][cells[j][k]]:
                     return False, f"associativity fails at ({i},{j},{k})"
+        picks.append(j)
+        for x in reached:  # also visits what is appended meanwhile
+            for g in picks:
+                if (y := cells[x][g]) not in inside:
+                    inside.add(y)
+                    reached.append(y)
     return True, None

@@ -69,7 +69,6 @@ def _read(path: str) -> str:
 
 def _cmd_solve(args) -> int:
     # Each command imports what it runs, so that verify loads no prover module.
-    from . import certcheck
     from .quotient import DEFAULT_MAX_TABLE_ORDER
     from .scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Budget, solve
 
@@ -85,12 +84,13 @@ def _cmd_solve(args) -> int:
         print(f"wall-time-ms: {wall_ms:.1f}", file=sys.stderr)
 
         certificate_text = None
-        if outcome.verdict == EQUAL:
-            certificate_text = certcheck.serialize_equality(outcome.certificate, p)
-        elif outcome.verdict == NOT_EQUAL:
-            certificate_text = certcheck.serialize_finiteness(
-                outcome.certificate, extend(p, word)
-            )
+        if outcome.verdict != EXHAUSTED:
+            from . import certcheck  # only a verdict has a certificate to write
+
+            if outcome.verdict == EQUAL:
+                certificate_text = certcheck.serialize_equality(outcome.certificate, p)
+            else:
+                certificate_text = certcheck.serialize_finiteness(outcome.certificate, extend(p, word))
 
         record = {  # the outcome document's fields, in text order
             "verdict": outcome.verdict,

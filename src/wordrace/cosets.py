@@ -300,8 +300,7 @@ class CosetEnumeration:
         self._uproof[d] = None
         self._rep[d] = (self._rep[c], x)
         self._scanned[d] = 0
-        if self._rels:
-            insort(self._open, d)
+        insort(self._open, d)
         table[c][x] = d
         table[d][x ^ 1] = c
         self.live += 1

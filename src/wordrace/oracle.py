@@ -61,17 +61,13 @@ class TableGroup(NamedTuple("TableGroup", [("table", MultiplicationTable), ("ima
         for e in images:
             if not 0 <= e < r:
                 raise MissingImageError(f"image {e} out of range for order {r}")
-        # The images must generate the whole table (closure check).
-        cells = table.cells
-        reached = {0, *images}
-        frontier = list(reached)
-        while frontier:
-            x = frontier.pop()
+        # The images must generate the whole table: walk x -> x.g from 0.
+        cells, reached, inside = table.cells, [0], {0}
+        for x in reached:  # also visits what is appended meanwhile
             for g in images:
-                for y in (cells[x][g], cells[g][x]):
-                    if y not in reached:
-                        reached.add(y)
-                        frontier.append(y)
+                if (y := cells[x][g]) not in inside:
+                    inside.add(y)
+                    reached.append(y)
         if len(reached) != r:
             raise ValueError("generator images do not generate the table's group")
         return super().__new__(cls, table, images)

@@ -1,12 +1,13 @@
 """Test-side conveniences and reference enumerations built on the library.
 
 None of these runs on the solver's path: they drive a task or the race to
-a budget, search for a letters-mode quotient by brute force, re-assemble a
-product the slow way, index the Dyck enumeration by cursor, find where a
-coset enumeration's idle window ends by scanning every slot, build a
-finiteness certificate by tracing every cell, print a presentation or
-certificate back, write a stream source, or run code in a fresh interpreter,
-so that tests can state what the solver must match.
+a budget, search for a letters-mode quotient by brute force, run Light's
+test over a generating set closed pairwise, re-assemble a product the slow
+way, index the Dyck enumeration by cursor, find where a coset enumeration's
+idle window ends by scanning every slot, build a finiteness certificate by
+tracing every cell, print a presentation or certificate back, write a
+stream source, or run code in a fresh interpreter, so that tests can state
+what the solver must match.
 """
 
 import heapq
@@ -47,7 +48,7 @@ def letter(index, sign):
 def associativity_failure(cells):
     """The first triple (i, j, k), row-major, with (i.j).k != i.(j.k); None if none.
 
-    The cubic reference for the generating-set check in ``is_group_table``.
+    The cubic reference for Light's test in ``is_group_table``.
     """
     r = len(cells)
     for i in range(r):
@@ -57,6 +58,45 @@ def associativity_failure(cells):
                 if cells[ij][k] != cells[i][cells[j][k]]:
                     return i, j, k
     return None
+
+
+def generating_set(cells) -> tuple[int, ...]:
+    """The greedy generating set of a Latin square with identity 0.
+
+    Each pick is the least element outside the closure of 0 and the earlier
+    picks under the product.  That closure is a subsquare, and a proper
+    subsquare has at most half the order, so there are at most log2 r picks.
+    """
+    picks, closure, inside = [], [0], {0}
+    for g in range(1, len(cells)):
+        if g not in inside:
+            picks.append(g)
+            closure.append(g)
+            inside.add(g)
+            for n, x in enumerate(closure):  # also visits what is appended meanwhile
+                for y in closure[: n + 1]:
+                    for z in (cells[x][y], cells[y][x]):
+                        if z not in inside:
+                            inside.add(z)
+                            closure.append(z)
+    return tuple(picks)
+
+
+def light_reference(cells):
+    """Light's test over the whole greedy generating set, for a Latin square with identity 0.
+
+    The check ``is_group_table`` made before it found its picks by a walk:
+    (True, None), or False and the first triple where (i.j).k != i.(j.k)
+    for j in ``generating_set(cells)``, in pick order.
+    """
+    r = len(cells)
+    for j in generating_set(cells):
+        for i in range(r):
+            ij = cells[i][j]
+            for k in range(r):
+                if cells[ij][k] != cells[i][cells[j][k]]:
+                    return False, f"associativity fails at ({i},{j},{k})"
+    return True, None
 
 
 def prove_equal(p, x, budget):

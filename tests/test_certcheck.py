@@ -384,8 +384,9 @@ class TestTrustedBaseRejections:
         (lambda c: c._replace(images=c.images[:-1]), "image count differs from the table order"),
         (lambda c: c._replace(images=c.images[:1] + (bytes([0, 1]),) + c.images[2:]), "image 1 is not reduced"),
         (lambda c: c._replace(coverage=None), "words-mode certificate lacks a coverage map"),
+        (lambda c: c._replace(coverage={}), "no coverage witness for generator a"),
         (lambda c: c._replace(mode="foo"), "unknown tau mode 'foo'"),
-    ], ids=["image-dropped", "image-aA", "no-coverage", "mode-foo"])
+    ], ids=["image-dropped", "image-aA", "no-coverage", "coverage-empty", "mode-foo"])
     def test_forged_finiteness_certificate(self, finiteness_cert, forge, why):
         assert finiteness_cert.mode == WORDS_MODE
         extended = extend(z(), parse_word("aaa", z().alphabet))

@@ -16,6 +16,7 @@ from wordrace.certcheck import (
     verify_finiteness_document,
 )
 from wordrace.cosets import COSET_BASE, JOIN_STEPS, CosetEnumeration
+from wordrace.derivation import EqualityTask
 from wordrace.oracle import is_identity_dinf, is_identity_z
 from wordrace.presentation import extend, parse_presentation
 from wordrace.quotient import LETTERS_MODE, WORDS_MODE, FinitenessTask
@@ -52,6 +53,21 @@ def test_coset_count_stays_under_the_limit():
             assert task.coset_peak <= coset_limit(n), n
     assert task.coset_peak == coset_limit(500_000) < 1_000
     assert task.admitted == 0
+
+
+def test_the_coset_limit_cuts_the_path_of_x():
+    # <a, b | aa> with X = (ab)^200: the equality arm defines one coset of
+    # X's path per step, until at step 272 the live cosets reach the limit
+    # 256 + isqrt(272) with 271 letters traced.  The path is not taken up
+    # again: the enumeration goes on to scan the relator.
+    p = parse_presentation("generators: a b\nrelator: aa\n")
+    task = EqualityTask(p, parse_word("ab" * 200, p.alphabet))
+    for n in range(1, 301):
+        assert task.step() is None
+        assert task.live <= coset_limit(n)
+        if n == 272:
+            assert task.live == coset_limit(n) and task._at == (271, 271)
+    assert task._at == (271, 271)
 
 
 @pytest.mark.parametrize(

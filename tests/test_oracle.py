@@ -12,7 +12,7 @@ from wordrace.oracle import (
     is_identity_z,
     zn_table,
 )
-from wordrace.tables import eval_in_table
+from wordrace.tables import MissingImageError, eval_in_table
 from wordrace.words import alphabet, parse_word, reduce_word
 
 A = alphabet("a")
@@ -96,6 +96,11 @@ def test_table_group_klein():
 def test_table_group_rejects_nongenerating_images():
     with pytest.raises(ValueError):
         TableGroup(zn_table(4), (2,))  # <2> is a proper subgroup of Z4
+
+
+def test_table_group_rejects_images_out_of_range():
+    with pytest.raises(MissingImageError, match="image 3 out of range for order 3"):
+        TableGroup(zn_table(3), (1, 3))
 
 
 def test_oracle_agreement_z3_vs_exponent_sum():

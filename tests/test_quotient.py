@@ -107,6 +107,21 @@ class TestStepFiniteness:
         with pytest.raises(ValueError):
             FinitenessTask(parse_presentation("generators: a\n"))
 
+    def test_unknown_tau_mode_is_rejected(self):
+        p = extend(parse_presentation("generators: a\n"), w("aaa", A))
+        with pytest.raises(ValueError, match="unknown tau mode 'foo'"):
+            FinitenessTask(p, mode="foo")
+
+    def test_a_resolved_arm_takes_no_step(self):
+        task = FinitenessTask(extend(parse_presentation("generators: a\n"), w("a", A)))
+        while task.step() is None and task.steps_taken < 5_000:
+            pass
+        assert task.certificate is not None
+        steps = task.steps_taken
+        with pytest.raises(ValueError, match="task already resolved"):
+            task.step()
+        assert task.steps_taken == steps
+
     def test_identity_image_always_empty(self):
         p = extend(parse_presentation("generators: a\n"), w("aaa", A))
         task = FinitenessTask(p)

@@ -12,13 +12,14 @@ that of order 12 before candidate rows were checked while being built.
 import hashlib
 import itertools
 import math
+import random
 import sys
 import types
 
 import pytest
 
-from helpers import associativity_failure
-from wordrace.certificates import generating_set
+from helpers import associativity_failure, generating_set, light_reference
+from wordrace.oracle import zn_table
 from wordrace.tables import (
     MissingImageError,
     MultiplicationTable,
@@ -113,6 +114,92 @@ def closure(cells, elements):
         inside = grown
 
 
+def random_loop(r, rng):
+    """A Latin square of order r built row by row from random matchings, relabeled to have identity 0."""
+    rows = []
+    for _ in range(r):
+        match = {}  # symbol -> column of the new row
+
+        def augment(c, seen):
+            free = [v for v in range(r) if v not in seen and all(row[c] != v for row in rows)]
+            rng.shuffle(free)
+            for v in free:
+                seen.add(v)
+                if v not in match or augment(match[v], seen):
+                    match[v] = c
+                    return True
+            return False
+
+        for c in range(r):
+            assert augment(c, set())  # a Latin rectangle always extends
+        row = [0] * r
+        for v, c in match.items():
+            row[c] = v
+        rows.append(row)
+    order = sorted(range(r), key=rows[0].__getitem__)  # columns so that row 0 reads 0..r-1
+    return tuple(sorted(tuple(row[c] for c in order) for row in rows))
+
+
+def intercalate_swapped(cells, rng):
+    """cells with one random intercalate off row and column 0 swapped, or None if there is none."""
+    r = len(cells)
+    found = [
+        (a, b, c, d)
+        for a, b in itertools.combinations(range(1, r), 2)
+        for c, d in itertools.combinations(range(1, r), 2)
+        if cells[a][c] == cells[b][d] and cells[a][d] == cells[b][c]
+    ]
+    return swapped(cells, *rng.choice(found)) if found else None
+
+
+def swapped(cells, a, b, c, d):
+    """cells with the intercalate in rows a, b and columns c, d swapped."""
+    rows = [list(row) for row in cells]
+    rows[a][c], rows[a][d], rows[b][c], rows[b][d] = rows[a][d], rows[a][c], rows[b][d], rows[b][c]
+    return tuple(map(tuple, rows))
+
+
+def direct_product(g, q):
+    """The loop g x q, the pair (x, y) labeled y * |g| + x."""
+    n = len(g)
+    return tuple(
+        tuple(q[u // n][v // n] * n + g[u % n][v % n] for v in range(n * len(q))) for u in range(n * len(q))
+    )
+
+
+def non_associative_loops(rng, count):
+    """Loops of orders 6-16: random ones, group tables with an intercalate swapped, and a small group times either.
+
+    A group factor puts its elements first among the picks, so Light's test
+    fails at a later pick.
+    """
+    loops = []
+    while len(loops) < count:
+        r = rng.randint(6, 16)
+        a = rng.choice([a for a in range(1, r // 5 + 1) if r % a == 0])
+        b = r // a
+        q = None
+        if b % 2 == 0 and rng.random() < 0.5:
+            group = rng.choice(enumerate_tables(b)).cells if b <= 8 else zn_table(b).cells
+            q = intercalate_swapped(group, rng)
+        sq = direct_product(rng.choice(enumerate_tables(a)).cells, q or random_loop(b, rng))
+        if associativity_failure(sq) is not None:
+            loops.append(sq)
+    return loops
+
+
+def counting_rows(cells):
+    """cells as rows that count every cell read from them, and the one-entry list that holds the count."""
+    reads = [0]
+
+    class Row(tuple):
+        def __getitem__(self, j):
+            reads[0] += 1
+            return tuple.__getitem__(self, j)
+
+    return tuple(map(Row, cells)), reads
+
+
 def first_of_class(tables):
     """Keep each table not isomorphic to one kept before it, in order."""
     reps = []
@@ -203,6 +290,37 @@ class TestIsGroupTable:
         assert associativity_failure(loop) == (2, 2, 4)
         assert is_group_table(loop) == (False, "associativity fails at (2,2,4)")
 
+    def test_agrees_with_light_reference_on_latin_squares(self):
+        squares = [sq for r in range(1, 6) for sq in reduced_latin_squares(r)]
+        assert len(squares) == 1 + 1 + 1 + 4 + 56
+        for sq in squares:
+            assert is_group_table(sq) == light_reference(sq), sq
+
+    def test_agrees_with_light_reference_on_loops(self):
+        loops = non_associative_loops(random.Random(40), 300)
+        failing_picks = set()
+        for sq in loops:
+            ok, why = is_group_table(sq)
+            assert (ok, why) == light_reference(sq), sq
+            j = int(why.split(",")[1])
+            failing_picks.add(generating_set(sq).index(j))
+        assert failing_picks == {0, 1, 2}  # the draw has loops whose first and second picks pass
+
+    @pytest.mark.parametrize("swap, verdict", [
+        (None, (True, None)),
+        ((32, 33, 40, 41), (False, "associativity fails at (32,2,42)")),  # 32^33 = 40^41: an intercalate
+    ], ids=["xor", "xor-one-intercalate-swapped"])
+    def test_cell_reads_are_r2_log_r(self, swap, verdict):
+        # Each pick that passes costs about 3r^2 reads and at most log2 r
+        # pass; the cubic reference would read about 3r^3.
+        r = 64
+        cells = tuple(tuple(i ^ j for j in range(r)) for i in range(r))
+        if swap:
+            cells = swapped(cells, *swap)
+        rows, reads = counting_rows(cells)
+        assert is_group_table(rows) == light_reference(cells) == verdict
+        assert r * r < reads[0] <= 4 * r * r * (math.log2(r) + 1)
+
     @pytest.mark.parametrize("r", range(1, 9))
     def test_generating_set_agrees_with_cubic_on_groups(self, r):
         for t in enumerate_tables(r):
@@ -251,6 +369,14 @@ class TestEnumeration:
     def test_all_emitted_tables_are_groups(self, r):
         for t in enumerate_tables(r):
             assert is_group_table(t.cells)[0]
+
+    def test_order_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            enumerate_tables(0)
+
+    def test_tables_of_different_orders_have_no_isomorphism(self):
+        assert list(isomorphisms(zn_table(2).cells, zn_table(3).cells)) == []
+        assert find_isomorphism(zn_table(3).cells, zn_table(2).cells) is None
 
     @pytest.mark.parametrize("r", range(1, 7))
     def test_pairwise_non_isomorphic_exhaustive(self, r):
@@ -433,6 +559,10 @@ class TestCursor:
 
     def test_deterministic(self):
         assert table_at_cursor(5) == table_at_cursor(5)
+
+    def test_negative_cursor_is_rejected(self):
+        with pytest.raises(ValueError, match="cursor must be a natural number"):
+            table_at_cursor(-1)
 
     def test_default_bound_is_order_8(self):
         # Orders 1..8 hold 1 + 1 + 1 + 2 + 1 + 2 + 1 + 5 = 14 tables, and the

@@ -122,6 +122,16 @@ def test_solve_loads_the_prover_at_run_time(tmp_path):
     assert not {"tables", "oracle"} & loaded
 
 
+def test_exhausted_solve_loads_no_verifier(tmp_path):
+    # Only an equal or a not-equal verdict has a certificate to write, so an
+    # exhausted solve runs the prover and never loads the verifier.
+    pres = tmp_path / "f2.pres"
+    pres.write_text("generators: a b\n")
+    codes, loaded = loaded_after_cli(["solve", str(pres), "--word", "a", "--budget", "10"])
+    assert codes == [2]
+    assert "scheduler" in loaded and "certcheck" not in loaded
+
+
 def test_no_module_imports_a_private_name_of_another():
     # A module's private names are its own: what two modules share goes
     # through a public name.

@@ -157,6 +157,10 @@ class TestEnumeration:
         got = [word_at_index(n, AB) for n in range(5)]
         assert got == [b"", w("a"), w("A"), w("b"), w("B")]
 
+    def test_negative_index_is_rejected(self):
+        with pytest.raises(ValueError, match="index must be a natural number"):
+            word_at_index(-1, AB)
+
     def test_injective_prefix(self):
         seen = {word_at_index(n, AB) for n in range(10_000)}
         assert len(seen) == 10_000
