@@ -14,7 +14,9 @@ File format (line oriented, ``#`` starts a comment):
     stream: /usr/bin/somecmd args...     # at most one of stream/family
     family: powers aa bb
 
-Relator lines before a ``stream:``/``family:`` line form an inline prefix.
+The relator lines, the inline prefix, come before the ``stream:`` or
+``family:`` line.  A file is read in one pass and refused at its first bad
+line, which the ``PresentationSyntaxError`` names.
 A stream is an external command whose stdout yields one relator per ASCII
 line in the compact word format; end of stream means the source is
 exhausted.  The command is spawned on the first pull and stopped at end of
@@ -166,9 +168,6 @@ class Presentation:
         self.extended_by = extended_by
         self._head = () if extended_by is None else (extended_by,)  # the relators before the source's
 
-    def __repr__(self):
-        return f"Presentation(alphabet={self.alphabet!r}, source={self.source!r}, extended_by={self.extended_by!r})"
-
     @property
     def extended(self) -> bool:
         return self.extended_by is not None
@@ -215,15 +214,19 @@ def extend(p: Presentation, x: Word) -> Presentation:
     return Presentation(p.alphabet, p.source, extended_by=x)
 
 
-_FAMILIES = {"powers"}
+def _checked(line_no: int, parse, *args):
+    """parse(*args) on a value of line ``line_no``; a ValueError is a syntax error of that line."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise PresentationSyntaxError(str(exc), line_no) from exc
 
 
 def parse_presentation(text: str) -> Presentation:
     """Parse the presentation file format; inline relators are reduced on load."""
     alphabet: Alphabet | None = None
     inline: list[Word] = []
-    tail: tuple[str, str] | None = None  # (kind, payload)
-    tail_line = 0
+    source: RelatorSource | None = None  # built at the stream/family line
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -240,51 +243,36 @@ def parse_presentation(text: str) -> Presentation:
             names = value.split()
             if not names:
                 raise PresentationSyntaxError("generators line lists no names", line_no)
-            try:
-                alphabet = Alphabet(tuple(names))
-            except ValueError as exc:
-                raise PresentationSyntaxError(str(exc), line_no) from exc
+            alphabet = _checked(line_no, Alphabet, tuple(names))
             continue
         if alphabet is None:
             raise PresentationSyntaxError("generators line must come first", line_no)
         if key == "relator":
-            if tail is not None:
+            if source is not None:
                 raise PresentationSyntaxError("relator after stream/family line", line_no)
-            try:
-                inline.append(parse_word(value, alphabet))
-            except ValueError as exc:
-                raise PresentationSyntaxError(str(exc), line_no) from exc
+            inline.append(_checked(line_no, parse_word, value, alphabet))
         elif key in ("stream", "family"):
-            if tail is not None:
+            if source is not None:
                 raise PresentationSyntaxError("more than one stream/family line", line_no)
             if not value:
                 raise PresentationSyntaxError(f"{key} line has no value", line_no)
-            tail = (key, value)
-            tail_line = line_no
+            if key == "stream":  # spawned on the first pull, so a file refused later starts nothing
+                producer = _stream(value, alphabet)
+            else:
+                name, *args = value.split()
+                if name != "powers":
+                    raise PresentationSyntaxError(f"unknown family {name!r}", line_no)
+                base = tuple(_checked(line_no, parse_word, a, alphabet) for a in args)
+                if not base:
+                    raise PresentationSyntaxError("family powers needs at least one base word", line_no)
+                producer = _powers(base, alphabet)
+            source = RelatorSource(inline, producer)
         else:
             raise PresentationSyntaxError(f"unknown key {key!r}", line_no)
 
     if alphabet is None:
         raise PresentationSyntaxError("missing generators line")
-
-    if tail is None:
-        source = RelatorSource(inline)
-    elif tail[0] == "stream":
-        source = RelatorSource(inline, _stream(tail[1], alphabet))
-    else:
-        parts = tail[1].split()
-        name, args = parts[0], parts[1:]
-        if name not in _FAMILIES:
-            raise PresentationSyntaxError(f"unknown family {name!r}", tail_line)
-        try:
-            base = tuple(parse_word(a, alphabet) for a in args)
-        except ValueError as exc:
-            raise PresentationSyntaxError(str(exc), tail_line) from exc
-        if not base:
-            raise PresentationSyntaxError("family powers needs at least one base word", tail_line)
-        source = RelatorSource(inline, _powers(base, alphabet))
-
-    return Presentation(alphabet, source)
+    return Presentation(alphabet, source or RelatorSource(inline))
 
 
 def prefix_document(p: Presentation, count: int) -> str:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import heapq
 
 from .certificates import DyckFactor, EqualityCertificate, MultiplicationTable
-from .words import Word, concat, invert, reduce_word
+from .words import Word, concat, invert
 
 MAX_RAW_FACTORS = 10**6  # the largest enumeration proof a certificate may expand, before cancellation
 
@@ -71,11 +71,13 @@ def _invert_factors(factors):
 
 
 def _rep_word(rep) -> Word:
+    """The word of a representative chain, reduced as built: c.x is defined only while it is undefined, and a live
+    coset c = p.y has c.y^-1 defined (a coincidence restores it before it returns), so x is never y^-1."""
     letters = []
     while rep:
         rep, x = rep
         letters.append(x)
-    return reduce_word(bytes(reversed(letters)))
+    return bytes(reversed(letters))
 
 
 def _product(parts) -> tuple:

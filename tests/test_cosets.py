@@ -341,6 +341,32 @@ def test_enumeration_state_unchanged_on_random_presentations(monkeypatch, closed
     assert len(closed_runs) > 1000
 
 
+@pytest.mark.parametrize("base, seed, families", [(12, 15, False), (8, 21, True)], ids=["inline", "families"])
+def test_representatives_are_built_reduced(monkeypatch, base, seed, families):
+    # proofs._rep_word spells a representative chain without reducing it.
+    # c.x is defined only while it is undefined, and a live coset defined as
+    # p.y has c.y^-1 defined, a coincidence restoring that entry before it
+    # returns, so no chain ends in a letter and its inverse.  Checked after
+    # every step of the random presentations above; a chain never changes,
+    # so each is spelled once, when it first appears on a live coset.
+    monkeypatch.setattr(cosets, "COSET_BASE", base)
+    rng = random.Random(seed)
+    spelled = 0
+    for _ in range(40):
+        _, _, extended = random_extended(rng, families)
+        e = CosetEnumeration(extended)
+        seen = {}  # slot -> the chain spelled there
+        for _ in range(3000):
+            e.step()
+            for c, rep in enumerate(e._rep):
+                if seen.get(c) is not rep and e._parent[c] == c:
+                    seen[c] = rep
+                    w = proofs._rep_word(rep)
+                    assert reduce_word(w) == w, (e.steps_taken, c)
+                    spelled += 1
+    assert spelled > 1500
+
+
 def traces_closed(table, word, d):
     e = d
     for y in word:

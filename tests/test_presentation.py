@@ -1,6 +1,7 @@
 """Presentations: parsing, lazy relator sources, extension."""
 
 import os
+import subprocess
 import sys
 import textwrap
 
@@ -363,3 +364,64 @@ def test_stream_line_over_the_limit_fails(tmp_path, monkeypatch, letters):
         assert_gone(int(pid_file.read_text()))  # reaped on the error, before close
     finally:
         p.close()
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("generators: a b\nrelator: aa\nfamily: squares aa\n# end\n", 3, "unknown family 'squares'"),
+        ("generators: a b\nrelator: aa\nfamily: powers\n# end\n", 3, "family powers needs at least one base word"),
+        ("generators: a b\nrelator: aa\nfamily: powers aa Q\n# end\n", 3, "unknown generator 'q'"),
+        ("generators: a b\nfamily: powers aa\n\nrelator: bb\n", 4, "relator after stream/family line"),
+        ("generators: a b\nstream: x\nfamily: powers aa\n", 3, "more than one stream/family line"),
+        # Two bad lines: the first is reported.
+        ("generators: a b\nfamily: powers aa Q\nrelator: zz\n", 2, "unknown generator 'q'"),
+        ("generators: a b\nfamily: squares aa\nstream: x\n", 2, "unknown family 'squares'"),
+        ("generators: a b\nrelator: zz\nfamily: squares aa\n", 2, "unknown generator 'z'"),
+    ],
+    ids=["unknown-family", "no-base-word", "bad-base-word", "relator-after-tail", "second-tail",
+         "bad-base-word-then-relator", "unknown-family-then-stream", "bad-relator-then-unknown-family"],
+)
+def test_a_file_is_refused_at_its_first_bad_line(text, line, message):
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse_presentation(text)
+    assert (err.value.line, str(err.value)) == (line, f"{message} (line {line})")
+
+
+def test_a_stream_file_refused_on_a_later_line_starts_nothing(tmp_path, monkeypatch):
+    spawned = []
+    monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: spawned.append(args))
+    script, pid_file = tmp_path / "emit.py", tmp_path / "pid"
+    script.write_text(textwrap.dedent(PID_SCRIPT))
+    with pytest.raises(PresentationSyntaxError, match=r"\(line 3\)"):
+        parse_presentation(f"generators: a b\nstream: {sys.executable} {script} {pid_file} forever\nrelator: aa\n")
+    assert spawned == [] and not pid_file.exists()
+
+
+# Writes its pid to argv[1], ignores SIGTERM, then prints aa forever.
+IGNORES_TERM_SCRIPT = """
+    import os, signal, sys
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    with open(sys.argv[1], "w") as fh:
+        fh.write(str(os.getpid()))
+    while True:
+        print("aa", flush=True)
+"""
+
+
+def test_close_kills_a_stream_that_ignores_sigterm(tmp_path, monkeypatch):
+    wait, timeouts = subprocess.Popen.wait, []
+
+    def short_wait(proc, timeout=None):  # the grace period after SIGTERM, cut from 5 s to 0.2 s
+        timeouts.append(timeout)
+        return wait(proc, None if timeout is None else 0.2)
+
+    monkeypatch.setattr(subprocess.Popen, "wait", short_wait)
+    pid_file = tmp_path / "pid"
+    p = stream_presentation(tmp_path, IGNORES_TERM_SCRIPT, pid_file)
+    try:
+        assert p.available(3) == 3
+    finally:
+        p.close()
+    assert timeouts == [5, None]  # the timed wait ran out, and the kill was waited for
+    assert_gone(int(pid_file.read_text()))
