@@ -14,13 +14,13 @@ entry point compiles only what it runs: the verifier never loads the prover.
 from importlib import import_module as _import_module
 
 _EXPORTS = {
-    "certificates": "DyckFactor EqualityCertificate FinitenessCertificate MultiplicationTable is_group_table",
+    "certificates": "DyckFactor EqualityCertificate FinitenessCertificate MultiplicationTable",
     "derivation": "EqualityTask",
     "presentation": "Presentation PresentationSyntaxError SourceExhausted StreamError extend parse_presentation",
     "proofs": "equation_words",
     "quotient": "FinitenessTask",
     "scheduler": "EQUAL EXHAUSTED NOT_EQUAL Budget Outcome solve",
-    "tables": "enumerate_tables eval_in_table table_at_cursor",
+    "tables": "enumerate_tables eval_in_table is_group_table table_at_cursor",
     "words": "Alphabet MalformedWordError Word alphabet concat conjugate format_word invert parse_word reduce_word "
              "word_at_index",
 }

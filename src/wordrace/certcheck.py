@@ -2,9 +2,8 @@
 
 The verifier is straight-line by design: it re-pulls the cited relators,
 re-assembles products with fresh reductions, and compares letters.  Its
-imports are ``words``, ``presentation`` and ``certificates`` (the records and
-the table axioms), which reach no prover code, so a prover bug cannot
-certify itself.
+imports are ``words``, ``presentation`` and ``certificates`` (the records),
+which reach no prover code, so a prover bug cannot certify itself.
 
 There is one path per certificate kind.  ``verify_equality`` and
 ``verify_finiteness`` check an in-memory certificate, and reject a relator
@@ -38,7 +37,6 @@ from typing import Iterator, NamedTuple
 
 from .certificates import (
     LETTERS_MODE, WORDS_MODE, DyckFactor, EqualityCertificate, FinitenessCertificate, MultiplicationTable,
-    is_group_table,
 )
 from .presentation import Presentation, prefix_document
 from .words import (
@@ -301,7 +299,13 @@ def _goal_label(key, a: Alphabet) -> str:
 
 
 def verify_finiteness(cert: FinitenessCertificate, extended: Presentation) -> tuple[bool, str]:
-    """Check the table axioms, the shape of tau, and every goal word.
+    """Check the table's shape, the shape of tau, and every goal word.
+
+    The table need not be a group's.  Let S = {[w_i]} in G1, w_i = images[i].
+    The cell goals give [w_i][w_j] = [w_k], k = cells[i][j]; a finite
+    nonempty subset of a group closed under products is a subgroup (s^a =
+    s^b, a < b, puts 1 = s^(b-a) and s^-1 = s^(b-a-1) in it).  The coverage
+    goals, or letters onto the generators, put each generator in S: G1 = S.
 
     A goal word that reduces to the empty word needs no derivation (the
     empty product derives it); every other goal must carry a nested
@@ -312,12 +316,11 @@ def verify_finiteness(cert: FinitenessCertificate, extended: Presentation) -> tu
     if not extended.extended:
         return False, "presentation is not extended by a target word"
     a = extended.alphabet
-    table = cert.table
-    ok, why = is_group_table(table.cells)
-    if not ok:
-        return False, f"not a group table: {why}"
+    cells, r = cert.table.cells, cert.table.order
+    if r < 1 or any(len(row) != r or min(row) < 0 or max(row) >= r for row in cells):
+        return False, "table is not a nonempty square array over 0..order-1"
     images = cert.images
-    if len(images) != table.order:
+    if len(images) != r:
         return False, "image count differs from the table order"
     for i, w in enumerate(images):
         if not is_word_over(w, a):
@@ -332,7 +335,7 @@ def verify_finiteness(cert: FinitenessCertificate, extended: Presentation) -> tu
         for g in range(a.k):
             if g not in cert.coverage:
                 return False, f"no coverage witness for generator {a.generators[g]}"
-            if not 0 <= cert.coverage[g] < table.order:
+            if not 0 <= cert.coverage[g] < r:
                 return False, f"coverage element for {a.generators[g]} out of range"
     elif cert.mode == LETTERS_MODE:
         if not all(len(w) == 1 and w[0] % 2 == 0 for w in images):
@@ -345,7 +348,7 @@ def verify_finiteness(cert: FinitenessCertificate, extended: Presentation) -> tu
     # Goals by key: (i, j) for a table cell, generator number g for a coverage goal.
     goals = {
         (i, j): concat_all((images[i], images[j], invert(images[k])))
-        for i, row in enumerate(table.cells)
+        for i, row in enumerate(cells)
         for j, k in enumerate(row)
     }
     if cert.mode == WORDS_MODE:

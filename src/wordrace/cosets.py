@@ -65,8 +65,6 @@ from .words import invert
 JOIN_STEPS = 1000  # the m-th relator past the inline prefix joins after JOIN_STEPS * 2^m steps
 COSET_BASE = 256  # live cosets allowed after s steps: COSET_BASE + isqrt(s)
 
-_ONE_STEP = (None,)  # what a step without a coincidence yields
-
 
 class CosetEnumeration:
     """HLT enumeration of the cosets of 1 in an extended presentation, one step per call.
@@ -206,7 +204,7 @@ class CosetEnumeration:
                 fresh = j <= i + 1
                 if fresh:
                     if j > i or f != b:
-                        yield from self._event(c, rels[n], f, i, b, j) or _ONE_STEP
+                        yield from self._event(c, rels[n], f, i, b, j)
                     else:
                         scanned[c] = n + 1
                         if n + 1 == len(rels):
@@ -265,7 +263,7 @@ class CosetEnumeration:
                 continue
             f, i, b, j = self._trace(rels[n][1], d, 0, d, len(rels[n][1]))
             if j == i + 1 or (j == i and f != b):
-                yield from self._event(d, rels[n], f, i, b, j) or _ONE_STEP
+                yield from self._event(d, rels[n], f, i, b, j)
             else:
                 yield None
         self._look = (d, n)
@@ -307,13 +305,8 @@ class CosetEnumeration:
         self._queue.append(d)
 
     def _proof(self, c, x):
-        """The proof of the entry c.x.
-
-        An entry and its mirror share one node, which proves the one whose
-        letter is a generator; the other reads its inverse.
-        """
-        p = self._table[c][self.k2 + x]
-        return inv(p) if x & 1 else p
+        """The proof of the entry c.x."""
+        return self._table[c][self.k2 + x]
 
     def _walk(self, c, word):
         """The proofs of the entries that word passes from c, in order."""
@@ -324,16 +317,16 @@ class CosetEnumeration:
         return proofs
 
     def _set(self, c, x, d, proof):
-        """Enter c.x = d and its mirror d.x^-1 = c, proof proving rep(c) x rep(d)^-1."""
+        """Enter c.x = d with proof, proving rep(c) x rep(d)^-1, and its mirror d.x^-1 = c with its inverse."""
         k2, row_c, row_d = self.k2, self._table[c], self._table[d]
         row_c[x], row_d[x ^ 1] = d, c
-        row_c[k2 + x] = row_d[k2 + (x ^ 1)] = inv(proof) if x & 1 else proof
+        row_c[k2 + x], row_d[k2 + (x ^ 1)] = proof, inv(proof)
 
     def _event(self, c, rel, f, i, b, j):
-        """What the scan of relator rel at c found between f and b.
+        """The steps of what the scan of relator rel at c found between f and b.
 
-        A gap of one letter is deduced, f.word[i] = b, and None returned; no
-        gap with f != b is a coincidence, whose steps are returned.
+        A gap of one letter is deduced, f.word[i] = b, in one step; no gap
+        with f != b is a coincidence, a step per dead coset.
         """
         index, word = rel
         parts = [inv(p) for p in reversed(self._walk(c, word[:i]))]
@@ -341,9 +334,10 @@ class CosetEnumeration:
         parts += self._walk(c, invert(word[j:]))
         proof = cat(*parts)  # proves rep(f) word[i:j] rep(b)^-1
         if j == i:
-            return self._coincide(f, b, proof)
-        self._set(f, word[i], b, proof)
-        return None
+            yield from self._coincide(f, b, proof)
+        else:
+            self._set(f, word[i], b, proof)
+            yield None
 
     def _coincide(self, a, b, proof):
         """Merge a and b, proof proving rep(a) rep(b)^-1, and all that follows: a step per dead coset."""

@@ -4,8 +4,9 @@ The solver searches none of these tables: in both tau modes the
 finiteness arm reads its table off a coset enumeration (``cosets``,
 ``quotient``).  The enumeration serves ``wordrace enum-tables`` and the
 public ``enumerate_tables`` and ``table_at_cursor``.  The table record,
-``MultiplicationTable``, and its axioms, ``is_group_table``, live in
-``certificates``, which the verifier shares.
+``MultiplicationTable``, lives in ``certificates``, which the verifier
+shares; the group axioms, ``is_group_table``, live here, since the
+verifier needs only a table closed under its goals.
 
 Enumeration works row by row: each row of a group table is the permutation
 given by left multiplication, and once rows x and y are placed, the row of
@@ -55,20 +56,68 @@ that fails; none changes the order in which the remaining tables come.
   differs there without being smaller (McKay's isomorph rejection).
 No group table has a row the first two cut, and the third skips only
 tables that are not first of their class (up to order 11, only at row p).
-Every table still yielded goes through ``is_group_table`` and the
-isomorphism filter.
+Every table still yielded is asserted to be a group table, identity,
+Latin rows and columns and Light's associativity test
+(``is_group_table``), and goes through the isomorphism filter.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .certificates import MultiplicationTable, is_group_table
+from .certificates import MultiplicationTable
 from .words import Word
 
 
 class MissingImageError(ValueError):
     """A word uses a generator with no assigned table element."""
+
+
+def is_group_table(cells) -> tuple[bool, str | None]:
+    """Check the three table invariants; report the first violation found."""
+    r = len(cells)
+    if r < 1:
+        return False, "empty table"
+    for i, row in enumerate(cells):
+        if len(row) != r:
+            return False, f"row {i} has length {len(row)}, expected {r}"
+        for j, v in enumerate(row):
+            if not 0 <= v < r:
+                return False, f"cell ({i},{j}) value {v} out of range"
+    for j in range(r):
+        if cells[0][j] != j:
+            return False, f"identity row violated at column {j}"
+    for i in range(r):
+        if cells[i][0] != i:
+            return False, f"identity column violated at row {i}"
+    for i in range(r):
+        if len(set(cells[i])) != r:
+            return False, f"row {i} is not a permutation"
+    for j in range(r):
+        if len({cells[i][j] for i in range(r)}) != r:
+            return False, f"column {j} is not a permutation"
+    # Light's test.  The j with (i.j).k = i.(j.k) for all i, k form a
+    # subloop N.  Each pick is the least element the walk x -> x.g from 0 by
+    # the earlier picks g has not reached.  While the picks lie in N, the
+    # reached set is closed (s.(t.g) = (s.t).g): it is the subsquare they
+    # generate, at most half the order if proper.  So the first pick outside
+    # N fails, picks that all pass generate the table, and at most log2 r pass.
+    picks, reached, inside = [], [0], {0}
+    for j in range(1, r):
+        if j in inside:
+            continue
+        for i in range(r):
+            ij = cells[i][j]
+            for k in range(r):
+                if cells[ij][k] != cells[i][cells[j][k]]:
+                    return False, f"associativity fails at ({i},{j},{k})"
+        picks.append(j)
+        for x in reached:  # also visits what is appended meanwhile
+            for g in picks:
+                if (y := cells[x][g]) not in inside:
+                    inside.add(y)
+                    reached.append(y)
+    return True, None
 
 
 def element_orders(cells) -> tuple[int, ...]:

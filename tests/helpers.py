@@ -5,9 +5,10 @@ a budget, search for a letters-mode quotient by brute force, run Light's
 test over a generating set closed pairwise, re-assemble a product the slow
 way, index the Dyck enumeration by cursor, find where a coset enumeration's
 idle window ends by scanning every slot, build a finiteness certificate by
-tracing every cell, print a presentation or certificate back, write a
-stream source, or run code in a fresh interpreter, so that tests can state
-what the solver must match.
+tracing every cell, print a presentation or certificate back, double a
+finiteness certificate into one whose table is no group, write a stream
+source, or run code in a fresh interpreter, so that tests can state what
+the solver must match.
 """
 
 import heapq
@@ -233,6 +234,24 @@ def serialize_certificate(cert, p):
     if isinstance(cert, FinitenessCertificate):
         return serialize_finiteness(cert, p)
     raise TypeError(f"not a certificate: {cert!r}")
+
+
+def doubled(cert):
+    """The finiteness certificate with each element u split in two, 2u and 2u + 1, whose table is no group's.
+
+    (u, s).(v, t) = (u.v, 1 - s), so row 0 is not the identity row, but the
+    table is closed and both halves of u image u's word: cell (2i+s, 2j+t)
+    has the goal of cell (i, j), and takes its proof.
+    """
+    cells, r = cert.table.cells, cert.table.order
+    return cert._replace(
+        table=MultiplicationTable(tuple(
+            tuple(2 * cells[u][v] + 1 - s for v in range(r) for _ in (0, 1)) for u in range(r) for s in (0, 1))),
+        images=tuple(w for w in cert.images for _ in (0, 1)),
+        coverage=cert.coverage and {g: 2 * e for g, e in cert.coverage.items()},
+        equation_certs={(2 * i + s, 2 * j + t): proof
+                        for (i, j), proof in cert.equation_certs.items() for s in (0, 1) for t in (0, 1)},
+    )
 
 
 def stream_presentation(tmp_path, body, *args):

@@ -22,9 +22,9 @@ from wordrace.certcheck import (
     verify_finiteness,
     verify_finiteness_document,
 )
-from helpers import prove_equal, prove_finite, serialize_certificate
+from helpers import doubled, prove_equal, prove_finite, serialize_certificate
 from wordrace import certcheck
-from wordrace.certificates import is_group_table
+from wordrace.tables import MultiplicationTable, is_group_table
 from wordrace.derivation import DyckFactor, EqualityCertificate
 from wordrace.presentation import extend, parse_presentation
 from wordrace.quotient import LETTERS_MODE, WORDS_MODE, FinitenessCertificate
@@ -368,6 +368,9 @@ class TestFinitenessVerification:
         assert not ok and "unexpected" in why
 
 
+SHAPE = "table is not a nonempty square array over 0..order-1"
+
+
 class TestTrustedBaseRejections:
     """Forged in-memory certificates: each is refused with its exact reason."""
 
@@ -386,15 +389,39 @@ class TestTrustedBaseRejections:
         (lambda c: c._replace(coverage=None), "words-mode certificate lacks a coverage map"),
         (lambda c: c._replace(coverage={}), "no coverage witness for generator a"),
         (lambda c: c._replace(mode="foo"), "unknown tau mode 'foo'"),
-    ], ids=["image-dropped", "image-aA", "no-coverage", "coverage-empty", "mode-foo"])
+        (lambda c: c._replace(table=MultiplicationTable(((0, 1, 3),) + c.table.cells[1:])), SHAPE),
+        (lambda c: c._replace(table=MultiplicationTable(c.table.cells[:2] + (c.table.cells[2][:2],))), SHAPE),
+        (lambda c: c._replace(table=MultiplicationTable(())), SHAPE),
+    ], ids=["image-dropped", "image-aA", "no-coverage", "coverage-empty", "mode-foo", "cell-at-order", "row-ragged",
+            "table-empty"])
     def test_forged_finiteness_certificate(self, finiteness_cert, forge, why):
         assert finiteness_cert.mode == WORDS_MODE
         extended = extend(z(), parse_word("aaa", z().alphabet))
         assert verify_finiteness(forge(finiteness_cert), extended) == (False, why)
 
-    def test_table_axioms_reject_empty_and_ragged_tables(self):
-        assert is_group_table(()) == (False, "empty table")
-        assert is_group_table(((0, 1), (1,))) == (False, "row 1 has length 1, expected 2")
+
+# name -> (presentation, word, tau mode, order of the doubled table)
+DOUBLED_CASES = {
+    "dinf-ababab": (DINF, "ababab", WORDS_MODE, 12),
+    "m2-a-letters": (M2, "a", LETTERS_MODE, 8),
+}
+
+
+class TestClosedTables:
+    """The verifier asks of a table only that its goals hold, not that it is a group's."""
+
+    @pytest.mark.parametrize("case", sorted(DOUBLED_CASES))
+    def test_a_doubled_certificate_verifies(self, case):
+        text, word, mode, order = DOUBLED_CASES[case]
+        p = parse_presentation(text)
+        x = parse_word(word, p.alphabet)
+        cert = doubled(solve(p, x, tau_mode=mode).certificate)
+        assert (cert.mode, cert.table.order) == (mode, order)
+        assert is_group_table(cert.table.cells) == (False, "identity row violated at column 0")
+        assert verify_finiteness(cert, extend(p, x)) == (True, "ok")
+        doc = parse_certificate(serialize_finiteness(cert, extend(p, x)), p.alphabet)
+        assert doc.certificate == cert
+        assert verify_finiteness_document(doc, extend(parse_presentation(text), doc.target)) == (True, "ok")
 
 
 def swap_first_cell_blocks(text):

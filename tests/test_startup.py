@@ -20,15 +20,14 @@ FORBIDDEN = {"dataclasses", "inspect", "subprocess", "shlex"}
 
 # The public names, by the module that defines each.
 PUBLIC = {
-    "certificates": ["DyckFactor", "EqualityCertificate", "FinitenessCertificate", "MultiplicationTable",
-                     "is_group_table"],
+    "certificates": ["DyckFactor", "EqualityCertificate", "FinitenessCertificate", "MultiplicationTable"],
     "derivation": ["EqualityTask"],
     "presentation": ["Presentation", "PresentationSyntaxError", "SourceExhausted", "StreamError", "extend",
                      "parse_presentation"],
     "proofs": ["equation_words"],
     "quotient": ["FinitenessTask"],
     "scheduler": ["EQUAL", "EXHAUSTED", "NOT_EQUAL", "Budget", "Outcome", "solve"],
-    "tables": ["enumerate_tables", "eval_in_table", "table_at_cursor"],
+    "tables": ["enumerate_tables", "eval_in_table", "is_group_table", "table_at_cursor"],
     "words": ["Alphabet", "MalformedWordError", "Word", "alphabet", "concat", "conjugate", "format_word", "invert",
               "parse_word", "reduce_word", "word_at_index"],
 }

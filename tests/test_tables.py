@@ -264,6 +264,10 @@ class TestIsGroupTable:
         ok, why = is_group_table(((1, 0), (0, 1)))
         assert not ok and "identity" in why
 
+    def test_table_axioms_reject_empty_and_ragged_tables(self):
+        assert is_group_table(()) == (False, "empty table")
+        assert is_group_table(((0, 1), (1,))) == (False, "row 1 has length 1, expected 2")
+
     def test_generating_set_agrees_with_cubic_on_latin_squares(self):
         # Orders 4 and 5 have 4 + 56 Latin squares with identity: the 4 + 6
         # group tables and 50 non-associative loops of order 5.

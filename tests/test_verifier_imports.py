@@ -1,8 +1,9 @@
 """The verifier's code reaches no prover code.
 
 ``certcheck`` shares with the provers only the word kernel, the presentation
-and the certificate records with the table axioms (``certificates``), so a
-prover bug cannot certify itself.  It is checked twice: statically, over the
+and the certificate records (``certificates``), so a prover bug cannot
+certify itself.  The group axioms (``tables.is_group_table``) are the
+prover's: the verifier checks a closed table, not a group.  It is checked twice: statically, over the
 import statements of ``src/wordrace``, and at run time, over ``sys.modules``
 after ``wordrace verify`` runs in a fresh interpreter.  The package loads each
 module on first use, so the second check sees what the verifier ran.
