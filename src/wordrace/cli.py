@@ -14,7 +14,6 @@ import sys
 import time
 
 from .certificates import LETTERS_MODE, WORDS_MODE
-from .presentation import StreamError, extend, parse_presentation
 from .words import format_word, parse_word
 
 EXIT_ERROR = 3
@@ -68,7 +67,8 @@ def _read(path: str) -> str:
 
 
 def _cmd_solve(args) -> int:
-    # Each command imports what it runs, so that verify loads no prover module.
+    # Each command imports what it runs: verify loads no prover module, and enum-tables no presentation.
+    from .presentation import extend, parse_presentation
     from .quotient import DEFAULT_MAX_TABLE_ORDER
     from .scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Budget, solve
 
@@ -122,6 +122,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     from . import certcheck
+    from .presentation import extend, parse_presentation
 
     p = parse_presentation(_read(args.presentation))
     try:
@@ -166,6 +167,7 @@ _CORPUS_WORDS = {
 
 def _cmd_corpus(args) -> int:
     from . import oracle
+    from .presentation import parse_presentation
     from .scheduler import EQUAL, NOT_EQUAL, Budget, solve
 
     all_ok = True
@@ -200,7 +202,11 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, StreamError) as exc:
+    except Exception as exc:
+        from .presentation import StreamError  # here, so that enum-tables loads no presentation
+
+        if not isinstance(exc, (ValueError, OSError, StreamError)):
+            raise
         print(f"wordrace: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

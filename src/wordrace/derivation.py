@@ -119,11 +119,12 @@ class EqualityTask(CosetEnumeration):
 
     def _certify(self):
         """The certificate from the proofs along X, unless they are too large to write out."""
-        table, word, f = self._table, self.target, 0
+        table, word, f, parts = self._table, self.target, 0, []
         for x in word:
+            parts.append(self._proof(f, x))
             f = table[f][x]
             if f < 0:  # a coincidence is still moving the entries along the way
                 return None
-        factors = None if f else write_out(cat(*self._walk(0, word)), {})
+        factors = None if f else write_out(cat(*parts), {})
         self.certificate = None if factors is None else EqualityCertificate(factors, word)
         return self.certificate

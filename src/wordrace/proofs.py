@@ -6,13 +6,13 @@ standing for rep R_i rep^-1 with rep a representative chain (see
 with ``leaf``, ``cat`` and ``inv``, each stating its factor count before
 cancellation, and never expands them; only a certificate spells them out
 as Dyck factors, through ``write_out``, which refuses a proof of more than
-MAX_RAW_FACTORS factors before expanding it: ``certificate_fields`` for a
-closed table, ``derivation.EqualityTask`` for the trace of X.
+MAX_RAW_FACTORS factors before expanding it: ``finiteness_certificate`` for
+a closed table, ``derivation.EqualityTask`` for the trace of X.
 
 A closed table of a finite group H that maps onto G1 yields a finiteness
 certificate: the images are the shortlex transversal, found breadth first,
 and each generator is covered by the element its edge out of coset 0
-reaches.  ``certificate_fields`` builds it in one pass, for a table of r
+reaches.  ``finiteness_certificate`` builds it in one pass, for a table of r
 cosets over k2 letters whose relators have L letters in all:
 
 - Edge proofs.  Edge i.x = j needs a proof of images[i] x images[j]^-1,
@@ -32,16 +32,16 @@ cosets over k2 letters whose relators have L letters in all:
   the edge's appended, cancelled at the junction only.  Only a cell whose
   goal is nonempty crosses an edge off the tree, so only those cells make
   a product; every other cell shares its parent's proof.
-- Goals.  The cells' goal words are those of ``equation_words``, which the
-  letters-mode translation also uses: r^2 words, one ``concat`` for each
-  empty one and two for the others.
+- Goals.  A cell's goal word, that of ``equation_words``, is nonempty
+  exactly when its proof is, and only then spelled, in two ``concat``; a
+  generator's, only where its edge out of coset 0 has a nonempty proof.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .certificates import DyckFactor, EqualityCertificate, MultiplicationTable
+from .certificates import WORDS_MODE, DyckFactor, EqualityCertificate, FinitenessCertificate, MultiplicationTable
 from .words import Word, concat, invert
 
 MAX_RAW_FACTORS = 10**6  # the largest enumeration proof a certificate may expand, before cancellation
@@ -171,8 +171,8 @@ def _enumeration_proofs(edges, entry_proof, order, up, nxt, k2):
     return out
 
 
-def certificate_fields(table, entry_proof, rels, k2) -> dict | None:
-    """The fields of the finiteness certificate of a closed coset table, or None.
+def finiteness_certificate(table, entry_proof, rels, k2) -> FinitenessCertificate | None:
+    """The words-mode finiteness certificate of a closed coset table, or None.
 
     ``table[c][x]`` is the coset c.x, for the k2 letters x, and
     ``entry_proof(c, x)`` the proof of that entry, coset 0 and the cosets
@@ -206,9 +206,9 @@ def certificate_fields(table, entry_proof, rels, k2) -> dict | None:
     # off the tree in order: the tree edges' empty proofs change neither a
     # cycle's size nor its product.  For each pair off the tree, the cycles
     # through it; for each cycle, its unsettled places.  A cycle with one
-    # place off the tree costs one leaf, and of those through one pair only
-    # the first can settle it, so only that one is offered.
-    cycles, pending, occurs, first = [], [], {}, {}
+    # place off the tree costs one leaf and goes straight on the heap, where
+    # the first through a pair pops first and the rest find it settled.
+    cycles, pending, occurs, heap = [], [], {}, []  # heap: (size, pair, cycle, unsettled place)
     for i in range(r):
         for index, word in rels:
             places, c = [], i
@@ -219,10 +219,9 @@ def certificate_fields(table, entry_proof, rels, k2) -> dict | None:
                     occurs.setdefault(min(e, mirror[e]), []).append(len(cycles))
                 c = nxt[e]
             if len(places) == 1:
-                first.setdefault(min(places[0], mirror[places[0]]), len(cycles))
+                heap.append((1, min(places[0], mirror[places[0]]), len(cycles), 0))
             cycles.append((i, index, places))
             pending.append(len(places))
-    heap = [(1, v, n, 0) for v, n in first.items()]  # (size, pair, cycle, unsettled place)
     heapq.heapify(heap)
     # Knuth's generalization of Dijkstra: the cheapest cycle with one
     # unsettled place settles it, as inv(the edges before it) . leaf .
@@ -271,7 +270,8 @@ def certificate_fields(table, entry_proof, rels, k2) -> dict | None:
     # (i, p) and one edge more, p being the parent of j, and its proof is
     # that of (i, p) extended by the edge's.  Only an edge off the tree has
     # a proof to add, and only a cell whose goal is nonempty passes one: a
-    # walk on tree edges alone spells the shortlex word of its end.
+    # walk on tree edges alone spells the shortlex word of its end.  So a
+    # goal is spelled only where its proof is not empty, a generator's too.
     columns, cell_proofs = [range(r)], [[()] * r]
     for e in up[1:]:
         p, x = divmod(e, k2)
@@ -283,20 +283,13 @@ def certificate_fields(table, entry_proof, rels, k2) -> dict | None:
                 below[i] = _product((above[i], proof[d]))
         columns.append(column)
         cell_proofs.append(below)
-    table = MultiplicationTable(tuple(zip(*columns)))
+    cells, inverses = tuple(zip(*columns)), [invert(w) for w in images]
     equation_certs = {
-        (i, j): EqualityCertificate(cell_proofs[j][i], goal) for i, j, goal in equation_words(table, images) if goal
+        (i, j): EqualityCertificate(cell_proofs[j][i], concat(concat(images[i], images[j]), inverses[k]))
+        for i, row in enumerate(cells) for j, k in enumerate(row) if cell_proofs[j][i]
     }
-    coverage, coverage_certs = {}, {}
-    for g in range(k2 // 2):
-        e = coverage[g] = nxt[2 * g]
-        goal = concat(bytes((2 * g,)), invert(images[e]))
-        if goal:
-            coverage_certs[g] = EqualityCertificate(proof[2 * g], goal)
-    return {
-        "table": table,
-        "images": tuple(images),
-        "coverage": coverage,
-        "equation_certs": equation_certs,
-        "coverage_certs": coverage_certs,
-    }
+    coverage = {g: nxt[2 * g] for g in range(k2 // 2)}
+    coverage_certs = {g: EqualityCertificate(proof[2 * g], concat(bytes((2 * g,)), inverses[e]))
+                      for g, e in coverage.items() if proof[2 * g]}
+    return FinitenessCertificate(MultiplicationTable(cells), tuple(images), WORDS_MODE, coverage, equation_certs,
+                                 coverage_certs)

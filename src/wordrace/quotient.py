@@ -15,8 +15,8 @@ carry proofs.  The arm, ``FinitenessTask``, is that enumeration with its
 certificate on top.  A closed table of at most ``max_table_order`` cosets
 yields the words-mode certificate: T is the table of that group H, tau
 its shortlex transversal and every goal derivation is read off the
-enumeration (``proofs.certificate_fields``; the goal words are
-``proofs.equation_words``).  A larger one, or one whose proofs are too
+enumeration (``proofs.finiteness_certificate``; the goal words are those
+of ``proofs.equation_words``).  A larger one, or one whose proofs are too
 long to write out, yields nothing, and the arm waits, idle, for a relator.
 
 The strict-fidelity mode ("letters") keeps the literal letter-valued
@@ -53,7 +53,7 @@ from __future__ import annotations
 from .certificates import LETTERS_MODE, WORDS_MODE, DyckFactor, EqualityCertificate, FinitenessCertificate, MultiplicationTable
 from .cosets import CosetEnumeration
 from .presentation import Presentation
-from .proofs import certificate_fields, equation_words
+from .proofs import equation_words, finiteness_certificate
 from .words import concat
 
 # The largest order of an emitted certificate's table, configurable per run:
@@ -128,8 +128,7 @@ class FinitenessTask(CosetEnumeration):
             raise ValueError("task already resolved")
         closed = CosetEnumeration.step(self)  # not super(), which would build a proxy object on every step
         if closed and self.live <= self.max_table_order:
-            fields = certificate_fields(self._table, self._proof, self._rels, self.k2)
-            if fields is not None:
-                cert = FinitenessCertificate(mode=WORDS_MODE, **fields)
+            cert = finiteness_certificate(self._table, self._proof, self._rels, self.k2)
+            if cert is not None:
                 self.certificate = cert if self.mode == WORDS_MODE else _letters_certificate(cert, self.max_table_order)
         return self.certificate

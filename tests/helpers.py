@@ -294,8 +294,10 @@ PID_SCRIPT = """
 # verbatim but for reading ``proofs.MAX_RAW_FACTORS`` at call time and the
 # node fields past the size each node states.  It traces images[j] from
 # every coset i for each cell, builds every coset's enumeration proof up
-# front and sizes every unsettled edge again on every fallback pass;
-# ``proofs.certificate_fields`` must return the same fields.
+# front and sizes every unsettled edge again on every fallback pass.
+# ``proofs.finiteness_certificate`` spells a goal only where its walk
+# leaves the tree, and returns the words-mode record: it must equal the
+# record of these fields, cell order included.
 
 
 def _invert_factors(factors):

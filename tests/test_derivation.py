@@ -390,3 +390,36 @@ def test_no_step_expands_a_proof_above_the_cap(monkeypatch):
     for _ in range(20_000):
         assert task.step() is None
     assert expanded == []
+
+
+def test_no_certificate_is_read_off_a_path_a_coincidence_is_moving(monkeypatch):
+    """Once X leads from coset 0 back to it, a step that leaves its path open certifies nothing.
+
+    With every trace proof refused, X = aBa leads back to coset 0 at step 4,
+    and its proof is retried at every later step.  Step 6 ends inside a
+    coincidence that has cleared an entry along the path; walking on would
+    read the row of a freed slot.  With the cap restored, X is certified.
+    """
+    p = parse_presentation("generators: a b\nrelator: aBa\nrelator: ab\nrelator: aa\n")
+    x = parse_word("aBa", p.alphabet)
+
+    def path_is_open():
+        f = 0
+        for y in x:
+            f = task._table[f][y]
+            if f < 0:
+                return True
+        return False
+
+    monkeypatch.setattr(proofs, "MAX_RAW_FACTORS", 0)
+    task = EqualityTask(p, x)
+    closed, open_ = [], []
+    for _ in range(20):
+        assert task.step() is None
+        if task._at == (0, len(x)):
+            (open_ if path_is_open() else closed).append(task.steps_taken)
+    assert (closed[:3], open_) == ([4, 5, 7], [6])
+    monkeypatch.undo()
+    while task.step() is None:
+        assert task.steps_taken < 1000
+    assert verify_equality(task.certificate, p, x) == (True, "ok")

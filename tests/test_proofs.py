@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import certificate_fields_reference
@@ -60,15 +62,50 @@ def test_builder_matches_the_reference_on_closed_tables():
     """Equal fields, equal cell order and equal letters-mode translations on every case."""
     for text, word in CASES:
         e = closed_enumeration(text, word)
-        args = (e._table, e._proof, e._rels, e.k2)
-        fields, reference = proofs.certificate_fields(*args), certificate_fields_reference(*args)
-        assert fields == reference, word
-        assert list(fields["equation_certs"]) == list(reference["equation_certs"]), word
-        cert = FinitenessCertificate(mode=WORDS_MODE, **fields)
-        letters = _letters_certificate(cert, 2 * cert.table.order)
-        assert letters == _letters_certificate(FinitenessCertificate(mode=WORDS_MODE, **reference), 2 * cert.table.order)
-        if letters is not None:
-            assert proofs.equation_words(letters.table, letters.images) == helpers.equation_words(letters.table, letters.images)
+        assert_matches_the_reference(e, word)
+
+
+def assert_matches_the_reference(e, label):
+    """The builder's certificate of e's closed table is the reference's: cell order, goal words, letters translation."""
+    args = (e._table, e._proof, e._rels, e.k2)
+    cert, reference = proofs.finiteness_certificate(*args), certificate_fields_reference(*args)
+    reference = FinitenessCertificate(mode=WORDS_MODE, **reference)
+    assert cert == reference, label
+    assert list(cert.equation_certs) == list(reference.equation_certs), label
+    goals = [(i, j, w) for i, j, w in proofs.equation_words(cert.table, cert.images) if w]  # the goals' definition
+    assert [(i, j, c.target) for (i, j), c in cert.equation_certs.items()] == goals, label
+    letters = _letters_certificate(cert, 2 * cert.table.order)
+    assert letters == _letters_certificate(reference, 2 * cert.table.order), label
+    if letters is not None:
+        words = (letters.table, letters.images)
+        assert proofs.equation_words(*words) == helpers.equation_words(*words)
+
+
+@st.composite
+def small_presentations(draw):
+    """(presentation text, X): at most 3 generators and 3 relators, X and each relator at most 6 letters."""
+    k = draw(st.integers(1, 3))
+    short = st.text("aAbBcC"[: 2 * k], min_size=1, max_size=3)
+    # Powers of short words, up to 6 letters, give larger finite groups than free words do.
+    word = st.text("aAbBcC"[: 2 * k], min_size=1, max_size=6) | short.flatmap(
+        lambda w: st.integers(1, 6 // len(w)).map(lambda n: w * n)
+    )
+    relators = draw(st.lists(word, max_size=3))
+    text = f"generators: {' '.join('abc'[:k])}\n" + "".join(f"relator: {r}\n" for r in relators)
+    return text, draw(word)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_presentations())
+def test_builder_matches_the_reference_on_generated_closed_tables(case):
+    """The same on every table of order at most 64 that closes within 5,000 steps."""
+    text, word = case
+    p = parse_presentation(text)
+    x = parse_word(word, p.alphabet)
+    assume(x)
+    e = CosetEnumeration(extend(p, x))
+    assume(any(e.step() for _ in range(5000)) and e.live <= 64)
+    assert_matches_the_reference(e, case)
 
 
 def test_fallback_edges_match_the_reference_and_respect_the_cap(monkeypatch):
@@ -77,11 +114,11 @@ def test_fallback_edges_match_the_reference_and_respect_the_cap(monkeypatch):
     # for those, neither builder emits anything.
     e = closed_enumeration(DINF, "bbAB")
     args = (e._table, e._proof, e._rels, e.k2)
-    fields = proofs.certificate_fields(*args)
-    assert fields is not None
-    assert fields == certificate_fields_reference(*args)
+    cert = proofs.finiteness_certificate(*args)
+    assert cert is not None
+    assert cert == FinitenessCertificate(mode=WORDS_MODE, **certificate_fields_reference(*args))
     monkeypatch.setattr(proofs, "MAX_RAW_FACTORS", 0)
-    assert proofs.certificate_fields(*args) is None
+    assert proofs.finiteness_certificate(*args) is None
     assert certificate_fields_reference(*args) is None
 
 
@@ -98,7 +135,7 @@ def test_no_enumeration_proof_is_read_where_relator_cycles_settle_every_edge(tex
     certificate_fields_reference(e._table, read, e._rels, e.k2)
     assert len(calls) == order - 1
     read, calls = counted(e._proof)
-    assert proofs.certificate_fields(e._table, read, e._rels, e.k2) is not None
+    assert proofs.finiteness_certificate(e._table, read, e._rels, e.k2) is not None
     assert calls == []
 
 
@@ -107,7 +144,7 @@ def test_fallback_edges_read_no_more_enumeration_proofs_than_the_reference():
     read, reference_calls = counted(e._proof)
     certificate_fields_reference(e._table, read, e._rels, e.k2)
     read, calls = counted(e._proof)
-    proofs.certificate_fields(e._table, read, e._rels, e.k2)
+    proofs.finiteness_certificate(e._table, read, e._rels, e.k2)
     assert len(reference_calls) == 4
     assert 0 < len(calls) <= len(reference_calls)
 

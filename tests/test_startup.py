@@ -69,6 +69,11 @@ def test_table_enumeration_loads_only_its_modules():
     assert loaded == {"wordrace", "wordrace.tables", "wordrace.certificates", "wordrace.words"}
 
 
+def test_enum_tables_command_loads_only_its_modules():
+    loaded = package_modules_after('from wordrace.cli import main\nmain(["enum-tables", "--order", "4"])')
+    assert loaded == {"wordrace", "wordrace.cli", "wordrace.tables", "wordrace.certificates", "wordrace.words"}
+
+
 def test_public_names_are_their_home_modules_objects_and_bind_on_first_access():
     names = sorted(name for names in PUBLIC.values() for name in names)
     assert len(names) == 34
