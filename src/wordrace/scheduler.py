@@ -3,25 +3,24 @@
 Arm 1 tries to prove X = 1 in the given presentation; arm 2 tries to
 prove X != 1 by exhibiting the extended group <S | X u R> as a finite
 quotient.  The arms alternate in quanta, arm 1 first, so their step
-counts never differ by more than one quantum: the schedule is one lazy
-sequence of turns, each arm's step ``quantum`` times, cycled and cut after
-the step budget.  Under the just-infinite hypothesis exactly one arm
-terminates.  Without it (the hypothesis is a caller-supplied promise) a
-bounded run may exhaust its budget, and on a finite group both arms can
-terminate: there a not-equal verdict proves only that <S | X u R> is
-finite, which it is whatever X is.
+counts never differ by more than one quantum: turn t, for t below the
+step budget, is one step of arm t // quantum mod 2.  Under the
+just-infinite hypothesis exactly one arm terminates.  Without it (the
+hypothesis is a caller-supplied promise) a bounded run may exhaust its
+budget, and on a finite group both arms can terminate: there a not-equal
+verdict proves only that <S | X u R> is finite, true whatever X is.
 
 An arm can be ``spent``: no later step of it can return a certificate, as
 the equality arm once the source is exhausted with no nonempty relator, or
 a coset table closed on an exhausted source without a certificate (where X
 does not lead from coset 0 back to it, above the order cap, or, in letters
-mode, with no letter-valued one).  The arms
-are checked after 1, 3, 7, 15, ... turns.  From the first check that finds
-one arm spent, the other runs alone over the turns the alternation gives
+mode, with no letter-valued one).  An arm is retired at the step that
+spends it: the other then runs alone over the turns the alternation gives
 it; the spent arm's turns are counted, not taken, and so are the live
 arm's ``idle`` steps, those certain to return None (math.inf when spent),
 one ``skip`` per window.  With both arms spent a bounded run ends at once,
-exhausted.  Outcomes are those of taking every turn.
+exhausted, and an unbounded one runs for ever.  Outcomes are those of
+taking every turn, since every later step of a spent arm returns None.
 
 Each arm is its engine, a ``CosetEnumeration``: of G for the equality
 arm, which traces X from coset 0 after each step, and of the extended
@@ -56,7 +55,7 @@ class Budget(NamedTuple("Budget", [("max_total_steps", int | None), ("quantum", 
     _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make: validate there too
 
     def __new__(cls, max_total_steps: int | None = 1_000_000, quantum: int = 1):
-        if not (type(quantum) is int and 1 <= quantum <= sys.maxsize):  # the turn pipeline repeats each step quantum times
+        if not (type(quantum) is int and 1 <= quantum <= sys.maxsize):  # a machine-sized count: the CLI refuses a larger one as a usage error
             raise ValueError(f"quantum must be between 1 and {sys.maxsize} (an int)")
         if max_total_steps is not None and not (type(max_total_steps) is int and max_total_steps >= 0):
             raise ValueError("budget must be >= 0 (an int) or unlimited")
@@ -92,34 +91,20 @@ def solve(
     arm2 = FinitenessTask(extend(p, target), mode=tau_mode, max_table_order=max_table_order)
     arms = (arm1, arm2)
     q, limit = budget.quantum, budget.max_total_steps
-    # Turns are the arms' bound step methods: one ``arm.step()`` call site
-    # seeing both arm classes would defeat CPython's per-site specialization.
-    steps = (arm1.step, arm2.step)
-    turns = itertools.chain.from_iterable(map(itertools.repeat, itertools.cycle(steps), itertools.repeat(q)))
-    left = limit  # turns still to run; None runs until a verdict
-    chunk = 1  # turns until the next check for a spent arm
-    while left != 0:
-        if left is not None:
-            chunk = min(chunk, left)
-            left -= chunk
-        for step in itertools.islice(turns, chunk):
-            cert = step()
-            if cert is not None:
-                return _resolved(cert, arm1, arm2, q)
-        chunk *= 2
-        unspent = [arm for arm in arms if not arm.spent]
-        if not unspent and limit is not None:
-            break
-        if len(unspent) == 1:  # the other arm runs alone, counting each idle window with one skip
-            (arm,) = unspent
-            end = None if limit is None else _split(limit, q)[arms.index(arm)]  # its steps when the budget runs out
-            while end is None or arm.steps_taken < end:
-                for step in itertools.islice(itertools.repeat(arm.step), None if end is None else end - arm.steps_taken):
+    for t in itertools.count() if limit is None else range(limit):
+        arm = arms[t // q % 2]
+        if (cert := arm.step()) is not None:
+            return _resolved(cert, arm1, arm2, q)
+        if arm.idle == math.inf:  # spent: the other arm runs alone, counting each idle window with one skip
+            arm = arm2 if arm is arm1 else arm1
+            end = math.inf if limit is None else _split(limit, q)[arms.index(arm)]  # its steps when the budget runs out
+            while arm.steps_taken < end:
+                for step in itertools.islice(itertools.repeat(arm.step), min(end - arm.steps_taken, sys.maxsize)):
                     if (cert := step()) is not None:
                         return _resolved(cert, arm1, arm2, q)
                     if arm.idle:
                         break
-                if (k := arm.idle if end is None else min(arm.idle, end - arm.steps_taken)) < math.inf:
+                if (k := min(arm.idle, end - arm.steps_taken)) < math.inf:
                     arm.skip(k)  # else unbounded with both arms spent: the race runs for ever
             break
     return Outcome(EXHAUSTED, None, *_split(limit, q))

@@ -116,9 +116,9 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         Budget(-1)
     with pytest.raises(ValueError):
-        Budget(10, sys.maxsize + 1)  # itertools.repeat takes at most sys.maxsize
+        Budget(10, sys.maxsize + 1)  # a quantum is a machine-sized count
     assert Budget(10, sys.maxsize).quantum == sys.maxsize
-    # Non-integers would fail only deep inside solve's itertools pipeline.
+    # Non-integers would be taken as turn counts, or fail only deep inside solve.
     for bad in ((10.5,), (10.0,), (100, 2.0), ("10",), (True,), (False,), (10, True)):
         with pytest.raises(ValueError):
             Budget(*bad)
@@ -200,10 +200,24 @@ def growth_budget(steps, quantum):
     return 2 * quantum * rounds + (quantum + rest if rest else 0)
 
 
-# The arms are checked after 2^k - 1 turns: budgets either side of those
-# up to 2^11, the smallest ones, one of about 10^4 that ends inside a
-# quantum for every quantum but 1, and one inside the second quantum.
+# Budgets either side of 2^k - 1 turns up to 2^11, a spread of sizes that
+# end inside a quantum, at its edge and past it.  The test adds the
+# smallest budgets, one of about 10^4 that ends inside a quantum for every
+# quantum but 1, one inside the second quantum, and one turn before, at and
+# after each turn at which the strict alternation finds an arm spent.
 CHECK_SIDES = sorted({b for k in range(1, 12) for b in (2**k - 2, 2**k)})
+
+
+def spending_turns(p, x, quantum, mode, turns):
+    """The turns, within the first ``turns`` of the strict alternation, after which an arm is first spent."""
+    arms = (EqualityTask(p, x), FinitenessTask(extend(p, x), mode=mode))
+    found = []
+    for t in range(turns):
+        arm = arms[t // quantum % 2]
+        if arm.step() is not None:
+            break
+        found += [t + 1] * (sum(a.spent for a in arms) - len(found))
+    return found
 
 
 @pytest.mark.parametrize("quantum", [1, 2, 3, 7, 1500, 10**12])
@@ -219,6 +233,7 @@ def test_solve_equals_the_strict_alternation(race, quantum):
         return expected
 
     totals = [0, 1, *CHECK_SIDES, 10_007]
+    totals += [t + d for t in spending_turns(p, x, quantum, mode, 10_007) for d in (-1, 0, 1)]
     if race == "f2-a":
         totals += [growth_budget(s, quantum) for g in GROWTH_STEPS for s in (g - 1, g, g + 1)]
     if quantum < 10**12:
@@ -349,8 +364,9 @@ def test_equality_arm_wins_alone(monkeypatch):
     # G = <a | a^90, a^99> = Z/9 from a source whose relators join after 10
     # and 20 steps, and X = a^9.  G1 = Z/9 closes above the cap with no
     # relator to come, so the finiteness arm is spent at its step 40 and
-    # retired at the check after turn 127, its step 63; the equality arm
-    # then runs alone and proves X from both relators at its step 102.
+    # retired there, as the race checks the arm it has just stepped; the
+    # equality arm then runs alone and proves X from both relators at its
+    # step 102.
     monkeypatch.setattr(cosets, "JOIN_STEPS", 10)
     resolved = scheduler._resolved
     finite_arm = []
@@ -365,7 +381,7 @@ def test_equality_arm_wins_alone(monkeypatch):
     out = solve(p, a * 9, Budget())
     assert (out.verdict, out.steps_equal_arm, out.steps_finite_arm) == (EQUAL, 102, 101)
     (arm2,) = finite_arm
-    assert arm2.spent and arm2.steps_taken == 63
+    assert arm2.spent and arm2.steps_taken == 40
     assert sorted(f.relator_index for f in out.certificate.factors) == [0, 1]
     ok, why = verify_equality(out.certificate, p, a * 9)
     assert ok, why
@@ -386,11 +402,51 @@ def test_only_idle_steps_of_the_equality_arm_can_be_skipped():
 @pytest.mark.parametrize("text, word, budget, max_table_order, steps", [
     # The equality arm is spent first and the finiteness arm runs alone.
     (Z, "a" * 9, Budget(10**15 + 4, 3), 8, (5 * 10**14 + 3, 5 * 10**14 + 1)),
-    # Z/4 closes in both arms, above the cap in the second: both are spent at one check.
+    # Z/4 closes in both arms, above the cap in the second: each is spent at
+    # its step 1,000, on consecutive turns.
     ("generators: a\nrelator: aaaa\n", "aa", Budget(10**15), 1, (5 * 10**14, 5 * 10**14)),
-], ids=["alone-phase", "both-at-one-check"])
+], ids=["alone-phase", "spent-on-consecutive-turns"])
 def test_both_arms_spent_ends_a_bounded_run_at_once(text, word, budget, max_table_order, steps):
     p = parse_presentation(text)
     out = solve(p, parse_word(word, p.alphabet), budget, max_table_order=max_table_order)
     assert out.verdict == EXHAUSTED
     assert (out.steps_equal_arm, out.steps_finite_arm) == steps
+
+
+def test_an_arm_wins_alone_under_a_budget_above_maxsize(monkeypatch):
+    # The budget leaves the arm that runs alone more steps than one slice of
+    # the alone phase can hold.  <a> with X = a^8: the equality arm is spent
+    # at once and the finiteness arm closes Z/8 alone at its step 17.
+    p = parse_presentation(Z)
+    out = solve(p, parse_word("a" * 8, p.alphabet), Budget(10**20))
+    assert (out.verdict, out.steps_equal_arm, out.steps_finite_arm) == (NOT_EQUAL, 17, 17)
+    # The race of test_equality_arm_wins_alone: the equality arm wins alone.
+    monkeypatch.setattr(cosets, "JOIN_STEPS", 10)
+    a = parse_word("a", alphabet("a"))
+    p = Presentation(alphabet("a"), RelatorSource([], [a * 90, a * 99]))
+    out = solve(p, a * 9, Budget(10**20))
+    assert (out.verdict, out.steps_equal_arm, out.steps_finite_arm) == (EQUAL, 102, 101)
+
+
+class Stepped(Exception):
+    pass
+
+
+def test_both_arms_spent_leave_an_unbounded_race_running(monkeypatch):
+    # <a> with X = a^9 at the default cap: the equality arm is spent at once
+    # and the finiteness arm at its step 1,000.  No arm can win, and with no
+    # budget the race steps the finiteness arm for ever, past 10^4 calls.
+    calls = 0
+    step = FinitenessTask.step
+
+    def counted(task):
+        nonlocal calls
+        calls += 1
+        if calls > 10**4:
+            raise Stepped
+        return step(task)
+
+    monkeypatch.setattr(FinitenessTask, "step", counted)
+    p = parse_presentation(Z)
+    with pytest.raises(Stepped):
+        solve(p, parse_word("a" * 9, p.alphabet), Budget(None))
