@@ -85,11 +85,8 @@ class CosetEnumeration:
         self.steps_taken = 0
         self.live = 1
         self.coset_peak = 1
-        self._limit = COSET_BASE
-        self._grow_at = 1
-        self._prefix = extended.inline_count
-        self._rels = [(i, w) for i in range(self._prefix) if (w := extended.relator(i))]
-        self._next_relator = self._prefix
+        self._next_relator = extended.inline_count
+        self._rels = [(i, w) for i in range(self._next_relator) if (w := extended.relator(i))]
         self._join_at = JOIN_STEPS
         self._next_check = 1
         # Per coset slot; a free slot has parent -1 and no row.  Row c holds
@@ -130,23 +127,22 @@ class CosetEnumeration:
         self.idle -= k
 
     def _schedule(self):
-        s = self.steps_taken
-        if s >= self._grow_at:
-            root = math.isqrt(s)
-            self._limit = COSET_BASE + root
-            self._grow_at = (root + 1) ** 2
-        if s >= self._join_at:
+        """Set the coset limit from the step count, join a relator when due, and set the next check."""
+        root = math.isqrt(self.steps_taken)
+        self._limit = COSET_BASE + root
+        if self.steps_taken >= self._join_at:
             self._join()
-        self._next_check = min(self._grow_at, self._join_at)
+        self._next_check = min((root + 1) ** 2, self._join_at)
 
     def _join(self):
+        """Join the next relator and double the join time: the m-th past the prefix joins at JOIN_STEPS * 2^m."""
         n = self._next_relator
         if self.extended.available(n + 1) <= n:
             self._join_at = math.inf  # the source is exhausted
             return
         word = self.extended.relator(n)
         self._next_relator = n + 1
-        self._join_at = JOIN_STEPS << (n + 1 - self._prefix)
+        self._join_at *= 2  # an empty relator takes its slot too
         if word:
             self._rels.append((n, word))
             parent = self._parent
@@ -156,7 +152,7 @@ class CosetEnumeration:
     # -- the enumeration: a generator yielding once per step ---------------
 
     def _run(self):
-        if not self._rels and self.extended.available(self._prefix + 1) <= self._prefix:
+        if not self._rels and self.extended.available(self._next_relator + 1) <= self._next_relator:
             self._join_at = math.inf  # no nonempty relator, and none to come
         while not self._rels:  # nothing to scan until a relator joins
             self.idle = self._join_at - self.steps_taken - 1

@@ -6,12 +6,13 @@ certificate is the tuple of factors (conjugator, relator index, sign) plus
 the target word.
 
 The equality arm, ``EqualityTask``, is a ``cosets.CosetEnumeration`` of G
-whose path, defined first from coset 0, is X; after every step that is
-not idle the arm traces X along it.  Once X leads from coset 0 back to it
-(on a closed table too), the entry proofs along the way prove X, and
-cancelled they are the certificate (Havas and Ramsay, "Proving a group
-trivial made easy", 2000), unless ``proofs.write_out`` finds them too
-large: their nodes state their sizes, so such a step expands nothing.
+whose path, defined first from coset 0, is X; after every step the arm
+resumes its trace of X, which an idle step leaves as it was.  Once X leads
+from coset 0 back to it (on a closed table too), the entry proofs along
+the way prove X, and cancelled they are the certificate (Havas and Ramsay,
+"Proving a group trivial made easy", 2000), unless ``proofs.write_out``
+finds them too large: their nodes state their sizes, so such a step
+expands nothing.
 
 ``ProductStream`` enumerates the Dyck products themselves by stages: stage
 n holds the products with factor count, relator index and conjugator
@@ -102,8 +103,6 @@ class EqualityTask(CosetEnumeration):
         """Advance one quantum; return a certificate once X leads from coset 0 back to it."""
         if self.certificate is not None:
             raise ValueError("task already resolved")
-        if self.idle:
-            return CosetEnumeration.step(self)
         CosetEnumeration.step(self)
         f, i = self._at
         word = self.target

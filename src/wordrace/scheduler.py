@@ -20,7 +20,9 @@ it; the spent arm's turns are counted, not taken, and so are the live
 arm's ``idle`` steps, those certain to return None (math.inf when spent),
 one ``skip`` per window.  With both arms spent a bounded run ends at once,
 exhausted, and an unbounded one runs for ever.  Outcomes are those of
-taking every turn, since every later step of a spent arm returns None.
+taking every turn, since every later step of a spent arm returns None:
+the turn cycle splits the budget, or the turns up to the winning step,
+between the arms.
 
 Each arm is its engine, a ``CosetEnumeration``: of G for the equality
 arm, which traces X from coset 0 after each step, and of the extended
@@ -55,8 +57,8 @@ class Budget(NamedTuple("Budget", [("max_total_steps", int | None), ("quantum", 
     _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make: validate there too
 
     def __new__(cls, max_total_steps: int | None = 1_000_000, quantum: int = 1):
-        if not (type(quantum) is int and 1 <= quantum <= sys.maxsize):  # a machine-sized count: the CLI refuses a larger one as a usage error
-            raise ValueError(f"quantum must be between 1 and {sys.maxsize} (an int)")
+        if not (type(quantum) is int and quantum >= 1):
+            raise ValueError("quantum must be >= 1 (an int)")
         if max_total_steps is not None and not (type(max_total_steps) is int and max_total_steps >= 0):
             raise ValueError("budget must be >= 0 (an int) or unlimited")
         return super().__new__(cls, max_total_steps, quantum)
@@ -87,21 +89,19 @@ def solve(
     if target == b"":
         return Outcome(EQUAL, EqualityCertificate(factors=(), target=b""), 0, 0)
 
-    arm1 = EqualityTask(p, target)
-    arm2 = FinitenessTask(extend(p, target), mode=tau_mode, max_table_order=max_table_order)
-    arms = (arm1, arm2)
+    arms = (EqualityTask(p, target), FinitenessTask(extend(p, target), mode=tau_mode, max_table_order=max_table_order))
     q, limit = budget.quantum, budget.max_total_steps
     for t in itertools.count() if limit is None else range(limit):
-        arm = arms[t // q % 2]
+        arm = arms[a := t // q % 2]
         if (cert := arm.step()) is not None:
-            return _resolved(cert, arm1, arm2, q)
+            return _resolved(cert, a, arm.steps_taken, q)
         if arm.idle == math.inf:  # spent: the other arm runs alone, counting each idle window with one skip
-            arm = arm2 if arm is arm1 else arm1
-            end = math.inf if limit is None else _split(limit, q)[arms.index(arm)]  # its steps when the budget runs out
+            arm = arms[a := 1 - a]
+            end = math.inf if limit is None else _split(limit, q)[a]  # its steps when the budget runs out
             while arm.steps_taken < end:
                 for step in itertools.islice(itertools.repeat(arm.step), min(end - arm.steps_taken, sys.maxsize)):
                     if (cert := step()) is not None:
-                        return _resolved(cert, arm1, arm2, q)
+                        return _resolved(cert, a, arm.steps_taken, q)
                     if arm.idle:
                         break
                 if (k := min(arm.idle, end - arm.steps_taken)) < math.inf:
@@ -117,10 +117,8 @@ def _split(turns: int, quantum: int) -> tuple[int, int]:
     return equal, turns - equal
 
 
-def _resolved(cert, arm1: EqualityTask, arm2: FinitenessTask, quantum: int) -> Outcome:
-    """The outcome of the winner's certificate; the other arm's steps follow from the turn cycle."""
-    if isinstance(cert, EqualityCertificate):
-        s = arm1.steps_taken
-        return Outcome(EQUAL, cert, s, (s - 1) // quantum * quantum)
-    s = arm2.steps_taken
-    return Outcome(NOT_EQUAL, cert, -(-s // quantum) * quantum, s)
+def _resolved(cert, a: int, s: int, quantum: int) -> Outcome:
+    """The outcome of arm a's certificate at its step s: both arms' steps over the turns up to that one."""
+    rounds, rest = divmod(s - 1, quantum)  # step s is step ``rest`` (from 0) of arm a's turn in round ``rounds``
+    turns = (2 * rounds + a) * quantum + rest + 1
+    return Outcome((EQUAL, NOT_EQUAL)[a], cert, *_split(turns, quantum))

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from wordrace import certcheck
+from wordrace import certcheck, tables
 from wordrace.cli import EXIT_ERROR, main
 
 Z_TEXT = "generators: a\n"
@@ -185,15 +185,15 @@ def test_stream_spawn_failure_is_error_exit(tmp_path, capsys):
     assert "error" in err
 
 
-def test_quantum_above_maxsize_is_error_exit(tmp_path, capsys):
-    # Not a traceback with exit 1, which would read as the not-equal verdict.
+def test_quantum_above_maxsize_exhausts(tmp_path, capsys):
+    # A quantum is any int >= 1: with one above the budget every turn is the
+    # equality arm's, spent at its first step.
     path = tmp_path / "f2.pres"
     path.write_text("generators: a b\n")
     code = main(["solve", str(path), "--word", "a", "--budget", "10", "--quantum", str(sys.maxsize + 1)])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.err.startswith("wordrace: error: quantum must be")
-    assert captured.out == ""
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "steps-equal-arm: 10\nsteps-finite-arm: 0\n" in out
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])
@@ -211,6 +211,17 @@ def test_enum_tables_order_below_one_is_error_exit(capsys):
     assert code == 3
     assert captured.err == "wordrace: error: --order must be >= 1\n"
     assert captured.out == ""
+
+
+def test_unexpected_errors_are_raised_again(monkeypatch):
+    # Only a ValueError, OSError or StreamError is a usage error; anything
+    # else is a fault of the program and keeps its traceback.
+    def broken(order):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(tables, "enumerate_tables", broken)
+    with pytest.raises(RuntimeError, match="broken"):
+        main(["enum-tables", "--order", "2"])
 
 
 def test_bad_usage_exits_above_two():

@@ -18,10 +18,10 @@ from wordrace.certcheck import (
 from wordrace.cosets import COSET_BASE, JOIN_STEPS, CosetEnumeration
 from wordrace.derivation import EqualityTask
 from wordrace.oracle import is_identity_dinf, is_identity_z
-from wordrace.presentation import extend, parse_presentation
+from wordrace.presentation import Presentation, RelatorSource, extend, parse_presentation
 from wordrace.quotient import LETTERS_MODE, WORDS_MODE, FinitenessTask
 from wordrace.scheduler import EXHAUSTED, NOT_EQUAL, Budget, solve
-from wordrace.words import parse_word, reduce_word
+from wordrace.words import alphabet, parse_word, reduce_word
 
 Z = "generators: a\n"
 DINF = "generators: a b\nrelator: aa\nrelator: bb\n"
@@ -433,6 +433,17 @@ def test_bare_enumeration_waits_for_its_first_relator():
             joined = e.steps_taken
     assert joined == JOIN_STEPS
     assert e.live > 1
+    # Past the first join the clock doubles once per relator, empty or not:
+    # aa joins at JOIN_STEPS, the empty relator takes the 2 * JOIN_STEPS
+    # slot without joining, and bb joins at 4 * JOIN_STEPS.
+    aa, bb = parse_word("aa", alphabet("ab")), parse_word("bb", alphabet("ab"))
+    e = CosetEnumeration(Presentation(alphabet("ab"), RelatorSource([], [aa, b"", bb])))
+    joins = {}
+    for _ in range(5 * JOIN_STEPS):
+        e.step()
+        if len(e._rels) > len(joins):
+            joins[e.steps_taken] = e._rels[-1]
+    assert joins == {JOIN_STEPS: (0, aa), 4 * JOIN_STEPS: (2, bb)}
 
 
 def test_closing_step_returns_true_once():

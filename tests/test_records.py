@@ -70,7 +70,7 @@ def test_validation_errors():
         Alphabet(("a", "a"))
     with pytest.raises(MalformedWordError, match="1..26 generators, got 0"):
         Alphabet(())
-    with pytest.raises(ValueError, match="quantum must be between 1"):
+    with pytest.raises(ValueError, match="quantum must be >= 1"):
         Budget(quantum=0)
     with pytest.raises(ValueError, match="budget must be >= 0"):
         Budget(-1)
@@ -88,7 +88,7 @@ def test_tables_compare_and_hash_by_cells():
 
 def test_replace_validates_like_the_constructor():
     # A namedtuple's _make and _replace build with tuple.__new__ unless routed through the constructor.
-    with pytest.raises(ValueError, match="quantum must be between 1"):
+    with pytest.raises(ValueError, match="quantum must be >= 1"):
         Budget()._replace(quantum=0)
     with pytest.raises(MalformedWordError, match="duplicate generator 'a'"):
         Alphabet(("a",))._replace(generators=("a", "a"))

@@ -267,6 +267,8 @@ class TestIsGroupTable:
     def test_table_axioms_reject_empty_and_ragged_tables(self):
         assert is_group_table(()) == (False, "empty table")
         assert is_group_table(((0, 1), (1,))) == (False, "row 1 has length 1, expected 2")
+        assert is_group_table(((0, 1), (1, 5))) == (False, "cell (1,1) value 5 out of range")
+        assert is_group_table(((0, 1), (0, 1))) == (False, "identity column violated at row 1")
 
     def test_generating_set_agrees_with_cubic_on_latin_squares(self):
         # Orders 4 and 5 have 4 + 56 Latin squares with identity: the 4 + 6
