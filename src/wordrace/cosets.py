@@ -73,18 +73,17 @@ class CosetEnumeration:
     None.  ``idle`` counts the next steps certain to return None (math.inf
     if all are, and the enumeration is ``spent``): ``step()`` returns them
     without resuming the enumeration, and ``skip(k)`` counts k at once.
-    ``steps_taken`` counts both kinds; ``coset_peak`` counts the slots ever
-    held.
+    ``steps_taken`` counts both kinds.  Slots are never removed, so
+    ``len(_table)`` is the number of slots ever held.
     """
 
-    _path = b""  # the word whose path from coset 0 is defined first
+    _path = b""  # the reduced word whose path from coset 0 is defined first
 
     def __init__(self, extended: Presentation):
         self.extended = extended
         self.k2 = 2 * extended.alphabet.k
         self.steps_taken = 0
         self.live = 1
-        self.coset_peak = 1
         self._next_relator = extended.inline_count
         self._rels = [(i, w) for i in range(self._next_relator) if (w := extended.relator(i))]
         self._join_at = JOIN_STEPS
@@ -158,13 +157,12 @@ class CosetEnumeration:
             self.idle = self._join_at - self.steps_taken - 1
             yield None
         c, table = 0, self._table
-        for x in self._path:
-            if table[c][x] < 0:
-                if self.live >= self._limit:
-                    break
-                self._define(c, x)
-                yield None
+        for x in self._path:  # reduced, and defined first: c.x is undefined at every letter
+            if self.live >= self._limit:
+                break
+            self._define(c, x)
             c = table[c][x]
+            yield None
         queue, parent, scanned = self._queue, self._parent, self._scanned
         while True:
             if queue:
@@ -240,19 +238,18 @@ class CosetEnumeration:
     def _look_ahead(self, c, x):
         """Steps while the table is full and c.x is still to be defined.
 
-        Each scans the next (live coset, relator) pair without defining, and
-        may deduce an entry or find a coincidence.  A closed pair finds nothing
-        and is not traced; the closed pairs after it are idle, and the cursor
-        jumps past them.
+        Each scans the next (coset, relator) pair without defining, and may
+        deduce an entry or find a coincidence.  A full table has every slot
+        live (see ``_closed_run``), so the cursor steps through the slots in
+        order.  A closed pair finds nothing and is not traced; the closed
+        pairs after it are idle, and the cursor jumps past them.
         """
         parent, table, rels, scanned = self._parent, self._table, self._rels, self._scanned
         d, n = self._look
         while self.live >= self._limit and parent[c] == c and table[c][x] < 0:
             n += 1
             if n >= len(rels):
-                d, n = d + 1, 0
-            while d >= len(parent) or parent[d] != d:
-                d, n = (d + 1 if d < len(parent) else 0), 0
+                d, n = (d + 1) % len(parent), 0
             if n < scanned[d]:  # a closed pair, the first of a run
                 self.idle, (d, n) = self._closed_run(d, n)
                 yield None
@@ -277,7 +274,7 @@ class CosetEnumeration:
         i = bisect_left(open_, d)
         end = open_[i] * rels + scanned[open_[i]] if i < len(open_) else len(scanned) * rels
         here = d * rels + n
-        k = max(0, min(self._next_check - self.steps_taken - 1, end - here - 1))
+        k = min(self._next_check - self.steps_taken - 1, end - here - 1)
         return k, divmod(here + k, rels)
 
     def _define(self, c, x):
@@ -288,7 +285,6 @@ class CosetEnumeration:
             d = len(table)
             for column in (table, parent, self._uproof, self._rep, self._scanned):
                 column.append(None)
-            self.coset_peak = len(table)
         table[d] = self._blank[:]
         parent[d] = d
         self._uproof[d] = None

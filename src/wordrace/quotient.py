@@ -83,17 +83,16 @@ def _letters_certificate(words: FinitenessCertificate, max_table_order: int) -> 
 
     equation_certs = {}
     for i, j, goal in equation_words(table, images):
-        if goal:
-            a, b, c = gens[i], gens[j], gens[table.cells[i][j]]
-            w_a = words.images[coverage[a]]
-            cell = words.equation_certs.get((coverage[a], coverage[b]))
-            factors = (
-                *cover(a),
-                *(DyckFactor(concat(w_a, t), n, s) for t, n, s in cover(b)),
-                *(cell.factors if cell is not None else ()),
-                *(DyckFactor(t, n, -s) for t, n, s in reversed(cover(c))),
-            )
-            equation_certs[(i, j)] = EqualityCertificate(factors, goal)
+        a, b, c = gens[i], gens[j], gens[table.cells[i][j]]
+        w_a = words.images[coverage[a]]
+        cell = words.equation_certs.get((coverage[a], coverage[b]))
+        factors = (
+            *cover(a),
+            *(DyckFactor(concat(w_a, t), n, s) for t, n, s in cover(b)),
+            *(cell.factors if cell is not None else ()),
+            *(DyckFactor(t, n, -s) for t, n, s in reversed(cover(c))),
+        )
+        equation_certs[(i, j)] = EqualityCertificate(factors, goal)
     return FinitenessCertificate(table, images, LETTERS_MODE, None, equation_certs, {})
 
 

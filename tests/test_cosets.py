@@ -50,8 +50,8 @@ def test_coset_count_stays_under_the_limit():
     for n in range(1, 500_001):
         assert task.step() is None
         if n % 10_000 == 0:
-            assert task.coset_peak <= coset_limit(n), n
-    assert task.coset_peak == coset_limit(500_000) < 1_000
+            assert len(task._table) <= coset_limit(n), n
+    assert len(task._table) == coset_limit(500_000) < 1_000
     assert task.admitted == 0
 
 
@@ -326,11 +326,15 @@ def test_enumeration_state_unchanged_on_random_presentations(monkeypatch, closed
     # A small coset limit keeps these tables full, with coincidences, and
     # family relators join full tables.  Every idle window ends where a scan
     # of every slot says it does, and the open list, which that search
-    # reads, is a recount's after every step, coincidences included.
+    # reads, is a recount's after every step, coincidences included.  A full
+    # table has no free slot and every slot live, as the lookahead cursor
+    # and the idle windows assume.
     monkeypatch.setattr(cosets, "COSET_BASE", base)
 
     def check_open(e):
         assert e._open == open_cosets(e), (e.extended, e.steps_taken)
+        if e.live >= e._limit:
+            assert not e._free and e.live == len(e._parent), (e.extended, e.steps_taken)
 
     rng = random.Random(seed)
     h = hashlib.sha256()

@@ -194,5 +194,7 @@ class TestLettersMode:
             found += 1
             wider += cert.table.order > words_cert.table.order
             assert cert.table.order <= cap
+            # Letter images make every goal x.y.z^-1 nonempty, so every cell has a derivation.
+            assert len(cert.equation_certs) == cert.table.order**2
             verify_both_ways(cert, text, x)
         assert found > 20 and none > 20 and wider > 0
