@@ -67,12 +67,20 @@ class RelatorSource:
     source's exhaustion, and the first error it raises is raised again by
     every later pull that needs a new relator.  ``inline_count`` is the
     length of the prefix.  Pulls are serialized by a lock.
+
+    ``lattice`` holds words whose exponent-sum vectors span those of every
+    relator the source will ever give, read without a pull: the prefix
+    when there is no producer, else what the caller passes (the prefix
+    plus a ``powers`` family's base words, as a conjugate has its base
+    word's exponent sums), and None where nothing is known, as for a
+    ``stream:``.
     """
 
-    def __init__(self, prefix: Iterable[Word], producer: Iterable[Word] = ()):
+    def __init__(self, prefix: Iterable[Word], producer: Iterable[Word] | None = None, lattice: tuple[Word, ...] | None = None):
         self._cache: list[Word] = list(prefix)
         self.inline_count = len(self._cache)
-        self._producer = iter(producer)
+        self.lattice = tuple(self._cache) if producer is None else lattice
+        self._producer = iter(() if producer is None else producer)
         self._error: BaseException | None = None
         self._lock = threading.Lock()
 
@@ -257,7 +265,7 @@ def parse_presentation(text: str) -> Presentation:
             if not value:
                 raise PresentationSyntaxError(f"{key} line has no value", line_no)
             if key == "stream":  # spawned on the first pull, so a file refused later starts nothing
-                producer = _stream(value, alphabet)
+                producer, lattice = _stream(value, alphabet), None
             else:
                 name, *args = value.split()
                 if name != "powers":
@@ -265,8 +273,8 @@ def parse_presentation(text: str) -> Presentation:
                 base = tuple(_checked(line_no, parse_word, a, alphabet) for a in args)
                 if not base:
                     raise PresentationSyntaxError("family powers needs at least one base word", line_no)
-                producer = _powers(base, alphabet)
-            source = RelatorSource(inline, producer)
+                producer, lattice = _powers(base, alphabet), (*inline, *base)
+            source = RelatorSource(inline, producer, lattice)
         else:
             raise PresentationSyntaxError(f"unknown key {key!r}", line_no)
 

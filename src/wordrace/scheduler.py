@@ -24,6 +24,16 @@ taking every turn, since every later step of a spent arm returns None:
 the turn cycle splits the budget, or the turns up to the winning step,
 between the arms.
 
+An arm can also be spent from the start, by the abelianization G^ab =
+Z^k / L, L being the lattice spanned by the exponent-sum vectors of the
+relators (the source's ``lattice``; nothing is retired where that is None,
+as for a stream).  X outside L is nontrivial in G^ab, and so in G: the
+equality arm can never certify.  With rank(L + Z.x) < k, G1 maps onto Z
+and is infinite: no coset table of it closes, and the finiteness arm can
+never certify.  Such an arm gets ``idle`` = math.inf before the first
+turn and is retired at its first step, which pulls nothing; the quotient
+only decides which arm to step, and never certifies.
+
 Each arm is its engine, a ``CosetEnumeration``: of G for the equality
 arm, which traces X from coset 0 after each step, and of the extended
 group for the finiteness arm.  A step is one step of either.  The word
@@ -90,6 +100,10 @@ def solve(
         return Outcome(EQUAL, EqualityCertificate(factors=(), target=b""), 0, 0)
 
     arms = (EqualityTask(p, target), FinitenessTask(extend(p, target), mode=tau_mode, max_table_order=max_table_order))
+    if p.source.lattice is not None:
+        for arm, hopeless in zip(arms, _hopeless(p.source.lattice, target, p.alphabet.k)):
+            if hopeless:
+                arm.idle = math.inf  # spent from the start: the race retires it at its first step
     q, limit = budget.quantum, budget.max_total_steps
     for t in itertools.count() if limit is None else range(limit):
         arm = arms[a := t // q % 2]
@@ -108,6 +122,42 @@ def solve(
                     arm.skip(k)  # else unbounded with both arms spent: the race runs for ever
             break
     return Outcome(EXHAUSTED, None, *_split(limit, q))
+
+
+def _hopeless(relators: tuple[Word, ...], x: Word, k: int) -> tuple[bool, bool]:
+    """(x outside L, rank(L + Z.x) < k): whether G^ab = Z^k / L proves each arm hopeless (see the module notes)."""
+    basis: dict[int, list[int]] = {}  # an echelon basis of L: column j -> the row whose first nonzero entry is there
+    for w in relators:
+        _insert(basis, _exponent_sums(w, k))
+    v = _reduce(basis, _exponent_sums(x, k))
+    _insert(basis, v)  # now of L + Z.x
+    return any(v), len(basis) < k
+
+
+def _exponent_sums(w: Word, k: int) -> list[int]:
+    return [w.count(2 * g) - w.count(2 * g + 1) for g in range(k)]
+
+
+def _reduce(basis: dict[int, list[int]], v: list[int]) -> list[int]:
+    """v less a vector of the basis's lattice: 0 exactly when v is in it."""
+    for j, row in sorted(basis.items()):  # a row is 0 left of its column j, so each leaves the ones before as they are
+        q = v[j] // row[j]
+        v = [e - q * r for e, r in zip(v, row)]
+    return v
+
+
+def _insert(basis: dict[int, list[int]], v: list[int]) -> None:
+    """Add v to the basis's lattice, by Euclid's algorithm on each pivot column (Sims, ch. 8)."""
+    for j in range(len(v)):
+        if v[j]:
+            row = basis.get(j)
+            if row is None:
+                basis[j] = v
+                return
+            while v[j]:  # row ends with the gcd in column j, v with 0
+                q = row[j] // v[j]
+                row, v = v, [r - q * e for r, e in zip(row, v)]
+            basis[j] = row
 
 
 def _split(turns: int, quantum: int) -> tuple[int, int]:

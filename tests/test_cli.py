@@ -294,6 +294,42 @@ cover-certs: 0
 end: certificate
 """
 
+# Dinf with X = aba, whose exponent sums are odd: the race retires the equality arm before its first turn.
+DINF_ABA_CERT = """\
+certificate: finiteness
+presentation: 0edb74996a946438b85d9d3d25fe0d5649e150152a160853a05363439e9b23ff
+target: aba
+tau-mode: words
+relators-used: 2
+order: 2
+row: 0 1
+row: 1 0
+image: 
+image: a
+cover: a 1
+cover: b 0
+equation-certs: 1
+cell: 1 1
+certificate: equality
+presentation: 0edb74996a946438b85d9d3d25fe0d5649e150152a160853a05363439e9b23ff
+target: aa
+relators-used: 2
+factors: 1
+factor:  1 +
+end: certificate
+cover-certs: 1
+cover-cert: b
+certificate: equality
+presentation: 0edb74996a946438b85d9d3d25fe0d5649e150152a160853a05363439e9b23ff
+target: b
+relators-used: 2
+factors: 2
+factor:  1 -
+factor: a 0 +
+end: certificate
+end: certificate
+"""
+
 # (presentation, arguments, exit code, stdout): each outcome kind as text and as JSON.
 SOLVE_DOCUMENTS = {
     "equal": (DINF_TEXT, ["--word", "abAaba"], 0, f"""\
@@ -335,6 +371,51 @@ steps-finite-arm: 9
   "reduced": "a",
   "steps_equal_arm": 11,
   "steps_finite_arm": 9,
+  "verdict": "exhausted",
+  "word": "a"
+}
+"""),
+    # Races with arms retired by the abelianization: the equality arm of
+    # Dinf with X = aba, and both arms of F2 with X = a.
+    "not-equal-retired-equality-arm": (DINF_TEXT, ["--word", "aba"], 1, f"""\
+verdict: not-equal
+word: aba
+reduced: aba
+budget: 1000000
+quantum: 1
+steps-equal-arm: 10
+steps-finite-arm: 10
+
+{DINF_ABA_CERT}"""),
+    "not-equal-retired-equality-arm-json": (DINF_TEXT, ["--word", "aba", "--json"], 1, f"""\
+{{
+  "budget": 1000000,
+  "certificate": {json.dumps(DINF_ABA_CERT)},
+  "quantum": 1,
+  "reduced": "aba",
+  "steps_equal_arm": 10,
+  "steps_finite_arm": 10,
+  "verdict": "not-equal",
+  "word": "aba"
+}}
+"""),
+    "exhausted-retired-arms": ("generators: a b\n", ["--word", "a"], 2, """\
+verdict: exhausted
+word: a
+reduced: a
+budget: 1000000
+quantum: 1
+steps-equal-arm: 500000
+steps-finite-arm: 500000
+"""),
+    "exhausted-retired-arms-json": ("generators: a b\n", ["--word", "a", "--json"], 2, """\
+{
+  "budget": 1000000,
+  "certificate": null,
+  "quantum": 1,
+  "reduced": "a",
+  "steps_equal_arm": 500000,
+  "steps_finite_arm": 500000,
   "verdict": "exhausted",
   "word": "a"
 }

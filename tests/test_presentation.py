@@ -176,6 +176,30 @@ def test_family_with_inline_prefix():
     assert p.relator(1) == parse_word("aaa", p.alphabet)  # conjugator empty
 
 
+def test_lattice_holds_words_spanning_every_relator_s_exponent_sums(tmp_path):
+    # Inline: the prefix, reduced.  Powers: the prefix and the base words,
+    # read without a pull.  A stream or a Python producer: unknown.
+    def w(text):
+        return parse_word(text, alphabet("ab"))
+
+    assert parse_presentation("generators: a b\nrelator: aa\nrelator: bAab\n").source.lattice == (w("aa"), w("bb"))
+    assert parse_presentation("generators: a b\n").source.lattice == ()
+    p = parse_presentation("generators: a b\nrelator: abAB\nfamily: powers aa bBb\n")
+    assert p.source.lattice == (w("abAB"), w("aa"), w("b"))
+    assert p.pulled_count == p.inline_count == 1
+    pid_file = tmp_path / "pid"
+    p = stream_presentation(tmp_path, PID_SCRIPT, pid_file, "once")
+    try:
+        assert p.source.lattice is None
+        assert not pid_file.exists() and p.pulled_count == 0
+    finally:
+        p.close()
+    assert presentation.RelatorSource([w("aa")]).lattice == (w("aa"),)
+    assert presentation.RelatorSource([w("aa")], iter([w("bb")])).lattice is None
+    assert presentation.RelatorSource([w("aa")], []).lattice is None
+    assert presentation.RelatorSource([w("aa")], [w("bb")], (w("aa"), w("bb"))).lattice == (w("aa"), w("bb"))
+
+
 STREAM_SCRIPT = textwrap.dedent(
     """
     import sys, time

@@ -1,7 +1,11 @@
 """The two-arm race: verdicts, fairness, determinism, spent arms."""
 
+import itertools
 import math
+import random
+import shlex
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -9,11 +13,11 @@ from helpers import PID_SCRIPT, race_reference, stream_presentation
 from wordrace import cosets, scheduler
 from wordrace.certcheck import verify_equality, verify_finiteness
 from wordrace.derivation import EqualityTask
-from wordrace.oracle import is_identity_dinf, is_identity_z
+from wordrace.oracle import corpus_groups, is_identity_dinf, is_identity_z
 from wordrace.presentation import Presentation, RelatorSource, extend, parse_presentation
 from wordrace.quotient import LETTERS_MODE, WORDS_MODE, FinitenessTask
 from wordrace.scheduler import EQUAL, EXHAUSTED, NOT_EQUAL, Budget, solve
-from wordrace.words import alphabet, parse_word
+from wordrace.words import alphabet, count_words_up_to, parse_word, word_at_index
 
 Z = "generators: a\n"
 DINF = "generators: a b\nrelator: aa\nrelator: bb\n"
@@ -165,21 +169,29 @@ TRIVIAL_RELATORS = "generators: a b\nrelator: aA\nrelator: bB\n"
 POWERS = "generators: a b\nfamily: powers aa bb\n"
 Z10 = "generators: a\nrelator: aaaaaaaaaa\n"
 Z3 = "generators: a\nrelator: aaa\n"
+B_TRIVIAL = "generators: a b\nrelator: b\n"
+STREAM_DINF = f"generators: a b\nstream: {shlex.quote(sys.executable)} -c \"print('aa'); print('bb')\"\n"
 
-# (presentation, word, tau mode, whether a verdict exists), at the default order cap 8
+# (presentation, word, tau mode, whether a verdict exists), at the default order cap 8.
+# "Retired" is by the abelianization, before the first turn.
 RACES = {
-    "f2-a": (F2, "a", WORDS_MODE, False),  # the equality arm is spent
-    "trivial-relators-a": (TRIVIAL_RELATORS, "a", WORDS_MODE, False),  # the equality arm is spent
-    "z-a9-cap8": (Z, "a" * 9, WORDS_MODE, False),  # both arms are spent
-    "dinf-ab5": (DINF, "ab" * 5, WORDS_MODE, False),  # the finiteness arm is spent
+    "f2-a": (F2, "a", WORDS_MODE, False),  # both arms are retired
+    "trivial-relators-a": (TRIVIAL_RELATORS, "a", WORDS_MODE, False),  # both arms are retired
+    "z-a9-cap8": (Z, "a" * 9, WORDS_MODE, False),  # the equality arm is retired, the finiteness arm spent
+    "dinf-ab5": (DINF, "ab" * 5, WORDS_MODE, False),  # the equality arm is retired, the finiteness arm spent
     "dinf-abab": (DINF, "abab", WORDS_MODE, True),
     "dinf-aa": (DINF, "aa", WORDS_MODE, True),
     "powers-abab": (POWERS, "abab", WORDS_MODE, True),  # never spent
-    "z-aaa-letters": (Z, "aaa", LETTERS_MODE, False),  # the equality arm is spent
+    "z-aaa-letters": (Z, "aaa", LETTERS_MODE, False),  # the equality arm is retired
     "z-a8": (Z, "a" * 8, WORDS_MODE, True),  # the finiteness arm wins alone at its step 17
     "z10-a40": (Z10, "a" * 40, WORDS_MODE, True),  # the equality arm wins at its step 70
     # The equality arm wins at its step 4, the finiteness arm would at its step 7.
     "z3-AAA": (Z3, "AAA", WORDS_MODE, True),
+    "dinf-aba": (DINF, "aba", WORDS_MODE, True),  # only the equality arm is retired
+    # Only the finiteness arm is retired, as G1 = <a, b | b, abA> maps onto Z; the equality arm wins.
+    "b-trivial-abA": (B_TRIVIAL, "abA", WORDS_MODE, True),
+    "powers-ab": (POWERS, "ab", WORDS_MODE, True),  # the equality arm is retired, from the base words
+    "stream-dinf-aba": (STREAM_DINF, "aba", WORDS_MODE, True),  # a stream's lattice is unknown: none is retired
 }
 
 # Steps (r + 1)^2 at which the coset limit grows, with the F2 table full.
@@ -341,8 +353,9 @@ def test_reading_spent_pulls_nothing(tmp_path):
 
 
 def test_idle_windows_are_counted_not_taken(monkeypatch):
-    # F2 with X = a: once the table is full nearly every finiteness step
-    # scans a relator cycle already closed.
+    # F2 with X = a, from a producer, whose lattice is unknown: no arm is
+    # retired before the first turn, and once the table is full nearly every
+    # finiteness step scans a relator cycle already closed.
     calls = 0
     step = FinitenessTask.step
 
@@ -352,10 +365,27 @@ def test_idle_windows_are_counted_not_taken(monkeypatch):
         return step(task)
 
     monkeypatch.setattr(FinitenessTask, "step", counted)
-    p = parse_presentation(F2)
+    p = Presentation(alphabet("ab"), RelatorSource([], []))
     out = solve(p, parse_word("a", p.alphabet), Budget())
     assert (out.verdict, out.steps_equal_arm, out.steps_finite_arm) == (EXHAUSTED, 500_000, 500_000)
-    assert calls < 10**4
+    assert 0 < calls < 10**4
+
+
+def test_idle_windows_are_skipped_at_scale():
+    # The alone phase's loop on F2's finiteness arm with X = a, to 10^8
+    # steps: the table fills to COSET_BASE + isqrt(10^8) cosets, and each
+    # idle window between the lookahead's open pairs is counted with one skip.
+    p = parse_presentation(F2)
+    arm = FinitenessTask(extend(p, parse_word("a", p.alphabet)))
+    end, calls = 10**8, 0
+    while arm.steps_taken < end:
+        calls += 1
+        assert arm.step() is None
+        if arm.idle:
+            arm.skip(min(arm.idle, end - arm.steps_taken))
+    assert arm.steps_taken == end and not arm.spent
+    assert arm.live == len(arm._table) == cosets.COSET_BASE + 10**4
+    assert 6 * 10**4 < calls < 7 * 10**4
 
 
 def test_equality_arm_wins_alone(monkeypatch):
@@ -431,7 +461,8 @@ class Stepped(Exception):
 
 def test_both_arms_spent_leave_an_unbounded_race_running(monkeypatch):
     # <a> with X = a^9 at the default cap: the equality arm is spent at once
-    # and the finiteness arm at its step 1,000.  No arm can win, and with no
+    # and the finiteness arm at its step 1,000.  F2 with X = a: both arms
+    # are retired before the first turn.  No arm can win, and with no
     # budget the race steps the finiteness arm for ever, past 10^4 calls.
     calls = 0
     step = FinitenessTask.step
@@ -444,6 +475,130 @@ def test_both_arms_spent_leave_an_unbounded_race_running(monkeypatch):
         return step(task)
 
     monkeypatch.setattr(FinitenessTask, "step", counted)
-    p = parse_presentation(Z)
-    with pytest.raises(Stepped):
-        solve(p, parse_word("a" * 9, p.alphabet), Budget(None))
+    for text, word in ((Z, "a" * 9), (F2, "a")):
+        calls = 0
+        p = parse_presentation(text)
+        with pytest.raises(Stepped):
+            solve(p, parse_word(word, p.alphabet), Budget(None))
+
+
+# -- arms the abelianization retires ----------------------------------------
+
+
+def test_retired_arms_take_one_step_each(monkeypatch):
+    # F2 with X = a: a is outside the lattice L = 0 of F2's relators, and
+    # G1 = <a, b | a> maps onto Z, so both arms are retired before the first
+    # turn and each takes one step, its first, which returns at once.
+    calls = 0
+    step = cosets.CosetEnumeration.step
+
+    def counted(task):
+        nonlocal calls
+        calls += 1
+        return step(task)
+
+    monkeypatch.setattr(cosets.CosetEnumeration, "step", counted)
+    p = parse_presentation(F2)
+    out = solve(p, parse_word("a", p.alphabet), Budget(10**15, 3))
+    assert (out.verdict, out.steps_equal_arm, out.steps_finite_arm) == (EXHAUSTED, 5 * 10**14 + 1, 5 * 10**14 - 1)
+    assert calls == 2
+
+
+def test_retired_arm_pulls_nothing(tmp_path):
+    # Over the powers family, X = ab retires the equality arm from the base
+    # words alone: its one step pulls no relator, where a live arm's first
+    # step pulls the first.
+    p = parse_presentation(POWERS)
+    assert solve(p, parse_word("ab", p.alphabet), Budget(1)).steps_equal_arm == 1
+    assert p.pulled_count == 0
+    assert solve(p, parse_word("abab", p.alphabet), Budget(1)).steps_equal_arm == 1
+    assert p.pulled_count == 1
+    # A stream is neither spawned nor read before the first turn.
+    pid_file = tmp_path / "pid"
+    p = stream_presentation(tmp_path, PID_SCRIPT, pid_file, "forever")
+    try:
+        assert solve(p, parse_word("aba", p.alphabet), Budget(0)).verdict == EXHAUSTED
+        assert not pid_file.exists() and p.pulled_count == 0
+    finally:
+        p.close()
+
+
+def in_box_lattice(vectors, radius):
+    """The points of the lattice spanned by ``vectors`` reached from 0 in steps of +-each inside the box of ``radius``."""
+    steps = {s for v in vectors if any(v) for s in (v, tuple(-e for e in v))}
+    origin = (0,) * len(next(iter(vectors)))
+    seen, todo = {origin}, [origin]
+    while todo:
+        u = todo.pop()
+        for s in steps:
+            w = tuple(a + b for a, b in zip(u, s))
+            if w not in seen and max(map(abs, w)) <= radius:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def rational_rank(vectors):
+    """The rank of ``vectors`` over Q, by Gaussian elimination in fractions."""
+    rows, rank = [[Fraction(e) for e in v] for v in vectors], 0
+    for j in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][j] / rows[rank][j]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def word_text(v, names):
+    """A word with exponent-sum vector v over the generators ``names``."""
+    return "".join((g if e > 0 else g.upper()) * abs(e) for g, e in zip(names, v))
+
+
+def exponent_sums(text, names):
+    return tuple(text.count(g) - text.count(g.upper()) for g in names)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_lattice_against_a_closure_and_the_rational_rank(seed):
+    # Up to 3 random relators of up to 3 letters over k <= 3 generators.
+    # A point of the lattice within the box of radius R = 3 is a sum of
+    # steps of norm <= 3 that, by the Steinitz lemma, some order keeps
+    # within k * 3 + R of 0 all the way: the closure inside that box finds
+    # every such point, and so decides membership exactly.
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+    names = "abc"[:k]
+    letters = names + names.upper()
+    relators = ["".join(rng.choice(letters) for _ in range(rng.randint(0, 3))) for _ in range(rng.randint(0, 3))]
+    vectors = [exponent_sums(r, names) for r in relators]
+    reach = in_box_lattice(vectors or [(0,) * k], 3 * k + 3)
+    a = alphabet(names)
+    words = tuple(parse_word(r, a) for r in relators)
+    box = itertools.product(range(-3, 4), repeat=k)
+    for v in box:
+        if not any(v):
+            continue
+        outside, infinite = scheduler._hopeless(words, parse_word(word_text(v, names), a), k)
+        assert outside == (v not in reach), (relators, v)
+        assert infinite == (rational_rank([*vectors, v]) < k), (relators, v)
+
+
+@pytest.mark.parametrize("group", corpus_groups(), ids=lambda g: g.name)
+def test_a_retired_equality_arm_is_one_the_oracle_finds_not_equal(group):
+    # Every reduced word of length <= 6 of the built-in corpus groups; on Z,
+    # its own abelianization, the equality arm is retired on every
+    # nonidentity word.
+    p = parse_presentation(group.presentation_text)
+    retired = 0
+    for n in range(1, count_words_up_to(6, p.alphabet.k)):
+        x = word_at_index(n, p.alphabet)
+        outside, infinite = scheduler._hopeless(p.source.lattice, x, p.alphabet.k)
+        assert not outside or not group.is_identity(x), x
+        assert not infinite  # every group here has an abelianization of rank k
+        retired += outside
+    if group.name == "Z":
+        assert retired == 12
