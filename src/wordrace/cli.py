@@ -4,6 +4,9 @@ Exit codes for ``solve`` encode the verdict so shell pipelines can branch:
 0 = equal, 1 = not-equal, 2 = exhausted, >2 = error.  The outcome document
 on stdout is byte-identical across runs with identical inputs; wall time
 goes to stderr so it cannot break that.
+
+Each subcommand's parser carries its handler.  ``corpus`` solves each
+``oracle.corpus_groups()`` record's words at the default budget.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="decide whether a word equals 1")
+    ps.set_defaults(run=_cmd_solve)
     ps.add_argument("presentation", help="presentation file path")
     ps.add_argument("--word", required=True, help="word in compact format; empty string is the identity")
     group = ps.add_mutually_exclusive_group()
@@ -49,14 +53,16 @@ def _build_parser() -> _Parser:
     ps.add_argument("--output", help="write the outcome document here instead of stdout")
 
     pv = sub.add_parser("verify", help="check a certificate against a presentation")
+    pv.set_defaults(run=_cmd_verify)
     pv.add_argument("certificate", help="certificate file path")
     pv.add_argument("presentation", help="presentation file path")
     pv.add_argument("--word", help="cross-check the certified word")
 
     pe = sub.add_parser("enum-tables", help="print group tables of one order")
+    pe.set_defaults(run=_cmd_enum_tables)
     pe.add_argument("--order", type=int, required=True)
 
-    sub.add_parser("corpus", help="run the built-in groups against their oracles")
+    sub.add_parser("corpus", help="run the built-in groups against their oracles").set_defaults(run=_cmd_corpus)
     return parser
 
 
@@ -157,14 +163,6 @@ def _cmd_enum_tables(args) -> int:
     return 0
 
 
-_CORPUS_WORDS = {
-    "Z": ["", "a", "aa", "aaa", "A", "AA", "AAA"],
-    "Dinf": ["", "a", "b", "aa", "bb", "ab", "aB", "Ab", "ba", "abba", "aabb"],
-    "Z3": ["", "a", "aa", "aaa", "AAA"],
-    "Z4": ["aa", "aaaa", "A"],
-}
-
-
 def _cmd_corpus(args) -> int:
     from . import oracle
     from .presentation import parse_presentation
@@ -175,9 +173,9 @@ def _cmd_corpus(args) -> int:
     for group in oracle.corpus_groups():
         p = parse_presentation(group.presentation_text)
         try:
-            for text in _CORPUS_WORDS[group.name]:
+            for text in group.words:
                 word = parse_word(text, p.alphabet)
-                outcome = solve(p, word, Budget(400_000))
+                outcome = solve(p, word, Budget())
                 expected = group.is_identity(word)
                 got = {EQUAL: True, NOT_EQUAL: False}.get(outcome.verdict)
                 ok = got == expected
@@ -194,14 +192,8 @@ def _cmd_corpus(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "solve": _cmd_solve,
-        "verify": _cmd_verify,
-        "enum-tables": _cmd_enum_tables,
-        "corpus": _cmd_corpus,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except Exception as exc:
         from .presentation import StreamError  # here, so that enum-tables loads no presentation
 

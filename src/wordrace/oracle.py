@@ -1,4 +1,4 @@
-"""Independent ground-truth deciders for the test corpus.
+"""Independent ground-truth deciders, and the built-in corpus they judge.
 
 These are deliberately group-specific and dumb: a normal form for the
 infinite cyclic group, a rewriting normal form for the infinite dihedral
@@ -77,11 +77,12 @@ class TableGroup(NamedTuple("TableGroup", [("table", MultiplicationTable), ("ima
 
 
 class CorpusGroup(NamedTuple):
-    """A named corpus entry: a decision procedure plus its presentation text."""
+    """A named corpus entry: its presentation text, its oracle and the words it runs."""
 
     name: str
     presentation_text: str
     is_identity: Callable[[Word], bool]
+    words: tuple[str, ...]
 
 
 def zn_table(n: int) -> MultiplicationTable:
@@ -92,12 +93,17 @@ def zn_table(n: int) -> MultiplicationTable:
 
 
 def corpus_groups() -> tuple[CorpusGroup, ...]:
-    """The built-in corpus: Z, Dinf, and small cyclic groups."""
+    """The built-in corpus: Z, Dinf and small cyclic groups, each with the words it runs.
+
+    Both arms certify a nonempty equal word of the finite Z3 and Z4, so they
+    run only words that ``solve`` answers before a step, or finds not equal.
+    """
     z3 = TableGroup(zn_table(3), (1,))
     z4 = TableGroup(zn_table(4), (1,))
     return (
-        CorpusGroup("Z", "generators: a\n", is_identity_z),
-        CorpusGroup("Dinf", "generators: a b\nrelator: aa\nrelator: bb\n", is_identity_dinf),
-        CorpusGroup("Z3", "generators: a\nrelator: aaa\n", z3.is_identity),
-        CorpusGroup("Z4", "generators: a\nrelator: aaaa\n", z4.is_identity),
+        CorpusGroup("Z", "generators: a\n", is_identity_z, ("", "a", "aa", "aaa", "A", "AA", "AAA")),
+        CorpusGroup("Dinf", "generators: a b\nrelator: aa\nrelator: bb\n", is_identity_dinf,
+                    ("", "a", "b", "aa", "bb", "ab", "aB", "Ab", "ba", "abba", "aabb")),
+        CorpusGroup("Z3", "generators: a\nrelator: aaa\n", z3.is_identity, ("", "a", "aa")),
+        CorpusGroup("Z4", "generators: a\nrelator: aaaa\n", z4.is_identity, ("aa", "A")),
     )

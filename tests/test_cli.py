@@ -237,6 +237,42 @@ def test_corpus_command(capsys):
     assert "all verdicts agree" in out
 
 
+CORPUS_STDOUT = """\
+group  word     verdict    oracle   ok
+Z      (empty)  equal      equal    yes
+Z      a        not-equal  not-equal yes
+Z      aa       not-equal  not-equal yes
+Z      aaa      not-equal  not-equal yes
+Z      A        not-equal  not-equal yes
+Z      AA       not-equal  not-equal yes
+Z      AAA      not-equal  not-equal yes
+Dinf   (empty)  equal      equal    yes
+Dinf   a        not-equal  not-equal yes
+Dinf   b        not-equal  not-equal yes
+Dinf   aa       equal      equal    yes
+Dinf   bb       equal      equal    yes
+Dinf   ab       not-equal  not-equal yes
+Dinf   aB       not-equal  not-equal yes
+Dinf   Ab       not-equal  not-equal yes
+Dinf   ba       not-equal  not-equal yes
+Dinf   abba     equal      equal    yes
+Dinf   aabb     equal      equal    yes
+Z3     (empty)  equal      equal    yes
+Z3     a        not-equal  not-equal yes
+Z3     aa       not-equal  not-equal yes
+Z4     aa       not-equal  not-equal yes
+Z4     A        not-equal  not-equal yes
+corpus: all verdicts agree
+"""
+
+
+def test_corpus_stdout_is_pinned(capsys):
+    # No timings: the table is the same bytes on every run.  The finite Z3
+    # and Z4 run no nonempty equal word, on which both arms would certify.
+    assert main(["corpus"]) == 0
+    assert capsys.readouterr().out == CORPUS_STDOUT
+
+
 def test_module_entry_point(z_pres):
     proc = subprocess.run(
         [sys.executable, "-m", "wordrace.cli", "solve", z_pres, "--word", "a", "--budget", "300000"],

@@ -423,3 +423,27 @@ def test_no_certificate_is_read_off_a_path_a_coincidence_is_moving(monkeypatch):
     while task.step() is None:
         assert task.steps_taken < 1000
     assert verify_equality(task.certificate, p, x) == (True, "ok")
+
+
+def test_an_open_path_is_declined_at_the_default_limit():
+    """A coincidence can clear an entry along X's path with no proof refused.
+
+    <a, b | BA, bABBA, aBabbA> is trivial (ab = 1 and then bABBA = A), and
+    X = BAA leads from coset 0 back to it at step 13 by the incremental
+    trace, while the walk from coset 0 meets a cleared entry at steps 13
+    and 14.  Those steps certify nothing, and step 15 certifies X.
+    """
+    p = parse_presentation("generators: a b\nrelator: BA\nrelator: bABBA\nrelator: aBabbA\n")
+    x = parse_word("BAA", p.alphabet)
+    task = EqualityTask(p, x)
+    closed, open_ = [], []
+    while task.step() is None:
+        assert task.steps_taken < 1000
+        if task._at == (0, len(x)):
+            f = 0
+            for y in x:
+                if (f := task._table[f][y]) < 0:
+                    break
+            (open_ if f < 0 else closed).append(task.steps_taken)
+    assert (closed, open_, task.steps_taken) == ([], [13, 14], 15)
+    assert verify_equality(task.certificate, p, x) == (True, "ok")

@@ -40,7 +40,7 @@ FROZEN = [
     pytest.param(Outcome("equal", EQ, 3, 2), "verdict", id="Outcome"),
     pytest.param(EqualityDocument("0" * 64, EQ), "digest", id="EqualityDocument"),
     pytest.param(FinitenessDocument("0" * 64, b"\x00", FIN, {}, {}), "target", id="FinitenessDocument"),
-    pytest.param(CorpusGroup("Z", "generators: a\n", is_identity_z), "name", id="CorpusGroup"),
+    pytest.param(CorpusGroup("Z", "generators: a\n", is_identity_z, ("a",)), "words", id="CorpusGroup"),
 ]
 
 

@@ -602,3 +602,16 @@ def test_a_retired_equality_arm_is_one_the_oracle_finds_not_equal(group):
         retired += outside
     if group.name == "Z":
         assert retired == 12
+
+
+CORPUS_ROWS = [(group, text) for group in corpus_groups() for text in group.words if text]
+
+
+@pytest.mark.parametrize("group,text", CORPUS_ROWS, ids=[f"{g.name}-{t}" for g, t in CORPUS_ROWS])
+def test_each_corpus_row_is_certified_by_the_one_arm_its_oracle_allows(group, text):
+    # Each arm stepped alone: on a finite group both can certify an equal
+    # word, and the race's verdict would then be whichever comes first.
+    p = parse_presentation(group.presentation_text)
+    x = parse_word(text, p.alphabet)
+    certified = [any(arm.step() is not None for _ in range(2_000)) for arm in (EqualityTask(p, x), FinitenessTask(extend(p, x)))]
+    assert certified == [group.is_identity(x), not group.is_identity(x)]
